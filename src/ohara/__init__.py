@@ -8,8 +8,6 @@ seminorms, diagonal asymptotics, and an energy-descent flow.
 from .curve import (
     ClosedCurve,
     Field,
-    PairFrame,
-    arc_integral,
     bilipschitz_constant,
     circle,
     ellipse,

@@ -7,7 +7,8 @@ values at the two endpoints.  Two evaluators provide those with a common
 interface so the formulas are written exactly once:
 
 * :class:`PairSet` -- pairs of grid samples, from a single pair up to the full
-  M x M offset grid (vectorized, used by the quadrature module);
+  M x M offset grid (vectorized; ``curve.pair_frame`` returns one pair and
+  the quadrature module builds the grid);
 * :class:`OffGridPair` -- pairs of arbitrary parameter values, evaluated
   through the trigonometric interpolants (used by the diagonal-limit probes).
 
@@ -28,9 +29,15 @@ import numpy as np
 
 
 class PairSet:
-    """Vectorized bundle of grid-sample pairs ``(s1, s2) = (s_i, s_j)``."""
+    """Vectorized bundle of grid-sample pairs ``(s1, s2) = (s_i, s_j)``.
 
-    def __init__(self, curve, i_idx, j_idx):
+    ``i`` and ``j`` broadcast against each other, so one pair, a list of
+    pairs and the full offset grid (``j`` an ``(M, 1)`` column) share this
+    class.  ``chord2`` may be passed in when the caller already holds the
+    squared chords; ``D``, ``dvec`` and ``chord`` are computed on demand.
+    """
+
+    def __init__(self, curve, i_idx, j_idx, chord2=None):
         M = curve.M
         i = np.asarray(i_idx, dtype=np.intp) % M
         j = np.asarray(j_idx, dtype=np.intp) % M
@@ -38,14 +45,28 @@ class PairSet:
         self.i = i
         self.j = j
         k = (i - j) % M
-        self.k = k
-        ds = np.where(k <= M // 2, k, k - M) * curve.h
-        self.ds = ds
-        self.D = np.abs(ds)
+        # signed short-arc separation s_i - s_j in (-L/2, L/2]
+        self.ds = np.where(k <= M // 2, k, k - M) * curve.h
         self.wrap = (i < j).astype(float) - (k > M // 2)
-        dvec = curve.positions[i] - curve.positions[j]
-        self.dvec = dvec
-        self.chord2 = np.einsum("...i,...i->...", dvec, dvec)
+        if chord2 is None:
+            dvec = self.dvec
+            chord2 = np.einsum("...i,...i->...", dvec, dvec)
+        self.chord2 = chord2
+
+    @property
+    def D(self):
+        """Intrinsic distance ``|ds|``."""
+        return np.abs(self.ds)
+
+    @property
+    def dvec(self):
+        """Chord vector ``f(s_i) - f(s_j)``."""
+        return self.curve.positions[self.i] - self.curve.positions[self.j]
+
+    @property
+    def chord(self):
+        """Euclidean chord length."""
+        return np.sqrt(self.chord2)
 
     def integral(self, field):
         """Signed short-arc integral of a field between the pair endpoints."""
@@ -92,6 +113,20 @@ class OffGridPair:
 
     def value2(self, field):
         return field.at(self.s2)
+
+
+def offset_sq_diffs(values):
+    """``out[j, k] = |v(s_{j+k}) - v(s_j)|^2`` over all cyclic offsets ``k``.
+
+    ``values`` holds the ``(M,)`` or ``(M, n)`` samples of ``v``.
+    """
+    vals = values if values.ndim == 2 else values[:, None]
+    M = vals.shape[0]
+    out = np.empty((M, M))
+    for k in range(M):
+        d = np.roll(vals, -k, axis=0) - vals
+        out[:, k] = np.einsum("ij,ij->i", d, d)
+    return out
 
 
 def n_raw(ev, u, v, uv):

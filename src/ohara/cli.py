@@ -23,9 +23,16 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .curve import Field, circle, ellipse, load_curve, random_curve, random_field
+from .curve import (
+    Field,
+    _float_array,
+    _read_rows,
+    circle,
+    ellipse,
+    load_curve,
+    random_curve,
+    random_field,
+)
 from .errors import NumericalError, ValidationError
 from .flow import circle_distance, run_flow
 from .kernels import EnergyParams
@@ -68,7 +75,6 @@ class RunConfig:
     psi_spec: str = "synthetic:6"
     out: str = None
     seed: int = 0
-    threads: int = 1
     suite: str = "all"
     beta_requested: bool = False
 
@@ -100,7 +106,6 @@ def _parser():
         sp.add_argument("--psi", metavar="PATH|synthetic:K", default="synthetic:7")
         sp.add_argument("--out", metavar="PATH", default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         if name == "density":
             sp.add_argument("--which", choices=("density", "g", "h"), default="density")
         if name == "verify":
@@ -110,8 +115,8 @@ def _parser():
 
 def _config(args):
     params = EnergyParams(args.alpha, args.p, beta=args.beta)
-    if args.threads < 1:
-        raise ValidationError("threads must be >= 1")
+    if args.seed < 0:
+        raise ValidationError("seed must be >= 0")
     return RunConfig(
         command=args.command,
         params=params,
@@ -122,7 +127,6 @@ def _config(args):
         psi_spec=args.psi,
         out=args.out,
         seed=args.seed,
-        threads=args.threads,
         suite=getattr(args, "suite", "all"),
         beta_requested=args.beta is not None,
     )
@@ -157,15 +161,9 @@ def _load_field(curve, spec, seed):
         key = "values" if "values" in doc else "points"
         if key not in doc:
             raise ValidationError("field JSON must contain 'values' (or 'points')")
-        vals = np.asarray(doc[key], dtype=float)
+        vals = _float_array(doc[key], "field " + key)
     else:
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
-        vals = np.asarray(rows, dtype=float)
+        vals = _read_rows(text, "field file")
         if vals.ndim == 2 and vals.shape[1] == 1:
             vals = vals[:, 0]
     return Field(curve, vals)

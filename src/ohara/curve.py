@@ -14,21 +14,19 @@ the kernel identities downstream rely on.
 """
 
 import csv
-import io
 import json
 
 import numpy as np
 
+from ._pairs import PairSet, offset_sq_diffs
 from .errors import NumericalError, ValidationError
 from .spectral import Interpolant, prefix_integral, short_arc_offsets, spectral_derivative
 
 __all__ = [
     "ClosedCurve",
     "Field",
-    "PairFrame",
     "from_samples",
     "pair_frame",
-    "arc_integral",
     "bilipschitz_constant",
     "resampled",
     "circle",
@@ -58,6 +56,8 @@ class Field:
 
     def __init__(self, curve, values, derivative=None):
         values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2):
+            raise ValidationError("field samples must be (M,) or (M, n)")
         if values.shape[0] != curve.M:
             raise ValidationError(
                 "field has %d samples, curve grid has %d" % (values.shape[0], curve.M)
@@ -67,8 +67,6 @@ class Field:
                 "vector field dimension %d does not match curve dimension %d"
                 % (values.shape[1], curve.n)
             )
-        if values.ndim > 2:
-            raise ValidationError("field samples must be (M,) or (M, n)")
         if not np.all(np.isfinite(values)):
             raise ValidationError("field samples must be finite")
         self.curve = curve
@@ -121,25 +119,6 @@ class Field:
         if self.values.ndim == 1:
             return float(np.max(np.abs(self.values)))
         return float(np.max(np.linalg.norm(self.values, axis=1)))
-
-
-class PairFrame:
-    """Separated pair of grid samples with the quantities every kernel needs."""
-
-    __slots__ = ("i", "j", "ds", "D", "dvec", "chord")
-
-    def __init__(self, i, j, ds, D, dvec, chord):
-        self.i = i
-        self.j = j
-        self.ds = ds        # signed short-arc separation s_i - s_j, in (-L/2, L/2]
-        self.D = D          # intrinsic distance |ds|
-        self.dvec = dvec    # chord vector f(s_i) - f(s_j)
-        self.chord = chord  # Euclidean chord length
-
-    def __repr__(self):
-        return "PairFrame(i=%d, j=%d, ds=%.6g, D=%.6g, chord=%.6g)" % (
-            self.i, self.j, self.ds, self.D, self.chord,
-        )
 
 
 class ClosedCurve:
@@ -239,12 +218,7 @@ class ClosedCurve:
     def chord2_grid(self):
         """Offset-major squared chords: ``out[j, k] = |f(s_{j+k}) - f(s_j)|^2``."""
         if self._chord2 is None:
-            M = self.M
-            out = np.empty((M, M))
-            for k in range(M):
-                d = np.roll(self.positions, -k, axis=0) - self.positions
-                out[:, k] = np.einsum("ij,ij->i", d, d)
-            self._chord2 = out
+            self._chord2 = offset_sq_diffs(self.positions)
         return self._chord2
 
     def kappa_sq(self):
@@ -267,10 +241,6 @@ class ClosedCurve:
         if lam <= 0:
             raise ValidationError("scale factor must be positive")
         return ClosedCurve(self.positions * lam, self.L * lam)
-
-    def shifted_start(self, k):
-        """Same curve with the arclength origin moved to sample ``k``."""
-        return ClosedCurve(np.roll(self.positions, -k, axis=0), self.L)
 
 
 # -- public constructors -----------------------------------------------------
@@ -374,43 +344,19 @@ def ellipse(a=2.0, b=1.0, M=256):
 
 
 def pair_frame(curve, i, j):
-    """Geometric frame for the sample pair ``(s_i, s_j)``.
+    """The one-pair :class:`PairSet` of the sample pair ``(s_i, s_j)``.
 
     ``ds`` is the representative of ``s_i - s_j`` in ``(-L/2, L/2]`` (the
     antipodal separation maps to ``+L/2``); ``D = |ds|`` is the intrinsic
-    distance, ``dvec = f(s_i) - f(s_j)`` the chord.
+    distance, ``dvec = f(s_i) - f(s_j)`` the chord vector and ``chord`` its
+    length.
     """
     M = curve.M
     i = int(i) % M
     j = int(j) % M
     if i == j:
         raise ValidationError("pair_frame requires two distinct samples (diagonal pair)")
-    k = (i - j) % M
-    ds = k * curve.h if k <= M // 2 else (k - M) * curve.h
-    dvec = curve.positions[i] - curve.positions[j]
-    chord = float(np.linalg.norm(dvec))
-    return PairFrame(i, j, float(ds), abs(float(ds)), dvec, chord)
-
-
-def arc_integral(curve, u, pair, v=None):
-    """Signed integral of a field over the short arc of a pair.
-
-    Integrates the scalar or vector field ``u`` (or the pointwise product
-    ``u . v`` when ``v`` is given) from ``s_j`` to ``s_i`` along the shorter
-    of the two arcs, with the sign of ``ds``.  Uses the prefix table, so the
-    cost is O(1) per pair after the first call per field.
-    """
-    if v is not None:
-        u = u.dot(v)
-    P, total = u.prefix()
-    i, j = pair.i, pair.j
-    k = (pair.i - pair.j) % curve.M
-    out = P[i] - P[j]
-    if i < j:
-        out = out + total
-    if k > curve.M // 2:
-        out = out - total
-    return out
+    return PairSet(curve, i, j)
 
 
 def bilipschitz_constant(curve):
@@ -456,6 +402,30 @@ def save_curve(curve, path):
                 w.writerow([repr(float(x)) for x in row])
 
 
+def _float_array(data, what):
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("%s must be a numeric array: %s" % (what, exc))
+
+
+def _read_rows(text, what):
+    """Numeric table with one row per line; commas or blanks separate cells.
+
+    Blank lines and lines starting with ``#`` are skipped.
+    """
+    rows = []
+    for num, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([float(tok) for tok in line.replace(",", " ").split()])
+        except ValueError:
+            raise ValidationError("%s line %d is not numeric: %.40r" % (what, num, line))
+    return _float_array(rows, what + " rows")
+
+
 def load_curve(path, M=None):
     """Read point samples from JSON or CSV and build a curve.
 
@@ -479,17 +449,11 @@ def load_curve(path, M=None):
             raise ValidationError("curve JSON must contain a 'points' array")
         if not doc.get("closed", True):
             raise ValidationError("only closed curves are supported")
-        pts = np.asarray(doc["points"], dtype=float)
-        if "dimension" in doc and pts.ndim == 2 and pts.shape[1] != int(doc["dimension"]):
+        pts = _float_array(doc["points"], "curve points")
+        if "dimension" in doc and pts.ndim == 2 and pts.shape[1] != doc["dimension"]:
             raise ValidationError("curve JSON dimension does not match point data")
     else:
-        rows = []
-        for line in io.StringIO(text):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
-        pts = np.asarray(rows, dtype=float)
+        pts = _read_rows(text, "curve file")
     crv = from_samples(pts)
     if M is not None and M != crv.M:
         crv = resampled(crv, M)

@@ -57,9 +57,13 @@ class FlowState:
 
 
 def _basis_matrix(curve, K):
-    """Orthonormal L2 trig basis values, shape (2K+1, M)."""
-    if K < 0 or 2 * K > curve.M:
-        raise ValidationError("need 0 <= 2K <= M")
+    """Orthonormal L2 trig basis values, shape (2K+1, M).
+
+    Needs ``2K < M``: at ``K = M/2`` the sine row vanishes on the grid and
+    the top cosine row has twice the unit norm.
+    """
+    if K < 0 or 2 * K >= curve.M:
+        raise ValidationError("need 0 <= 2K < M")
     L, s = curve.L, curve.s
     rows = [np.full(curve.M, 1.0 / np.sqrt(L))]
     for m in range(1, K + 1):

@@ -133,13 +133,6 @@ def n_tau_checked(ntt, where=None):
     return np.where(ntt < 0.0, 0.0, ntt)
 
 
-def _tt_field(curve):
-    # cached pointwise tau.tau product field (samples are 1 + O(eps))
-    if not hasattr(curve, "_tt_cache"):
-        curve._tt_cache = curve.tau_field.dot(curve.tau_field)
-    return curve._tt_cache
-
-
 def n_tau_pair(curve, pair):
     """N(tau, tau) at a sample pair, validity policy applied."""
     tau = curve.tau_field
@@ -150,7 +143,8 @@ def n_tau_pair(curve, pair):
 def m_alpha(curve, pair, params):
     """Reformulated kernel ``M_alpha = phi_alpha(N(tau,tau)) / |df|^alpha``."""
     ev = _pairset(curve, pair)
-    ntt = n_tau_checked(n_raw(ev, curve.tau_field, curve.tau_field, _tt_field(curve)))
+    tau = curve.tau_field
+    ntt = n_tau_checked(n_raw(ev, tau, tau, tau.dot(tau)))
     value, _, _ = phi_alpha(ntt, params.alpha)
     return float(value / np.power(ev.chord2, params.alpha / 2.0))
 

@@ -73,14 +73,9 @@ def _offband_cols(M, band):
 
 
 def _grid_pairs(curve):
-    if not hasattr(curve, "_grid_ps"):
-        M = curve.M
-        j = np.arange(M)[:, None]
-        k = np.arange(M)[None, :]
-        i_idx = (j + k) % M
-        j_idx = np.broadcast_to(j, (M, M)).copy()
-        curve._grid_ps = PairSet(curve, i_idx, j_idx)
-    return curve._grid_ps
+    """The offset grid: row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``."""
+    j = np.arange(curve.M)[:, None]
+    return PairSet(curve, j + np.arange(curve.M), j, chord2=curve.chord2_grid())
 
 
 def _quartic_coeffs(W_m2, W_m1, W0, W_p1, W_p2, band):
@@ -99,6 +94,7 @@ def _band_pieces(F, curve, band, gamma, W0):
     Returns ``(band_int, cut_em2, cut_em4)`` arrays of shape (M,).
     """
     M, h = curve.M, curve.h
+    _check_band(M, band)
     Dk = np.abs(short_arc_offsets(M, curve.L))
     cols = [M - (band + 2), M - (band + 1), band + 1, band + 2]
     Wm2 = F[:, cols[0]] * Dk[cols[0]] ** gamma
@@ -158,15 +154,20 @@ def _corner_pieces(F, curve):
     return patch_delta, em2, em4
 
 
-def _integrate(F, curve, band, gamma, W0):
-    """Full double integral of the row extension of the offset grid F."""
+def _integrate(F, curve, band, band_pieces):
+    """Full double integral of the row extension of the offset grid F.
+
+    ``band_pieces`` is the per-row ``(band_int, cut_em2, cut_em4)`` of a band
+    model: the closed-form integral over ``|u| <= (band + 1/2) h`` and the
+    h^2 and h^4 edge corrections at the cut (see :func:`_band_pieces`).
+    """
     M, h = curve.M, curve.h
     _check_band(M, band)
     cols = _offband_cols(M, band)
     rows = h * np.where(cols[None, :], F, 0.0).sum(axis=1)
 
     patch_delta, corner_em, corner_em4 = _corner_pieces(F, curve)
-    band_int, cut_em2, cut_em4 = _band_pieces(F, curve, band, gamma, W0)
+    band_int, cut_em2, cut_em4 = band_pieces
     row_totals = (
         rows + patch_delta + corner_em + corner_em4 + band_int + cut_em2 + cut_em4
     )
@@ -177,36 +178,6 @@ def _integrate(F, curve, band, gamma, W0):
         "band": h * float(band_int.sum()),
         "cut_em2": h * float(cut_em2.sum()),
         "cut_em4": h * float(cut_em4.sum()),
-    }
-    return h * float(row_totals.sum()), parts
-
-
-def _integrate_bound_band(F, curve, band, bound_rows, expo):
-    """Like :func:`_integrate` but with an upper-bound band model.
-
-    ``bound_rows * |u|^expo`` dominates the integrand inside the band (used
-    by the Gagliardo seminorm, where the band bound comes from sup |u'|);
-    cut corrections fall back to one-sided sample differences.
-    """
-    M, h = curve.M, curve.h
-    _check_band(M, band)
-    cols = _offband_cols(M, band)
-    rows = h * np.where(cols[None, :], F, 0.0).sum(axis=1)
-
-    patch_delta, corner_em, corner_em4 = _corner_pieces(F, curve)
-
-    b = band
-    d1p = (-2.0 * F[:, b + 1] + 3.0 * F[:, b + 2] - F[:, b + 3]) / h
-    d1m = (2.0 * F[:, M - b - 1] - 3.0 * F[:, M - b - 2] + F[:, M - b - 3]) / h
-    cut_em2 = (h ** 2 / 24.0) * (d1m - d1p)
-
-    c1 = (band + 0.5) * h
-    band_int = bound_rows * 2.0 * c1 ** (expo + 1.0) / (expo + 1.0)
-
-    row_totals = rows + patch_delta + corner_em + corner_em4 + band_int + cut_em2
-    parts = {
-        "offband": h * float(rows.sum()),
-        "band": h * float(np.asarray(band_int).sum()),
     }
     return h * float(row_totals.sum()), parts
 
@@ -248,7 +219,7 @@ class GridOperator:
     def energy(self, band=None):
         band = self.band if band is None else band
         W0 = density_limit(self.curve, self.params, beta=1.0)
-        return _integrate(self.density_values(), self.curve, band, self.gamma, W0)
+        return self._assemble(self.density_values(), band, W0)
 
     def energy_with_estimate(self):
         value, parts = self.energy()
@@ -261,6 +232,10 @@ class GridOperator:
         ) + 64.0 * np.finfo(float).eps * abs(value)
         return value, est
 
+    def _assemble(self, F, band, W0):
+        pieces = _band_pieces(F, self.curve, band, self.gamma, W0)
+        return _integrate(F, self.curve, band, pieces)
+
     def g_values(self, phi):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = self._blocks(phi=phi).g_terms("phi")
@@ -268,7 +243,7 @@ class GridOperator:
 
     def first_variation(self, phi):
         W0 = g_limit(self.curve, self.params, phi)
-        value, _ = _integrate(self.g_values(phi), self.curve, self.band, self.gamma, W0)
+        value, _ = self._assemble(self.g_values(phi), self.band, W0)
         return value
 
     def h_values(self, phi, psi):
@@ -286,7 +261,7 @@ class GridOperator:
                 "quadrature" % len(pairs)
             )
         W0 = h_limit(self.curve, self.params, phi, psi)
-        value, _ = _integrate(F, self.curve, self.band, self.gamma, W0)
+        value, _ = self._assemble(F, self.band, W0)
         return value + antipodal_motion_term(self.curve, phi, psi, self.params)
 
 
@@ -318,7 +293,7 @@ def second_variation(curve, phi, psi, params, band=DEFAULT_BAND):
     return GridOperator(curve, params, band).second_variation(phi, psi)
 
 
-def _half_arc_integrals(curve, phi):
+def _half_arc_totals(curve, phi):
     """``A[j] = integral of tau . phi' from s_j to s_j + L/2`` and the total.
 
     The integrand is the arclength derivative of the perturbation's
@@ -359,8 +334,8 @@ def antipodal_motion_term(curve, phi, psi, params):
     alpha, p = params.alpha, params.p
     base = c ** (-alpha) - D ** (-alpha)
     wd = p * alpha * base ** (p - 1.0) * D ** (-alpha - 1.0)
-    Ap, Tp = _half_arc_integrals(curve, phi)
-    Aq, Tq = _half_arc_integrals(curve, psi)
+    Ap, Tp = _half_arc_totals(curve, phi)
+    Aq, Tq = _half_arc_totals(curve, psi)
     prod = (2.0 * Ap - Tp) * (2.0 * Aq - Tq)
     return -0.5 * curve.h * float(np.sum(wd * prod))
 
@@ -408,9 +383,8 @@ class PairGrid:
         }
 
 
-def _to_pair_major(curve, V):
-    M = curve.M
-    ps = _grid_pairs(curve)
+def _to_pair_major(ps, V):
+    M = ps.curve.M
     out = np.full((M, M), np.nan)
     out[ps.i, ps.j] = V
     return out
@@ -439,7 +413,9 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
         if phi is None or psi is None:
             raise ValidationError("which='h' requires phi and psi")
         V, fmask = op.h_values(phi, psi)
-        flagged = [(int(a), int(b)) for a, b in zip(*np.nonzero(fmask))]
+        # op.ps.j is an (M, 1) column
+        flagged = [(int(op.ps.i[a, b]), int(op.ps.j[a, 0]))
+                   for a, b in zip(*np.nonzero(fmask))]
         label = "H"
     else:
         raise ValidationError("unknown grid quantity %r" % (which,))
@@ -471,15 +447,11 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
                                   np.abs(np.asarray(W0, dtype=float)))
     band_l1 = float(curve.h * np.sum(np.abs(band_int)))
 
-    pm = _to_pair_major(curve, V)
-    grid = PairGrid(
-        values=pm, band=band, label=label, M=curve.M, L=curve.L,
-        alpha=params.alpha, p=params.p, beta=beta, sup=sup, l1_offband=l1_off,
-        band_l1_estimate=band_l1,
-        flagged=[( int(curve._grid_ps.i[a, b]), int(curve._grid_ps.j[a, b]))
-                 for a, b in flagged],
+    return PairGrid(
+        values=_to_pair_major(op.ps, V), band=band, label=label, M=curve.M,
+        L=curve.L, alpha=params.alpha, p=params.p, beta=beta, sup=sup,
+        l1_offband=l1_off, band_l1_estimate=band_l1, flagged=flagged,
     )
-    return grid
 
 
 def holder_chain_check(curve, phi, psi, params, band=DEFAULT_BAND):

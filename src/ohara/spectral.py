@@ -119,7 +119,10 @@ class Interpolant:
         if order % 2 == 1:
             fac = fac.copy()
             fac[-1] = 0.0
-        E = np.exp(1j * np.outer(sv, self._mu))
+        # the (points, modes) table is built in place: it is the largest
+        # temporary of the arclength reparametrization
+        E = 1j * np.outer(sv, self._mu)
+        np.exp(E, out=E)
         out = (E @ ((self._w * fac)[:, None] * self._c)).real / self.M
         out = self._reduce(out)
         return out[0] if scalar else out
@@ -132,7 +135,9 @@ class Interpolant:
         mean = self._c[0].real / self.M
         cpre = np.zeros_like(self._c)
         cpre[1:] = (self._w[1:, None] / (1j * self._mu[1:, None])) * self._c[1:]
-        E = np.exp(1j * np.outer(sv, self._mu)) - 1.0
+        E = 1j * np.outer(sv, self._mu)
+        np.exp(E, out=E)
+        E -= 1.0
         out = (E @ cpre).real / self.M + np.outer(sv, mean)
         out = self._reduce(out)
         return out[0] if scalar else out

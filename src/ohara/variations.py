@@ -112,9 +112,8 @@ class Blocks:
         return self.curve.tau_field
 
     def _tt(self):
-        from .kernels import _tt_field
-
-        return _tt_field(self.curve)
+        # pointwise tau . tau as a scalar field (samples are 1 + O(eps))
+        return self._get("tt", lambda: self.tau.dot(self.tau))
 
     def ntt_raw(self):
         return self._get(

@@ -170,12 +170,45 @@ def test_bad_field_spec(capsys, circle_file):
     assert "synthetic" in err
 
 
-def test_threads_validation(capsys, circle_file):
-    code, _, err = run_cli(
-        capsys, "energy", "--curve", circle_file, "--threads", "0"
+def test_threads_flag_removed(capsys, circle_file):
+    code, out, err = run_cli(
+        capsys, "energy", "--curve", circle_file, "--threads", "1"
     )
     assert code == 1
-    assert "threads" in err
+    assert out == ""
+    assert "unrecognized arguments: --threads 1" in err
+
+
+BAD_INPUTS = {
+    "csv-non-numeric-cell": ("curve.csv", "1.0, 0.0\n0.0, abc\n", "curve"),
+    "csv-ragged-rows": ("curve.csv", "1.0 0.0\n0.0 1.0 2.0\n", "curve"),
+    "json-ragged-points": (
+        "curve.json", '{"points": [[1.0, 0.0], [0.0, 1.0, 2.0]]}', "curve",
+    ),
+    "json-text-dimension": (
+        "curve.json", '{"dimension": "x", "points": [[1.0, 0.0], [0.0, 1.0]]}', "curve",
+    ),
+    "field-json-array": ("phi.json", "[[0.0, 1.0], [1.0, 0.0]]", "phi"),
+    "field-json-non-numeric": ("phi.json", '{"values": [["a", "b"]]}', "phi"),
+    "field-json-scalar": ("phi.json", '{"values": 3.0}', "phi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS) + ["negative-seed"])
+def test_bad_input_is_one_error_line(capsys, tmp_path, circle_file, case):
+    opts = {"--curve": circle_file}
+    if case == "negative-seed":
+        opts["--seed"] = "-1"
+    else:
+        name, text, role = BAD_INPUTS[case]
+        path = tmp_path / name
+        path.write_text(text)
+        opts["--" + role] = str(path)
+    code, out, err = run_cli(capsys, "gradient", *(t for kv in opts.items() for t in kv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_verify_fd_suite(capsys):

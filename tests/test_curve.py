@@ -18,6 +18,15 @@ from ohara.curve import (
     save_curve,
 )
 from ohara.errors import ValidationError
+from ohara.kernels import EnergyParams
+from ohara.quadrature import (
+    GridOperator,
+    density_grid,
+    energy,
+    first_variation,
+    holder_chain_check,
+    second_variation,
+)
 
 
 def test_circle_geometry(circle128):
@@ -131,10 +140,39 @@ def test_bilipschitz_circle(circle128):
 
 
 def test_pair_frame_short_arc(circle128):
-    fr = pair_frame(circle128, 100, 4)
-    assert abs(fr.ds) <= circle128.L / 2.0
-    assert fr.D == pytest.approx(abs(fr.ds))
-    assert fr.chord == pytest.approx(2.0 * np.sin(fr.D / 2.0), rel=1e-12)
+    cv = circle128
+    # (i, j, ds in grid steps): negative ds, a pair across the origin, the
+    # antipodal pair both ways round, positive ds
+    for i, j, steps in [(100, 4, -32), (3, 120, 11), (64, 0, 64), (0, 64, 64), (4, 100, 32)]:
+        fr = pair_frame(cv, i, j)
+        assert fr.ds == pytest.approx(steps * cv.h, rel=1e-14)
+        assert abs(fr.ds) <= cv.L / 2.0
+        assert fr.D == pytest.approx(abs(fr.ds))
+        assert np.array_equal(fr.dvec, cv.positions[i] - cv.positions[j])
+        assert fr.chord == pytest.approx(2.0 * np.sin(fr.D / 2.0), rel=1e-12)
+
+
+def test_quadrature_sets_no_attributes_on_curves():
+    # the pair grid and the tau.tau product belong to the operator, not to
+    # the curve: the quadrature entry points leave the curve's attributes as
+    # construction made them
+    cv = random_curve(3, M=64, n=3)
+    before = set(vars(cv))
+    pr = EnergyParams(2.0, 2.0)
+    phi, psi = random_field(cv, 1), random_field(cv, 2)
+    energy(cv, pr, with_estimate=True)
+    first_variation(cv, phi, pr)
+    second_variation(cv, phi, psi, pr)
+    density_grid(cv, pr, which="h", phi=phi, psi=psi)
+    holder_chain_check(cv, phi, psi, pr)
+    assert set(vars(cv)) == before
+
+
+def test_grid_operator_shares_the_curve_chords():
+    cv = random_curve(3, M=64, n=3)
+    ps = GridOperator(cv, EnergyParams(2.0, 1.0)).ps
+    assert ps.chord2 is cv.chord2_grid()
+    assert ps.j.shape == (cv.M, 1)
 
 
 def test_random_curve_deterministic():

@@ -51,6 +51,20 @@ def test_gradient_coefficients_are_directional_derivatives(params21, bumpy256):
         assert abs(coeffs[k, m] - ref) <= 1.0e-6 * max(abs(ref), 1.0)
 
 
+def test_basis_matrix_needs_fewer_modes_than_half_the_grid():
+    # at K = M/2 the sine row vanishes on the grid and the basis is not
+    # orthonormal, so it is rejected; K = M/2 - 1 is orthonormal
+    from ohara.errors import ValidationError
+    from ohara.flow import _basis_matrix
+
+    cv = circle(32)
+    with pytest.raises(ValidationError):
+        _basis_matrix(cv, cv.M // 2)
+    B = _basis_matrix(cv, cv.M // 2 - 1)
+    gram = cv.h * B @ B.T
+    assert np.abs(gram - np.eye(B.shape[0])).max() <= 1.0e-12
+
+
 def test_flow_step_dt_zero_is_identity(params21, bumpy256):
     state = FlowState(curve=bumpy256, dt=0.0)
     out = flow_step(state, params21)

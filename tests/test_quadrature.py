@@ -89,6 +89,10 @@ def test_energy_band_choice_consistent(params21):
     e2 = energy(cv, params21, band=2)
     e4 = energy(cv, params21, band=4)
     assert rel(e2, e4) < 1.0e-9
+    # a band too wide for the grid is rejected before the band model reads
+    # its columns, also when passed to an existing operator
+    with pytest.raises(ValidationError):
+        GridOperator(cv, params21).energy(band=cv.M)
 
 
 # -------------------------------------------------------------- variations

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -169,12 +170,22 @@ def _load_field(curve, spec, seed):
     return Field(curve, vals)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn a failure to write ``path`` into a :class:`ValidationError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError("cannot write %s: %s" % (path, exc))
+
+
 def _emit(doc, out):
+    """Write ``--out`` first, so a bad path prints nothing to stdout."""
     text = json.dumps(doc, sort_keys=True, indent=2)
-    print(text)
     if out is not None:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -239,7 +250,8 @@ def _cmd_density(cfg, which):
         cv, cfg.params, which=which, beta=beta, phi=phi, psi=psi, band=cfg.band
     )
     if cfg.out is not None:
-        save_grid_csv(grid, cfg.out)
+        with _writing(cfg.out):
+            save_grid_csv(grid, cfg.out)
     doc = grid.summary()
     doc.update({"M": cv.M, "band": cfg.band, "beta": beta, "csv": cfg.out})
     _emit(doc, None)

@@ -302,12 +302,11 @@ def _arclength_pass(pts, oversample=4):
     dev = float(np.max(np.abs(speed - L))) / L
     targets = np.arange(M) * (L / M)
     sp_interp = Interpolant(speed, 1.0)
-    A_interp_prefix = sp_interp.prefix
     # Newton solve A(t) = target, dA/dt = speed(t); A is strictly increasing
     t = np.interp(targets, np.concatenate([A, [L]]), np.concatenate([tf, [1.0]]))
     for _ in range(6):
-        r = A_interp_prefix(t) - targets
-        t = t - r / sp_interp(t)
+        speed_t, A_t = sp_interp.value_and_prefix(t)
+        t = t - (A_t - targets) / speed_t
     t[0] = 0.0
     return interp(t), L, dev
 

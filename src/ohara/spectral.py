@@ -85,9 +85,10 @@ class Interpolant:
     """Trigonometric interpolant of uniform periodic samples.
 
     Supports evaluation of the interpolant, its derivatives, and its
-    antiderivative at arbitrary parameter values.  Evaluation is O(M) per
-    point (direct mode summation), which is fine for the handful of off-grid
-    points the verification routines need.
+    antiderivative at arbitrary parameter values.  Evaluation is a direct
+    mode sum, O(M) per point: it serves the verification routines and the
+    oversampled evaluations and Newton steps of the arclength
+    reparametrization, where it is most of the cost of ``from_samples``.
     """
 
     def __init__(self, values, L):
@@ -107,40 +108,62 @@ class Interpolant:
         w[-1] = 1.0
         self._w = w
 
-    def _reduce(self, out):
-        return out[..., 0] if not self.shape else out
+    def _reduce(self, out, scalar):
+        out = out[..., 0] if not self.shape else out
+        return out[0] if scalar else out
 
-    def __call__(self, s, order=0):
-        """Evaluate the interpolant (or its ``order``-th derivative) at ``s``."""
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        sv = np.atleast_1d(s)
+    def _table(self, sv):
+        """The (points, modes) table ``exp(i s mu)``, written as cos + i sin.
+
+        ``cexp`` of a zero real part reduces to ``cos + i sin`` of the same
+        phase, so this equals ``np.exp(1j * np.outer(sv, mu))`` bit for bit
+        while skipping the complex temporary and the ``exp(0)`` scaling.
+        """
+        x = np.multiply.outer(sv, self._mu)
+        E = np.empty(x.shape, dtype=complex)
+        np.cos(x, out=E.real)
+        np.sin(x, out=E.imag)
+        return E
+
+    def _value_from(self, E, order):
         fac = (1j * self._mu) ** order if order else np.ones_like(self._mu, dtype=complex)
         if order % 2 == 1:
             fac = fac.copy()
             fac[-1] = 0.0
-        # the (points, modes) table is built in place: it is the largest
-        # temporary of the arclength reparametrization
-        E = 1j * np.outer(sv, self._mu)
-        np.exp(E, out=E)
-        out = (E @ ((self._w * fac)[:, None] * self._c)).real / self.M
-        out = self._reduce(out)
-        return out[0] if scalar else out
+        return (E @ ((self._w * fac)[:, None] * self._c)).real / self.M
+
+    def _prefix_from(self, E, sv):
+        """Prefix values from the table ``E``, which is shifted in place."""
+        mean = self._c[0].real / self.M
+        cpre = np.zeros_like(self._c)
+        cpre[1:] = (self._w[1:, None] / (1j * self._mu[1:, None])) * self._c[1:]
+        E.real -= 1.0
+        return (E @ cpre).real / self.M + np.outer(sv, mean)
+
+    def __call__(self, s, order=0):
+        """Evaluate the interpolant (or its ``order``-th derivative) at ``s``.
+
+        Odd derivatives drop the Nyquist term, as :func:`spectral_derivative`
+        does on the grid.
+        """
+        s = np.asarray(s, dtype=float)
+        sv = np.atleast_1d(s)
+        return self._reduce(self._value_from(self._table(sv), order), s.ndim == 0)
 
     def prefix(self, s):
         """Integral of the interpolant from 0 to ``s`` (s need not be in [0, L))."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
         sv = np.atleast_1d(s)
-        mean = self._c[0].real / self.M
-        cpre = np.zeros_like(self._c)
-        cpre[1:] = (self._w[1:, None] / (1j * self._mu[1:, None])) * self._c[1:]
-        E = 1j * np.outer(sv, self._mu)
-        np.exp(E, out=E)
-        E -= 1.0
-        out = (E @ cpre).real / self.M + np.outer(sv, mean)
-        out = self._reduce(out)
-        return out[0] if scalar else out
+        return self._reduce(self._prefix_from(self._table(sv), sv), s.ndim == 0)
+
+    def value_and_prefix(self, s):
+        """``(self(s), self.prefix(s))`` from one table, bit for bit."""
+        s = np.asarray(s, dtype=float)
+        sv = np.atleast_1d(s)
+        E = self._table(sv)
+        value = self._value_from(E, 0)  # before _prefix_from shifts E
+        pre = self._prefix_from(E, sv)
+        return self._reduce(value, s.ndim == 0), self._reduce(pre, s.ndim == 0)
 
 
 def short_arc_offsets(M, L):

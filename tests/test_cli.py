@@ -211,6 +211,17 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, circle_file, case):
     assert err.endswith("\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("job", ["energy", "gradient", "density"])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, circle_file, job):
+    dest = tmp_path / "missing" / "result.out"
+    code, out, err = run_cli(capsys, job, "--curve", circle_file, "--out", str(dest))
+    assert code == 1
+    assert out == ""  # nothing printed before the failed write
+    assert err.startswith("error: cannot write %s" % dest)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not dest.parent.exists()
+
+
 def test_verify_fd_suite(capsys):
     # default resolution: the suite's tolerances are calibrated for it
     code, out, _ = run_cli(capsys, "verify", "--suite", "fd")

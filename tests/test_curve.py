@@ -27,6 +27,7 @@ from ohara.quadrature import (
     holder_chain_check,
     second_variation,
 )
+from ohara.spectral import Interpolant, prefix_integral
 
 
 def test_circle_geometry(circle128):
@@ -61,6 +62,112 @@ def test_ellipse_length_matches_quadrature():
     # perimeter of the ellipse via the complete elliptic integral
     expected = 4.0 * 2.0 * ellipe(1.0 - (1.0 / 2.0) ** 2)
     assert cv.L == pytest.approx(expected, rel=1e-10)
+
+
+class _DirectInterpolant:
+    """Reference trig interpolant: a fresh ``np.exp`` table per evaluation.
+
+    The direct evaluation ``from_samples`` used before the table was shared
+    between the value and the prefix of each Newton step.
+    """
+
+    def __init__(self, values):
+        self.M = values.shape[0]
+        self.c = np.fft.rfft(values, axis=0).reshape(self.M // 2 + 1, -1)
+        self.mu = 2.0 * np.pi * np.arange(self.M // 2 + 1)
+        self.w = np.full(self.M // 2 + 1, 2.0)
+        self.w[0] = self.w[-1] = 1.0
+        self.shape = values.shape[1:]
+
+    def _table(self, s):
+        E = 1j * np.outer(s, self.mu)
+        np.exp(E, out=E)
+        return E
+
+    def __call__(self, s, order=0):
+        fac = (1j * self.mu) ** order if order else np.ones_like(self.mu, dtype=complex)
+        if order % 2 == 1:
+            fac[-1] = 0.0
+        out = (self._table(s) @ ((self.w * fac)[:, None] * self.c)).real / self.M
+        return out if self.shape else out[:, 0]
+
+    def prefix(self, s):
+        mean = self.c[0].real / self.M
+        cpre = np.zeros_like(self.c)
+        cpre[1:] = (self.w[1:, None] / (1j * self.mu[1:, None])) * self.c[1:]
+        E = self._table(s)
+        E -= 1.0
+        out = (E @ cpre).real / self.M + np.outer(s, mean)
+        return out if self.shape else out[:, 0]
+
+
+def _direct_from_samples(pts, oversample=4):
+    """Positions and length from the direct reparametrization, pass by pass."""
+    for _ in range(4):
+        M = pts.shape[0]
+        Mf = oversample * M
+        tf = np.arange(Mf) / Mf
+        speed = np.linalg.norm(_DirectInterpolant(pts)(tf, order=1), axis=1)
+        A, L = prefix_integral(speed, 1.0)
+        L = float(L)
+        dev = float(np.max(np.abs(speed - L))) / L
+        targets = np.arange(M) * (L / M)
+        sp = _DirectInterpolant(speed)
+        t = np.interp(targets, np.concatenate([A, [L]]), np.concatenate([tf, [1.0]]))
+        for _ in range(6):
+            r = sp.prefix(t) - targets
+            t = t - r / sp(t)
+        t[0] = 0.0
+        pts = _DirectInterpolant(pts)(t)
+        if dev < 1.0e-12:
+            break
+    cv = ClosedCurve(pts, L)
+    return cv.positions, cv.L
+
+
+def _angle_samples(seed, M, n=3, modes=4, amplitude=0.05):
+    """A seeded loop sampled uniformly in angle, so not in arclength."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(M) / M
+    pts = np.zeros((M, n))
+    pts[:, 0], pts[:, 1] = np.cos(theta), np.sin(theta)
+    for c in range(n):
+        for m in range(1, modes + 1):
+            a, b = rng.normal(size=2) * amplitude * 0.5 ** (m - 1)
+            pts[:, c] += a * np.cos(m * theta) + b * np.sin(m * theta)
+    return pts
+
+
+def _ellipse_samples(M=128):
+    theta = 2.0 * np.pi * np.arange(M) / M
+    return np.stack([2.0 * np.cos(theta), np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [_angle_samples(1, 64), _angle_samples(2, 128), _ellipse_samples()],
+    ids=["angle-m64", "angle-m128", "ellipse-m128"],
+)
+def test_from_samples_is_bit_identical_to_direct_tables(pts):
+    # the shared cos/sin table only removes work: every output bit stays
+    positions, L = _direct_from_samples(pts)
+    cv = from_samples(pts)
+    assert np.array_equal(cv.positions, positions)
+    assert cv.L == L
+
+
+def test_value_and_prefix_is_bit_identical_to_separate_calls():
+    s = np.random.default_rng(5).uniform(0.0, 1.0, size=40)
+    for values in (np.linalg.norm(_angle_samples(3, 64), axis=1), _angle_samples(4, 64)):
+        interp = Interpolant(values, 1.0)
+        for at in (s, s[0]):
+            value, pre = interp.value_and_prefix(at)
+            assert np.array_equal(value, interp(at)) and np.shape(value) == np.shape(interp(at))
+            assert np.array_equal(pre, interp.prefix(at)) and np.shape(pre) == np.shape(interp.prefix(at))
+        value, pre = interp.value_and_prefix(s)
+        ref = _DirectInterpolant(values)
+        assert np.array_equal(value, ref(s))
+        assert np.array_equal(pre, ref.prefix(s))
 
 
 @pytest.mark.parametrize(

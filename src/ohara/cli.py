@@ -302,14 +302,15 @@ def _cmd_norms(cfg):
 def _cmd_flow(cfg):
     cv = _need_curve(cfg)
     snap = cfg.out + ".steps" if cfg.out is not None else None
-    state = run_flow(
-        cv,
-        cfg.params,
-        steps=60,
-        K=8,
-        trace_path=cfg.out,
-        snapshot_dir=snap,
-    )
+    with _writing(cfg.out):
+        state = run_flow(
+            cv,
+            cfg.params,
+            steps=60,
+            K=8,
+            trace_path=cfg.out,
+            snapshot_dir=snap,
+        )
     _emit(
         {
             "steps_accepted": state.step,

@@ -27,6 +27,7 @@ __all__ = [
     "m_limit",
     "density_limit",
     "g_limit",
+    "g_limit_weights",
     "h_limit",
     "term_limits",
 ]
@@ -139,6 +140,20 @@ def g_limit(curve, params, phi):
     d = _dots(curve, phi, None)
     mp1 = m0 ** (p - 1.0) if p != 1.0 else np.ones_like(m0)
     return p * mp1 * t["delta_m"] + m0 * mp1 * 2.0 * d["tp"]
+
+
+def g_limit_weights(curve, params):
+    """``(a, b)`` with ``g_limit(phi) = a (tau . phi') + b (kappa . phi'')``.
+
+    :func:`g_limit` is linear in the field through these two contractions;
+    these are its per-sample coefficients.
+    """
+    m0 = m_limit(curve, params)
+    p, alpha = params.p, params.alpha
+    mp1 = m0 ** (p - 1.0) if p != 1.0 else np.ones_like(m0)
+    # delta_m = (alpha/12) (kappa.phi'' - |kappa|^2 tau.phi') - alpha m0 tau.phi'
+    a = mp1 * (2.0 * m0 - p * alpha * (curve.kappa_sq() / 12.0 + m0))
+    return a, p * mp1 * alpha / 12.0
 
 
 def h_limit(curve, params, phi, psi):

@@ -2,7 +2,10 @@
 
 The descent direction is the energy gradient projected onto a finite
 trigonometric basis (2K+1 modes per coordinate, orthonormal in L2 of
-arclength), assembled from first variations against the basis fields.  Steps
+arclength).  Its coefficients are the first variations against the basis
+fields, all read off one pass over the pair grid: the first variation is a
+linear form in the field's derivative, and the grid pass gives its dual
+vectors (:meth:`GridOperator.first_variation_dual`).  Steps
 are plain explicit Euler with backtracking on the energy; every candidate
 curve passes through the full arclength reparametrization and bi-Lipschitz
 validation, so a step that destroys embeddedness is rejected the same way as
@@ -23,6 +26,7 @@ import numpy as np
 from .curve import ClosedCurve, Field, from_samples, save_curve
 from .errors import NumericalError, ValidationError
 from .quadrature import GridOperator, energy
+from .spectral import spectral_derivative
 
 __all__ = [
     "FlowState",
@@ -78,17 +82,20 @@ def l2_gradient(curve, params, K=8, op=None, with_coefficients=False):
 
     Coefficient ``c[k, m]`` is the first variation of E along basis field
     ``b_k e_m``; since the basis is orthonormal the projected gradient is
-    ``sum_k c[k, m] b_k`` in each coordinate ``m``.
+    ``sum_k c[k, m] b_k`` in each coordinate ``m``.  All coefficients come
+    from one grid pass, :meth:`GridOperator.first_variation_dual`, as dot
+    products with the derivatives of the basis rows.  The mode-0 row is
+    constant, its derivative is exactly 0, and so are its coefficients.
     """
     B = _basis_matrix(curve, K)
     if op is None:
         op = GridOperator(curve, params)
-    coeffs = np.empty((B.shape[0], curve.n))
-    for k in range(B.shape[0]):
-        for m in range(curve.n):
-            vals = np.zeros((curve.M, curve.n))
-            vals[:, m] = B[k]
-            coeffs[k, m] = op.first_variation(Field(curve, vals))
+    dual = op.first_variation_dual()
+    d1 = spectral_derivative(B[1:].T, curve.L)
+    d2 = spectral_derivative(d1, curve.L)
+    coeffs = np.zeros((B.shape[0], curve.n))
+    for m in range(curve.n):
+        coeffs[1:, m] = dual.along(m, d1, d2)
     grad = Field(curve, B.T @ coeffs)
     if with_coefficients:
         return grad, coeffs
@@ -175,12 +182,18 @@ def run_flow(
     Stops early when backtracking bottoms out.  ``trace_path`` writes a CSV
     with one row per accepted step (step, energy, grad_norm, dt);
     ``snapshot_dir`` saves each accepted curve in the standard JSON format.
+    Both destinations are created before the first step, so a path that
+    cannot be written raises ``OSError`` before any descent work.
     """
+    if snapshot_dir is not None:
+        os.makedirs(snapshot_dir, exist_ok=True)
+    if trace_path is not None:
+        with open(trace_path, "w"):
+            pass
     state = FlowState(curve=curve, dt=dt0)
     state.energies.append(energy(curve, params))
     rows = [(0, state.energies[0], float("nan"), dt0)]
     if snapshot_dir is not None:
-        os.makedirs(snapshot_dir, exist_ok=True)
         save_curve(curve, os.path.join(snapshot_dir, "step_0000.json"))
     for _ in range(steps):
         flow_step(state, params, K=K, fixed_length=fixed_length)

@@ -35,13 +35,14 @@ import numpy as np
 
 from ._pairs import PairSet
 from .curve import bilipschitz_constant
-from .diagonal import density_limit, g_limit, h_limit
+from .diagonal import density_limit, g_limit, g_limit_weights, h_limit
 from .errors import NumericalError, ValidationError
 from .kernels import n_tau_checked
 from .spectral import prefix_integral, short_arc_offsets
 from .variations import Blocks
 
 __all__ = [
+    "FirstVariationDual",
     "PairGrid",
     "antipodal_motion_term",
     "energy",
@@ -161,6 +162,17 @@ def _integrate(F, curve, band, band_pieces):
     model: the closed-form integral over ``|u| <= (band + 1/2) h`` and the
     h^2 and h^4 edge corrections at the cut (see :func:`_band_pieces`).
     """
+    row_totals, parts = _row_totals(F, curve, band, band_pieces)
+    return curve.h * float(row_totals.sum()), parts
+
+
+def _row_totals(F, curve, band, band_pieces):
+    """Per-row integrals of :func:`_integrate` and the labelled parts of their sum.
+
+    Every row gets the same weights, so row ``j`` is
+    ``sum_k w[k] F[j, k] + w0 W0[j]`` with ``W0`` the band model's diagonal
+    value.
+    """
     M, h = curve.M, curve.h
     _check_band(M, band)
     cols = _offband_cols(M, band)
@@ -179,7 +191,59 @@ def _integrate(F, curve, band, band_pieces):
         "cut_em2": h * float(cut_em2.sum()),
         "cut_em4": h * float(cut_em4.sum()),
     }
-    return h * float(row_totals.sum()), parts
+    return row_totals, parts
+
+
+@dataclass(frozen=True)
+class FirstVariationDual:
+    """``delta E[phi]`` as dot products of per-sample vectors with ``phi'``.
+
+    With ``P_m, T_m`` the grid prefix and full-period integrals of
+    ``phi'_m`` and ``Q, U`` those of ``tau . phi'``::
+
+        delta E[phi] = sum_m (prefix[:, m] . P_m + total[m] T_m)
+                       + tp_prefix . Q + tp_total U
+                       + tp . (tau . phi') + kpp . (kappa . phi'')
+
+    This is the transpose of the quadrature in
+    :meth:`GridOperator.first_variation`.  It writes ``phi(s1) - phi(s2)`` as
+    the short-arc integral of ``phi'``, which holds only for fields whose
+    spectrum stops below the Nyquist mode (the spectral derivative drops the
+    Nyquist term); for those it matches that method to rounding.  A
+    constant field has ``phi' = 0`` and gives exactly 0.
+    """
+
+    curve: object
+    prefix: np.ndarray
+    total: np.ndarray
+    tp_prefix: np.ndarray
+    tp_total: float
+    tp: np.ndarray
+    kpp: np.ndarray
+
+    def along(self, m, d1, d2):
+        """``delta E`` of fields that vary in coordinate ``m`` only.
+
+        ``d1`` and ``d2`` hold ``phi'_m`` and ``phi''_m``, one field per
+        column; returns one value per column.
+        """
+        L = self.curve.L
+        P, T = prefix_integral(d1, L)
+        tp = self.curve.tau[:, m, None] * d1
+        Q, U = prefix_integral(tp, L)
+        kpp = self.curve.kappa[:, m, None] * d2
+        return (
+            self.prefix[:, m] @ P + self.total[m] * T + self.tp_prefix @ Q
+            + self.tp_total * U + self.tp @ tp + self.kpp @ kpp
+        )
+
+    def __call__(self, phi):
+        """``delta E[phi]`` for a vector field ``phi``."""
+        d1, d2 = phi.deriv.values, phi.deriv.deriv.values
+        return float(sum(
+            self.along(m, d1[:, m, None], d2[:, m, None])[0]
+            for m in range(self.curve.n)
+        ))
 
 
 class GridOperator:
@@ -245,6 +309,66 @@ class GridOperator:
         W0 = g_limit(self.curve, self.params, phi)
         value, _ = self._assemble(self.g_values(phi), self.band, W0)
         return value
+
+    def _row_weights(self):
+        """``(w, w0)``: row ``j`` of the assembled integral is
+        ``sum_k w[k] F[j, k] + w0 W0[j]``, read off the assembler."""
+        M = self.curve.M
+
+        def totals(F, W0):
+            pieces = _band_pieces(F, self.curve, self.band, self.gamma, W0)
+            return _row_totals(F, self.curve, self.band, pieces)[0]
+
+        return totals(np.eye(M), np.zeros(M)), totals(np.zeros((M, M)), np.ones(M))[0]
+
+    def first_variation_dual(self):
+        """The first variation as a linear form: see :class:`FirstVariationDual`.
+
+        Applies the transpose of the quadrature to the geometry-only
+        coefficient grids of ``G = cK K(f, phi) + cN N(tau, phi') +
+        cT (tau.phi'(s1) + tau.phi'(s2))``, in one pass over the offset grid.
+        """
+        cv, ps, geo, pr = self.curve, self.ps, self._geo, self.params
+        M, h, p = cv.M, cv.h, pr.p
+        w, w0 = self._row_weights()
+        # the band columns have weight 0, and there the blocks are singular
+        k = slice(self.band + 1, M - self.band)
+        i, wrap, chord2 = ps.i[:, k], ps.wrap[:, k], ps.chord2[:, k]
+        back = (np.arange(M)[:, None] - np.arange(M)[k]) % M
+
+        def at_i(a):
+            # row l, column k: a[l - k, k], the pair whose first point is s_l
+            return np.take_along_axis(a, back, axis=0)
+
+        def dual(a):
+            # sum_{j,k} a[j, k] (x[i] - x[j]) = x . dual(a).  Near the diagonal
+            # a[l - k, k] and a[l, k] almost cancel; subtracting them before
+            # the row sum keeps that cancellation exact
+            return (at_i(a) - a).sum(axis=1)
+
+        m = geo.malpha()[:, k]
+        hmp1 = h * w[k] * np.power(m, p - 1.0)
+        p1_ca = geo.phis()[1][:, k] / geo.calpha()[:, k]
+        cK = -p * hmp1 * (2.0 * p1_ca * geo.ntt()[:, k] + pr.alpha * m)
+        cN = 2.0 * p * hmp1 * p1_ca
+        cT = hmp1 * m
+        # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2, and
+        # K(f, phi) = (f(s1) - f(s2)) . I(phi') / |df|^2
+        b = cN * ps.ds[:, k] / chord2
+        tp = (at_i(cT) + cT).sum(axis=1)
+        Ptau, Ttau = cv.tau_field.prefix()
+        prefix, total = np.empty((M, cv.n)), np.empty(cv.n)
+        for c in range(cv.n):  # one coordinate at a time: (M, M) temporaries
+            dvec = cv.positions[i, c] - cv.positions[:, c, None]
+            itau = Ptau[i, c] - Ptau[:, c, None] + wrap * Ttau[c]
+            a = (cK * dvec - cN * itau) / chord2
+            prefix[:, c] = dual(a)
+            total[c] = np.sum(a * wrap)
+        wt, wk = g_limit_weights(cv, pr)
+        return FirstVariationDual(
+            cv, prefix, total, dual(b), float(np.sum(b * wrap)),
+            tp + (h * w0) * wt, (h * w0) * wk,
+        )
 
     def h_values(self, phi, psi):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -222,6 +222,37 @@ def test_unwritable_out_is_one_error_line(capsys, tmp_path, circle_file, job):
     assert not dest.parent.exists()
 
 
+@pytest.mark.parametrize("case", ["under-a-file", "a-directory"])
+def test_flow_unwritable_out_is_one_error_line(capsys, tmp_path, circle_file, case):
+    # the snapshot directory cannot be made under a regular file; a trace
+    # path that is a directory fails after the snapshots start, but before
+    # the first step
+    if case == "under-a-file":
+        (tmp_path / "file").write_text("")
+        dest = tmp_path / "file" / "trace.csv"
+    else:
+        dest = tmp_path / "trace.csv"
+        dest.mkdir()
+    code, out, err = run_cli(capsys, "flow", "--curve", circle_file, "--out", str(dest))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % dest)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv.steps" / "step_0001.json").exists()
+
+
+def test_flow_out_in_missing_directory(capsys, tmp_path, circle_file):
+    dest = tmp_path / "missing" / "trace.csv"
+    code, out, err = run_cli(capsys, "flow", "--curve", circle_file, "--out", str(dest))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["trace"] == str(dest)
+    rows = dest.read_text().splitlines()
+    assert rows[0] == "step,energy,grad_norm,dt"
+    assert len(rows) == 2 + doc["steps_accepted"]
+    assert (tmp_path / "missing" / "trace.csv.steps" / "step_0000.json").exists()
+
+
 def test_verify_fd_suite(capsys):
     # default resolution: the suite's tolerances are calibrated for it
     code, out, _ = run_cli(capsys, "verify", "--suite", "fd")

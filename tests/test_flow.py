@@ -5,15 +5,18 @@ import csv
 import numpy as np
 import pytest
 
-from ohara.curve import ClosedCurve, circle, load_curve, random_field
+from ohara.curve import ClosedCurve, Field, circle, load_curve, random_curve, random_field
 from ohara.flow import (
     DT_MAX,
     FlowState,
+    _basis_matrix,
     circle_distance,
     flow_step,
     l2_gradient,
     run_flow,
 )
+from ohara.kernels import EnergyParams
+from ohara.quadrature import GridOperator
 from ohara.verify import fd_energy_gradient
 
 from conftest import perturbed_circle, rel
@@ -49,6 +52,45 @@ def test_gradient_coefficients_are_directional_derivatives(params21, bumpy256):
         vals[:, m] = B[k]
         _, ref = fd_energy_gradient(cv, Field(cv, vals), params21)
         assert abs(coeffs[k, m] - ref) <= 1.0e-6 * max(abs(ref), 1.0)
+
+
+def _per_field_coefficients(curve, params, K):
+    """The gradient coefficients by one first variation per basis field."""
+    B = _basis_matrix(curve, K)
+    op = GridOperator(curve, params)
+    coeffs = np.empty((B.shape[0], curve.n))
+    for k in range(B.shape[0]):
+        for m in range(curve.n):
+            vals = np.zeros((curve.M, curve.n))
+            vals[:, m] = B[k]
+            coeffs[k, m] = op.first_variation(Field(curve, vals))
+    return coeffs
+
+
+@pytest.mark.parametrize("K", [0, 3, 8])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)])
+def test_gradient_coefficients_match_per_field_first_variations(alpha, p, n, K):
+    cv = random_curve(1, M=64, n=n)
+    pr = EnergyParams(alpha, p)
+    ref = _per_field_coefficients(cv, pr, K)
+    _, coeffs = l2_gradient(cv, pr, K=K, with_coefficients=True)
+    assert coeffs.shape == ref.shape
+    assert np.abs(coeffs - ref).max() <= 1.0e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)])
+def test_first_variation_dual_matches_first_variation(alpha, p):
+    # random_field has no Nyquist content, where the dual form is exact
+    cv = random_curve(2, M=96, n=3)
+    op = GridOperator(cv, EnergyParams(alpha, p))
+    dual = op.first_variation_dual()
+    fields = [random_field(cv, seed) for seed in range(6)]
+    ref = np.array([op.first_variation(f) for f in fields])
+    got = np.array([dual(f) for f in fields])
+    assert np.abs(got - ref).max() <= 1.0e-12 * np.abs(ref).max()
+    const = Field(cv, np.tile([0.7, -1.3, 2.1], (cv.M, 1)))
+    assert dual(const) == 0.0
 
 
 def test_basis_matrix_needs_fewer_modes_than_half_the_grid():

@@ -8,7 +8,8 @@ interface so the formulas are written exactly once:
 
 * :class:`PairSet` -- pairs of grid samples, from a single pair up to the full
   M x M offset grid (vectorized; ``curve.pair_frame`` returns one pair and
-  the quadrature module builds the grid);
+  the quadrature module builds the grid and row chunks of it, see
+  :func:`row_chunks`);
 * :class:`OffGridPair` -- pairs of arbitrary parameter values, evaluated
   through the trigonometric interpolants (used by the diagonal-limit probes).
 
@@ -27,14 +28,24 @@ periodic(s)`` is globally valid, so a plain difference suffices.
 
 import numpy as np
 
+#: cell budget of one row chunk: passes over the M x M offset grid hold about
+#: this many cells per live block instead of the whole grid
+CHUNK_CELLS = 1 << 15
+
+
+def row_chunks(M):
+    """``(j0, j1)`` row ranges covering ``0:M``, about ``CHUNK_CELLS / M`` rows each."""
+    rows = max(1, CHUNK_CELLS // M)
+    return [(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
+
 
 class PairSet:
     """Vectorized bundle of grid-sample pairs ``(s1, s2) = (s_i, s_j)``.
 
     ``i`` and ``j`` broadcast against each other, so one pair, a list of
-    pairs and the full offset grid (``j`` an ``(M, 1)`` column) share this
-    class.  ``chord2`` may be passed in when the caller already holds the
-    squared chords; ``D``, ``dvec`` and ``chord`` are computed on demand.
+    pairs and rows of the offset grid (``j`` a column) share this class.
+    ``chord2`` may be passed in when the caller already holds the squared
+    chords; ``D``, ``dvec`` and ``chord`` are computed on demand.
     """
 
     def __init__(self, curve, i_idx, j_idx, chord2=None):

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from ._pairs import PairSet, offset_sq_diffs
+from ._pairs import PairSet, offset_sq_diffs, row_chunks
 from .errors import NumericalError, ValidationError
 from .spectral import Interpolant, prefix_integral, short_arc_offsets, spectral_derivative
 
@@ -191,10 +191,8 @@ class ClosedCurve:
             )
         # reject (near-)self-intersecting data: any two samples at least two
         # grid steps apart must be separated by a minimal chord
-        c2 = self.chord2_grid()
-        k = np.arange(self.M)
-        cols = np.minimum(k, self.M - k) >= 2  # cyclic offset of each column
-        min_chord = float(np.sqrt(np.min(c2[:, cols])))
+        # columns 2 .. M-2 are the cyclic offsets of at least 2
+        min_chord = float(np.sqrt(np.min(self.chord2_grid()[:, 2:self.M - 1])))
         if min_chord < MIN_CHORD_REL * self.L:
             raise ValidationError(
                 "curve is degenerate or self-intersecting (min separated chord "
@@ -368,10 +366,9 @@ def bilipschitz_constant(curve):
     """
     if curve._bilip is None:
         c2 = curve.chord2_grid()
-        ds = short_arc_offsets(curve.M, curve.L)
-        D = np.abs(ds)[None, 1:]
-        ratio = D / np.sqrt(c2[:, 1:])
-        curve._bilip = max(1.0, float(np.max(ratio)))
+        D = np.abs(short_arc_offsets(curve.M, curve.L))[None, 1:]
+        peaks = [np.max(D / np.sqrt(c2[j0:j1, 1:])) for j0, j1 in row_chunks(curve.M)]
+        curve._bilip = max(1.0, float(np.max(peaks)))
     if curve._bilip > BILIPSCHITZ_CAP:
         raise NumericalError(
             "bi-Lipschitz constant %.3g exceeds cap %.1g" % (curve._bilip, BILIPSCHITZ_CAP)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._pairs import row_chunks
 from .curve import ClosedCurve, Field, from_samples, save_curve
 from .errors import NumericalError, ValidationError
 from .quadrature import GridOperator, energy
@@ -54,6 +55,8 @@ class FlowState:
     grad_norms: list = dc_field(default_factory=list)
     halted: bool = False
     diagnostic: str = ""
+    #: the grid operator of the last curve whose energy a step computed
+    _op: object = dc_field(default=None, repr=False)
 
     @property
     def energy(self):
@@ -121,15 +124,20 @@ def flow_step(state, params, K=8, fixed_length=True, dt_min=DT_MIN):
     Halves dt until the candidate curve is admissible (embedded,
     bi-Lipschitz) and strictly decreases the energy; below ``dt_min`` the
     state is marked halted with a diagnostic instead.  dt = 0 leaves the
-    curve unchanged.
+    curve unchanged.  The accepted candidate's grid operator is kept for the
+    next step's gradient.
     """
     cv = state.curve
     if not state.energies:
-        state.energies.append(energy(cv, params))
+        state._op = GridOperator(cv, params)
+        state.energies.append(state._op.energy()[0])
     e0 = state.energies[-1]
     L0 = cv.L
 
-    grad = l2_gradient(cv, params, K=K)
+    op = state._op if state._op is not None and state._op.curve is cv else None
+    state._op = None
+    grad = l2_gradient(cv, params, K=K, op=op)
+    del op  # from here on, at most one grid operator is alive at a time
     gvals = grad.values
     if fixed_length:
         gvals = _project_out_dilation(cv, gvals)
@@ -148,16 +156,19 @@ def flow_step(state, params, K=8, fixed_length=True, dt_min=DT_MIN):
             if fixed_length and cand.L != L0:
                 # uniform scaling preserves the arclength parametrization
                 cand = ClosedCurve(cand.positions * (L0 / cand.L), L0)
-            e1 = energy(cand, params)
+            op = GridOperator(cand, params)
+            e1 = op.energy()[0]
         except (ValidationError, NumericalError):
             dt *= 0.5
             continue
         if e1 < e0:
             state.curve = cand
+            state._op = op
             state.dt = min(dt * _DT_GROW, DT_MAX)
             state.step += 1
             state.energies.append(e1)
             return state
+        del op
         dt *= 0.5
 
     state.halted = True
@@ -219,7 +230,7 @@ def circle_distance(curve):
     Both curves are centered; the reference circle lives in the plane of the
     first two coordinates.  The alignment optimizes over all cyclic phase
     shifts of the reference combined with the best proper rotation (Kabsch)
-    for each shift.
+    for each shift: one stacked SVD per chunk of shifts.
     """
     M, n = curve.M, curve.n
     r = curve.L / (2.0 * np.pi)
@@ -230,13 +241,14 @@ def circle_distance(curve):
     f = curve.positions - curve.positions.mean(axis=0)
 
     best = np.inf
-    for shift in range(M):
-        qs = np.roll(q, shift, axis=0)
-        U, _, Vt = np.linalg.svd(qs.T @ f)
-        S = np.eye(n)
-        S[-1, -1] = np.sign(np.linalg.det(U @ Vt))
-        R = U @ S @ Vt
-        d2 = curve.h * float(np.sum((f - qs @ R) ** 2))
-        if d2 < best:
-            best = d2
+    t = np.arange(M)
+    for s0, s1 in row_chunks(M):
+        # qs[s] is the reference rolled by shift s0 + s
+        qs = q[(t - np.arange(s0, s1)[:, None]) % M]
+        U, _, Vt = np.linalg.svd(np.swapaxes(qs, 1, 2) @ f)
+        sign = np.ones((s1 - s0, n))
+        sign[:, -1] = np.sign(np.linalg.det(U @ Vt))
+        R = (U * sign[:, None, :]) @ Vt
+        d2 = curve.h * np.sum((f - qs @ R) ** 2, axis=(1, 2))
+        best = min(best, float(d2.min()))
     return float(np.sqrt(best))

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._pairs import offset_sq_diffs
 from .errors import ValidationError
-from .quadrature import _integrate
+from .quadrature import _integrate, _Rows
 from .spectral import short_arc_offsets
 
 __all__ = [
@@ -115,8 +115,9 @@ def gagliardo_seminorm(u, sigma, q, report=False):
     F[:, 0] = 0.0
     expo = q - 1.0 - sigma * q
     bound = _deriv_sup(u) ** q
-    pieces = _bound_band_pieces(F, curve, _GAGLIARDO_BAND, bound, expo)
-    total, _ = _integrate(F, curve, _GAGLIARDO_BAND, pieces)
+    band = _GAGLIARDO_BAND
+    pieces = _bound_band_pieces(F, curve, band, bound, expo)
+    total, _ = _integrate(_Rows.of(F, band), curve, band, pieces)
     value = float(max(total, 0.0) ** (1.0 / q))
     if report:
         return SeminormReport(

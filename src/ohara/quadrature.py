@@ -1,9 +1,9 @@
 """Assembled double integrals of the kernel quantities over the pair grid.
 
-The off-diagonal integrand is evaluated on the full M x M offset grid
-(``V[j, k]`` = value at ``s1 = s_{j+k}, s2 = s_j``; the separation depends
-only on the offset ``k``).  Each row is integrated in u = s1 - s2 over one
-period by a composite midpoint rule with three refinements:
+The off-diagonal integrand lives on the M x M offset grid (``V[j, k]`` =
+value at ``s1 = s_{j+k}, s2 = s_j``; the separation depends only on the
+offset ``k``).  Each row is integrated in u = s1 - s2 over one period by a
+composite midpoint rule with three refinements:
 
 * **band model** -- cells with ``|u| <= band * h`` are excluded; there the
   weighted integrand ``W(u) = D^gamma * F`` (gamma chosen so W extends
@@ -21,6 +21,12 @@ period by a composite midpoint rule with three refinements:
 The reported error estimate combines the band-halving difference with the
 magnitudes of the h^4 corrections and a rounding floor.
 
+The rule reads each row only through its off-band sum and a few columns
+(:class:`_Rows`), so the variation integrands G and H are evaluated on row
+chunks of the grid and reduced at once: their memory is O(rows x M) per
+live block, not O(M^2).  Rows reduce independently, so the result does not
+depend on the chunking, bit for bit.
+
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
 differentiating the energy twice produces a Leibniz boundary contribution
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._pairs import PairSet
+from ._pairs import PairSet, row_chunks
 from .curve import bilipschitz_constant
 from .diagonal import density_limit, g_limit, g_limit_weights, h_limit
 from .errors import NumericalError, ValidationError
@@ -73,10 +79,54 @@ def _offband_cols(M, band):
     return cyc > band
 
 
-def _grid_pairs(curve):
-    """The offset grid: row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``."""
-    j = np.arange(curve.M)[:, None]
-    return PairSet(curve, j + np.arange(curve.M), j, chord2=curve.chord2_grid())
+def _assembler_cols(M, band):
+    """The columns the assembler reads one by one: the two cut columns on
+    each side of the band and the corner columns ``M/2 -+ 3``."""
+    kc = M // 2
+    cut = {band + 1, band + 2, M - band - 2, M - band - 1}
+    return sorted(cut | {(kc + d) % M for d in range(-3, 4)})
+
+
+class _Rows:
+    """What the assembler reads of the rows of an offset grid ``F``.
+
+    ``offband[j]`` is the sum of row ``j`` over the columns outside the band
+    and ``cols[k]`` is column ``k`` for each of :func:`_assembler_cols`.  Each
+    row reduces on its own, so reducing row chunks and concatenating them
+    gives the same arrays bit for bit.
+    """
+
+    def __init__(self, offband, cols):
+        self.offband = offband
+        self.cols = cols
+
+    @classmethod
+    def of(cls, F, band):
+        M = F.shape[1]
+        _check_band(M, band)
+        keys = _assembler_cols(M, band)
+        offband = np.where(_offband_cols(M, band)[None, :], F, 0.0).sum(axis=1)
+        # F[:, keys] is a copy, so a chunk's grid is not kept alive
+        return cls(offband, dict(zip(keys, F[:, keys].T)))
+
+    @classmethod
+    def concat(cls, parts):
+        return cls(
+            np.concatenate([r.offband for r in parts]),
+            {k: np.concatenate([r.cols[k] for r in parts]) for k in parts[0].cols},
+        )
+
+
+def _grid_pairs(curve, j0=0, j1=None):
+    """Rows ``j0:j1`` of the offset grid, all of them by default: row ``j``,
+    column ``k`` is the pair ``(s_{j+k}, s_j)``."""
+    c2 = curve.chord2_grid()
+    if j1 is None:
+        j1 = curve.M
+    else:
+        c2 = c2[j0:j1]
+    j = np.arange(j0, j1)[:, None]
+    return PairSet(curve, j + np.arange(curve.M), j, chord2=c2)
 
 
 def _quartic_coeffs(W_m2, W_m1, W0, W_p1, W_p2, band):
@@ -89,19 +139,19 @@ def _quartic_coeffs(W_m2, W_m1, W0, W_p1, W_p2, band):
     return Vinv @ Wstack  # (5, M) coefficients
 
 
-def _band_pieces(F, curve, band, gamma, W0):
+def _band_pieces(cols, curve, band, gamma, W0):
     """Band closed form plus model-based cut corrections, per row.
 
+    ``cols`` maps a column index to that column of the grid (``_Rows.cols``).
     Returns ``(band_int, cut_em2, cut_em4)`` arrays of shape (M,).
     """
     M, h = curve.M, curve.h
     _check_band(M, band)
     Dk = np.abs(short_arc_offsets(M, curve.L))
-    cols = [M - (band + 2), M - (band + 1), band + 1, band + 2]
-    Wm2 = F[:, cols[0]] * Dk[cols[0]] ** gamma
-    Wm1 = F[:, cols[1]] * Dk[cols[1]] ** gamma
-    Wp1 = F[:, cols[2]] * Dk[cols[2]] ** gamma
-    Wp2 = F[:, cols[3]] * Dk[cols[3]] ** gamma
+    Wm2, Wm1, Wp1, Wp2 = (
+        cols[k] * Dk[k] ** gamma
+        for k in (M - (band + 2), M - (band + 1), band + 1, band + 2)
+    )
     A = _quartic_coeffs(Wm2, Wm1, np.asarray(W0, dtype=float), Wp1, Wp2, band)
 
     half = band + 0.5
@@ -127,7 +177,7 @@ def _band_pieces(F, curve, band, gamma, W0):
     return band_int, cut_em2, cut_em4
 
 
-def _corner_pieces(F, curve):
+def _corner_pieces(cols, curve):
     """Antipodal-corner treatment of a row integrand, per row.
 
     The cell straddling u = L/2 is integrated by one-sided cubics through
@@ -135,14 +185,15 @@ def _corner_pieces(F, curve):
     get their h^2 and h^4 Euler-Maclaurin edge terms from one-sided
     difference estimates of F' and F''' at u = L/2 -+ h/2.
 
-    Returns ``(patch_delta, em2, em4)``: the replacement for the corner
-    cell's midpoint contribution and the two edge corrections.
+    ``cols`` maps a column index to that column of the grid.  Returns
+    ``(patch_delta, em2, em4)``: the replacement for the corner cell's
+    midpoint contribution and the two edge corrections.
     """
     M, h = curve.M, curve.h
     kc = M // 2
-    f0 = F[:, kc]
-    fm1, fm2, fm3 = F[:, kc - 1], F[:, kc - 2], F[:, kc - 3]
-    fp1, fp2, fp3 = F[:, (kc + 1) % M], F[:, (kc + 2) % M], F[:, (kc + 3) % M]
+    f0 = cols[kc]
+    fm1, fm2, fm3 = cols[kc - 1], cols[kc - 2], cols[kc - 3]
+    fp1, fp2, fp3 = cols[(kc + 1) % M], cols[(kc + 2) % M], cols[(kc + 3) % M]
     left = h * (119.0 * f0 + 107.0 * fm1 - 43.0 * fm2 + 9.0 * fm3) / 384.0
     right = h * (119.0 * f0 + 107.0 * fp1 - 43.0 * fp2 + 9.0 * fp3) / 384.0
     patch_delta = left + right - h * f0
@@ -155,18 +206,19 @@ def _corner_pieces(F, curve):
     return patch_delta, em2, em4
 
 
-def _integrate(F, curve, band, band_pieces):
-    """Full double integral of the row extension of the offset grid F.
+def _integrate(rows, curve, band, band_pieces):
+    """Full double integral of the row extension of an offset grid.
 
-    ``band_pieces`` is the per-row ``(band_int, cut_em2, cut_em4)`` of a band
-    model: the closed-form integral over ``|u| <= (band + 1/2) h`` and the
-    h^2 and h^4 edge corrections at the cut (see :func:`_band_pieces`).
+    ``rows`` is the grid's :class:`_Rows` for this ``band``.  ``band_pieces``
+    is the per-row ``(band_int, cut_em2, cut_em4)`` of a band model: the
+    closed-form integral over ``|u| <= (band + 1/2) h`` and the h^2 and h^4
+    edge corrections at the cut (see :func:`_band_pieces`).
     """
-    row_totals, parts = _row_totals(F, curve, band, band_pieces)
+    row_totals, parts = _row_totals(rows, curve, band, band_pieces)
     return curve.h * float(row_totals.sum()), parts
 
 
-def _row_totals(F, curve, band, band_pieces):
+def _row_totals(rows, curve, band, band_pieces):
     """Per-row integrals of :func:`_integrate` and the labelled parts of their sum.
 
     Every row gets the same weights, so row ``j`` is
@@ -175,16 +227,15 @@ def _row_totals(F, curve, band, band_pieces):
     """
     M, h = curve.M, curve.h
     _check_band(M, band)
-    cols = _offband_cols(M, band)
-    rows = h * np.where(cols[None, :], F, 0.0).sum(axis=1)
+    offband = h * rows.offband
 
-    patch_delta, corner_em, corner_em4 = _corner_pieces(F, curve)
+    patch_delta, corner_em, corner_em4 = _corner_pieces(rows.cols, curve)
     band_int, cut_em2, cut_em4 = band_pieces
     row_totals = (
-        rows + patch_delta + corner_em + corner_em4 + band_int + cut_em2 + cut_em4
+        offband + patch_delta + corner_em + corner_em4 + band_int + cut_em2 + cut_em4
     )
     parts = {
-        "offband": h * float(rows.sum()),
+        "offband": h * float(offband.sum()),
         "corner": h * float((patch_delta + corner_em).sum()),
         "corner_em4": h * float(corner_em4.sum()),
         "band": h * float(band_int.sum()),
@@ -246,12 +297,20 @@ class FirstVariationDual:
         ))
 
 
+def _g_grid(b):
+    """G = G1 + G2 on the pairs of ``b``."""
+    t = b.g_terms("phi")
+    return t["G1"] + t["G2"]
+
+
 class GridOperator:
     """Shared grid geometry for repeated quadrature on one curve.
 
     Builds the offset-grid pair evaluator and the geometry-only kernel
-    blocks once; each field-dependent computation copies the memo table so
-    N(tau,tau), M_alpha etc. are never recomputed.
+    blocks once.  Field-dependent integrands are evaluated on row chunks of
+    the grid (:meth:`_rows`), each starting from row views of those blocks,
+    so N(tau,tau), M_alpha etc. are never recomputed and G and H never exist
+    as whole grids unless a caller asks for one.
     """
 
     def __init__(self, curve, params, band=DEFAULT_BAND):
@@ -271,10 +330,26 @@ class GridOperator:
         self._geo = geo
         self.gamma = (params.alpha - 2.0) * params.p
 
-    def _blocks(self, phi=None, psi=None):
-        b = Blocks(self.ps, self.curve, params=self.params, phi=phi, psi=psi)
-        b._memo = dict(self._geo._memo)
+    def _rows(self, j0, j1, phi=None, psi=None):
+        """``Blocks`` on rows ``j0:j1`` of the offset grid, its geometry blocks
+        row views of the operator's."""
+        geo = self._geo._memo
+        b = Blocks(_grid_pairs(self.curve, j0, j1), self.curve, params=self.params,
+                   phi=phi, psi=psi)
+        b._memo = {k: geo[k][j0:j1] for k in ("ntt_raw", "ntt", "calpha", "malpha")}
+        b._memo["phis"] = tuple(a[j0:j1] for a in geo["phis"])
+        b._memo["tt"] = geo["tt"]
         return b
+
+    def _chunks(self, phi, psi=None):
+        """``Blocks`` on successive row chunks of the offset grid."""
+        for j0, j1 in row_chunks(self.curve.M):
+            yield self._rows(j0, j1, phi, psi)
+
+    def _h_grid(self, b):
+        """H = H1 + ... + H6 on the rows of ``b`` and its off-diagonal H2 flags."""
+        terms, flagged = b.h_terms()
+        return sum(terms.values()), flagged & self.offband[None, :]
 
     def density_values(self):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,7 +358,7 @@ class GridOperator:
     def energy(self, band=None):
         band = self.band if band is None else band
         W0 = density_limit(self.curve, self.params, beta=1.0)
-        return self._assemble(self.density_values(), band, W0)
+        return self._assemble(_Rows.of(self.density_values(), band), band, W0)
 
     def energy_with_estimate(self):
         value, parts = self.energy()
@@ -296,18 +371,21 @@ class GridOperator:
         ) + 64.0 * np.finfo(float).eps * abs(value)
         return value, est
 
-    def _assemble(self, F, band, W0):
-        pieces = _band_pieces(F, self.curve, band, self.gamma, W0)
-        return _integrate(F, self.curve, band, pieces)
+    def _assemble(self, rows, band, W0):
+        pieces = _band_pieces(rows.cols, self.curve, band, self.gamma, W0)
+        return _integrate(rows, self.curve, band, pieces)
 
     def g_values(self, phi):
+        """The whole G grid."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = self._blocks(phi=phi).g_terms("phi")
-            return t["G1"] + t["G2"]
+            return _g_grid(self._rows(0, self.curve.M, phi=phi))
 
     def first_variation(self, phi):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = _Rows.concat([_Rows.of(_g_grid(b), self.band)
+                                 for b in self._chunks(phi)])
         W0 = g_limit(self.curve, self.params, phi)
-        value, _ = self._assemble(self.g_values(phi), self.band, W0)
+        value, _ = self._assemble(rows, self.band, W0)
         return value
 
     def _row_weights(self):
@@ -316,8 +394,9 @@ class GridOperator:
         M = self.curve.M
 
         def totals(F, W0):
-            pieces = _band_pieces(F, self.curve, self.band, self.gamma, W0)
-            return _row_totals(F, self.curve, self.band, pieces)[0]
+            rows = _Rows.of(F, self.band)
+            pieces = _band_pieces(rows.cols, self.curve, self.band, self.gamma, W0)
+            return _row_totals(rows, self.curve, self.band, pieces)[0]
 
         return totals(np.eye(M), np.zeros(M)), totals(np.zeros((M, M)), np.ones(M))[0]
 
@@ -371,21 +450,24 @@ class GridOperator:
         )
 
     def h_values(self, phi, psi):
+        """The whole H grid and the mask of its flagged H2 pairs."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms, flagged = self._blocks(phi=phi, psi=psi).h_terms()
-            flagged = flagged & self.offband[None, :]
-            return sum(terms.values()), flagged
+            return self._h_grid(self._rows(0, self.curve.M, phi, psi))
 
     def second_variation(self, phi, psi):
-        F, flagged = self.h_values(phi, psi)
-        if bool(np.any(flagged)):
-            pairs = np.argwhere(flagged)
+        parts, flagged = [], 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for b in self._chunks(phi, psi):
+                F, mask = self._h_grid(b)
+                parts.append(_Rows.of(F, self.band))
+                flagged += int(np.count_nonzero(mask))
+        if flagged:
             warnings.warn(
                 "H2 singular policy fired at %d grid pairs; excluded from "
-                "quadrature" % len(pairs)
+                "quadrature" % flagged
             )
         W0 = h_limit(self.curve, self.params, phi, psi)
-        value, _ = self._assemble(F, self.band, W0)
+        value, _ = self._assemble(_Rows.concat(parts), self.band, W0)
         return value + antipodal_motion_term(self.curve, phi, psi, self.params)
 
 
@@ -567,8 +649,8 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
         W0 = g_limit(curve, params, phi)
     else:
         W0 = h_limit(curve, params, phi, psi)
-    band_int, _, _ = _band_pieces(np.abs(V), curve, band, gamma_model,
-                                  np.abs(np.asarray(W0, dtype=float)))
+    band_int, _, _ = _band_pieces(_Rows.of(np.abs(V), band).cols, curve, band,
+                                  gamma_model, np.abs(np.asarray(W0, dtype=float)))
     band_l1 = float(curve.h * np.sum(np.abs(band_int)))
 
     return PairGrid(
@@ -595,7 +677,7 @@ def holder_chain_check(curve, phi, psi, params, band=DEFAULT_BAND):
     cols = _offband_cols(curve.M, band)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = op._blocks(phi=phi, psi=psi)
+        b = op._rows(0, curve.M, phi, psi)
         m = b.malpha()[:, cols]
         dmp = b.dm("phi")[:, cols]
         dmq = b.dm("psi")[:, cols]

@@ -15,8 +15,8 @@ with the chord-ratio building blocks
     delta K(f, phi)[psi]    = K(phi, psi) - 2 K(f, phi) K(f, psi).
 
 All formulas are evaluated on a pair evaluator (single pair, list of pairs,
-or the full offset grid -- see ``_pairs``), so the pointwise operations here
-and the quadrature module share one implementation.
+or rows of the offset grid -- see ``_pairs``), so the pointwise operations
+here and the quadrature module share one implementation.
 """
 
 import numpy as np
@@ -88,8 +88,9 @@ class Blocks:
     """Memoized pair-level building blocks for one (curve, phi, psi) setup.
 
     Product fields (tau.phi', phi'.psi', ...) are built once per instance;
-    each block is computed lazily on the evaluator's full shape.  ``params``
-    may be None for the parameter-free chord/N operations.
+    each block is computed lazily on the evaluator's shape: one pair, a few,
+    a row chunk of the offset grid or all of it.  ``params`` may be None for
+    the parameter-free chord/N operations.
     """
 
     def __init__(self, ev, curve, params=None, phi=None, psi=None):

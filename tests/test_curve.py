@@ -306,3 +306,14 @@ def test_scaled_curve_construction(circle128):
     cv = ClosedCurve(2.0 * circle128.positions, 2.0 * circle128.L)
     assert cv.L == pytest.approx(2.0 * circle128.L)
     assert cv.h == pytest.approx(2.0 * circle128.h)
+
+
+def test_bilipschitz_constant_is_chunk_independent(monkeypatch):
+    from ohara import _pairs
+    from ohara.spectral import short_arc_offsets
+
+    cv = random_curve(4, M=96, n=3)
+    D = np.abs(short_arc_offsets(cv.M, cv.L))[None, 1:]
+    full = max(1.0, float(np.max(D / np.sqrt(cv.chord2_grid()[:, 1:]))))
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * cv.M)
+    assert bilipschitz_constant(cv) == full > 1.0

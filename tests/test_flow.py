@@ -5,18 +5,25 @@ import csv
 import numpy as np
 import pytest
 
-from ohara.curve import ClosedCurve, Field, circle, load_curve, random_curve, random_field
+from ohara import flow
+from ohara.curve import (
+    ClosedCurve, Field, circle, from_samples, load_curve, random_curve, random_field,
+)
+from ohara.errors import NumericalError, ValidationError
 from ohara.flow import (
     DT_MAX,
+    DT_MIN,
     FlowState,
     _basis_matrix,
+    _l2_inner,
+    _project_out_dilation,
     circle_distance,
     flow_step,
     l2_gradient,
     run_flow,
 )
 from ohara.kernels import EnergyParams
-from ohara.quadrature import GridOperator
+from ohara.quadrature import GridOperator, energy
 from ohara.verify import fd_energy_gradient
 
 from conftest import perturbed_circle, rel
@@ -182,3 +189,101 @@ def test_circle_distance_scales_with_perturbation():
     d_large = circle_distance(perturbed_circle(128, amp=0.06))
     assert 0.0 < d_small < d_large
     assert d_large < 0.5  # still recognizably a circle
+
+
+def _flow_step_building_every_operator(state, params, K=8, dt_min=DT_MIN):
+    """``flow_step`` with ``fixed_length``, a fresh grid for every energy and gradient."""
+    cv = state.curve
+    if not state.energies:
+        state.energies.append(energy(cv, params))
+    e0, L0 = state.energies[-1], cv.L
+    gvals = _project_out_dilation(cv, l2_gradient(cv, params, K=K).values)
+    state.grad_norms.append(np.sqrt(_l2_inner(cv, gvals, gvals)))
+    dt = state.dt
+    while dt >= dt_min:
+        try:
+            cand = from_samples(cv.positions - dt * gvals)
+            if cand.L != L0:
+                cand = ClosedCurve(cand.positions * (L0 / cand.L), L0)
+            e1 = energy(cand, params)
+        except (ValidationError, NumericalError):
+            dt *= 0.5
+            continue
+        if e1 < e0:
+            state.curve, state.dt = cand, min(dt * 1.3, DT_MAX)
+            state.step += 1
+            state.energies.append(e1)
+            return state
+        dt *= 0.5
+    state.halted = True
+    return state
+
+
+def test_flow_step_reuses_the_accepted_operator(params21, monkeypatch):
+    counts = {"builds": 0, "trials": 0}
+
+    def counted_operator(*args, **kwargs):
+        counts["builds"] += 1
+        return GridOperator(*args, **kwargs)
+
+    def counted_from_samples(points):
+        cand = from_samples(points)
+        counts["trials"] += 1  # only trials whose candidate gets an energy
+        return cand
+
+    cv = perturbed_circle(128, amp=0.04)
+    ref = FlowState(curve=cv, dt=0.05)
+    for _ in range(5):
+        _flow_step_building_every_operator(ref, params21)
+    monkeypatch.setattr(flow, "GridOperator", counted_operator)
+    monkeypatch.setattr(flow, "from_samples", counted_from_samples)
+    state = FlowState(curve=cv, dt=0.05)
+    for _ in range(5):
+        flow_step(state, params21)
+    assert not state.halted and state.step == 5
+    # one build for the first energy, then one per trial: the gradient of
+    # each accepted curve runs on the operator its energy was taken from
+    assert counts["builds"] == 1 + counts["trials"]
+    assert counts["trials"] >= 5
+    assert state.energies == ref.energies
+    assert state.grad_norms == ref.grad_norms
+    assert state.dt == ref.dt
+
+
+def _circle_distance_by_shift(curve):
+    """``circle_distance`` with one SVD per cyclic shift."""
+    M, n = curve.M, curve.n
+    r = curve.L / (2.0 * np.pi)
+    th = 2.0 * np.pi * np.arange(M) / M
+    q = np.zeros((M, n))
+    q[:, 0], q[:, 1] = r * np.cos(th), r * np.sin(th)
+    f = curve.positions - curve.positions.mean(axis=0)
+    best = np.inf
+    for shift in range(M):
+        qs = np.roll(q, shift, axis=0)
+        U, _, Vt = np.linalg.svd(qs.T @ f)
+        S = np.eye(n)
+        S[-1, -1] = np.sign(np.linalg.det(U @ Vt))
+        best = min(best, curve.h * float(np.sum((f - qs @ (U @ S @ Vt)) ** 2)))
+    return float(np.sqrt(best))
+
+
+def _clockwise(cv):
+    """The mirror image: no proper rotation aligns it with the reference."""
+    return ClosedCurve(cv.positions * [1.0, -1.0], cv.L)
+
+
+@pytest.mark.parametrize("M", [64, 128])
+@pytest.mark.parametrize("make", [
+    lambda M: perturbed_circle(M, amp=0.02, mode=3),
+    lambda M: perturbed_circle(M, amp=0.06, mode=2),
+    lambda M: perturbed_circle(M, amp=0.03, mode=4),
+    lambda M: random_curve(1, M=M, n=3),
+    lambda M: random_curve(2, M=M, n=3),
+    lambda M: _clockwise(perturbed_circle(M, amp=0.02)),
+], ids=["planar-3", "planar-2", "planar-4", "spatial-1", "spatial-2", "clockwise"])
+def test_circle_distance_matches_the_shift_loop(M, make):
+    cv = make(M)
+    ref = _circle_distance_by_shift(cv)
+    assert ref > 0.0
+    assert abs(circle_distance(cv) - ref) <= 1.0e-12 * ref

@@ -1,6 +1,8 @@
 """Assembled double integrals: values, error estimates, and invariances."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from ohara.quadrature import (
     save_grid_json,
     second_variation,
 )
+from ohara import _pairs, variations
+from ohara.diagonal import g_limit, h_limit
+from ohara.quadrature import _band_pieces, _integrate, _Rows
+from ohara.variations import Blocks
 from ohara.verify import fd_energy_gradient, fd_energy_hessian
 
 from conftest import perturbed_circle, rel
@@ -260,3 +266,98 @@ def test_operator_reuses_blocks(params21, bumpy256):
     assert rel(
         op.first_variation(phi), first_variation(bumpy256, phi, params21)
     ) < 1.0e-12
+
+
+# ------------------------------------------------ row-streamed integrands
+
+STREAM_PARAMS = [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)]
+
+
+def _full_grid_blocks(op, phi, psi=None):
+    """Blocks on the whole offset grid, from a copy of the operator's memo."""
+    b = Blocks(op.ps, op.curve, params=op.params, phi=phi, psi=psi)
+    b._memo = dict(op._geo._memo)
+    return b
+
+
+def _full_grid_h(op, phi, psi):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms, flagged = _full_grid_blocks(op, phi, psi).h_terms()
+        return sum(terms.values()), flagged & op.offband[None, :]
+
+
+def _full_grid_integral(op, F, W0):
+    """The assembler on a whole grid: row sums and columns read off ``F``."""
+    cv, band = op.curve, op.band
+    k = np.arange(cv.M)
+    keep = np.minimum(k, cv.M - k) > band
+    cols = {c: F[:, c] for c in range(cv.M)}
+    rows = _Rows(np.where(keep[None, :], F, 0.0).sum(axis=1), cols)
+    pieces = _band_pieces(cols, cv, band, op.gamma, W0)
+    return _integrate(rows, cv, band, pieces)[0]
+
+
+@pytest.fixture(params=[64, 96])
+def uneven_chunks(request, monkeypatch):
+    """A curve whose grid streams in 7-row chunks with a shorter last one."""
+    M = request.param
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * M)
+    assert M % 7 != 0
+    return random_curve(3, M=M, n=3)
+
+
+@pytest.mark.parametrize("alpha,p", STREAM_PARAMS)
+def test_streamed_variations_equal_the_full_grid(uneven_chunks, alpha, p):
+    cv = uneven_chunks
+    pr = EnergyParams(alpha, p)
+    op = GridOperator(cv, pr)
+    phi, psi = random_field(cv, 40), random_field(cv, 41)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _full_grid_blocks(op, phi).g_terms("phi")
+    G = t["G1"] + t["G2"]
+    H, flagged = _full_grid_h(op, phi, psi)
+    assert np.array_equal(op.g_values(phi), G, equal_nan=True)
+    h_vals, h_flagged = op.h_values(phi, psi)
+    assert np.array_equal(h_vals, H, equal_nan=True)
+    assert np.array_equal(h_flagged, flagged)
+
+    assert op.first_variation(phi) == _full_grid_integral(op, G, g_limit(cv, pr, phi))
+    ref = _full_grid_integral(op, H, h_limit(cv, pr, phi, psi))
+    ref += antipodal_motion_term(cv, phi, psi, pr)
+    assert op.second_variation(phi, psi) == ref
+
+    grid = density_grid(cv, pr, which="h", phi=phi, psi=psi)
+    pair_major = np.full((cv.M, cv.M), np.nan)
+    pair_major[op.ps.i, op.ps.j] = H
+    assert np.array_equal(grid.values, pair_major, equal_nan=True)
+
+
+def test_streamed_h2_warning_counts_the_full_grid(uneven_chunks, monkeypatch):
+    cv = uneven_chunks
+    pr = EnergyParams(2.5, 1.5)
+    op = GridOperator(cv, pr)
+    phi, psi = random_field(cv, 42), random_field(cv, 43)
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 0.1)
+    count = int(np.count_nonzero(_full_grid_h(op, phi, psi)[1]))
+    assert count > 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        op.second_variation(phi, psi)
+    assert [str(w.message) for w in caught] == [
+        "H2 singular policy fired at %d grid pairs; excluded from quadrature" % count
+    ]
+
+
+def test_second_variation_memory_is_row_chunked():
+    # the whole H grid with its ~45 blocks peaked at 91 MiB at this size
+    cv = random_curve(0, M=512, n=3)
+    op = GridOperator(cv, EnergyParams(2.5, 1.5))
+    phi, psi = random_field(cv, 1), random_field(cv, 2)
+    tracemalloc.start()
+    try:
+        op.second_variation(phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

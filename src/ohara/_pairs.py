@@ -134,9 +134,11 @@ def offset_sq_diffs(values):
     vals = values if values.ndim == 2 else values[:, None]
     M = vals.shape[0]
     out = np.empty((M, M))
-    for k in range(M):
-        d = np.roll(vals, -k, axis=0) - vals
-        out[:, k] = np.einsum("ij,ij->i", d, d)
+    # row j of the windows is v(s_{j+k}) over k, as an (n, M) view
+    win = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals]), M, axis=0)
+    for j0, j1 in row_chunks(M):
+        d = win[j0:j1] - vals[j0:j1, :, None]
+        out[j0:j1] = np.einsum("jik,jik->jk", d, d)
     return out
 
 

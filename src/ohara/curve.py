@@ -102,9 +102,6 @@ class Field:
     def at(self, s, order=0):
         return self.interpolant()(s, order=order)
 
-    def prefix_at(self, s):
-        return self.interpolant().prefix(s)
-
     def dot(self, other):
         """Pointwise inner product with another field -> scalar Field."""
         if self.values.ndim == 1 and other.values.ndim == 1:
@@ -223,16 +220,6 @@ class ClosedCurve:
         return np.einsum("ij,ij->i", self.kappa, self.kappa)
 
     # -- transforms ----------------------------------------------------------
-
-    def transformed(self, rotation=None, shift=None):
-        """Image of the curve under an orthogonal map and/or a translation."""
-        pos = self.positions
-        if rotation is not None:
-            rotation = np.asarray(rotation, dtype=float)
-            pos = pos @ rotation.T
-        if shift is not None:
-            pos = pos + np.asarray(shift, dtype=float)
-        return ClosedCurve(pos, self.L)
 
     def scaled(self, lam):
         """Dilation by ``lam > 0`` about the origin."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._pairs import row_chunks
 from .curve import ClosedCurve, Field, from_samples, save_curve
 from .errors import NumericalError, ValidationError
 from .quadrature import GridOperator, energy
@@ -228,9 +227,9 @@ def circle_distance(curve):
     """L2 distance to the round circle of the same length, rigidly aligned.
 
     Both curves are centered; the reference circle lives in the plane of the
-    first two coordinates.  The alignment optimizes over all cyclic phase
-    shifts of the reference combined with the best proper rotation (Kabsch)
-    for each shift: one stacked SVD per chunk of shifts.
+    first two coordinates.  The alignment is the best proper rotation
+    (Kabsch, one SVD).  A cyclic phase shift of the sampled reference is a
+    rotation in its plane, so that search covers every shift as well.
     """
     M, n = curve.M, curve.n
     r = curve.L / (2.0 * np.pi)
@@ -240,15 +239,8 @@ def circle_distance(curve):
     q[:, 1] = r * np.sin(th)
     f = curve.positions - curve.positions.mean(axis=0)
 
-    best = np.inf
-    t = np.arange(M)
-    for s0, s1 in row_chunks(M):
-        # qs[s] is the reference rolled by shift s0 + s
-        qs = q[(t - np.arange(s0, s1)[:, None]) % M]
-        U, _, Vt = np.linalg.svd(np.swapaxes(qs, 1, 2) @ f)
-        sign = np.ones((s1 - s0, n))
-        sign[:, -1] = np.sign(np.linalg.det(U @ Vt))
-        R = (U * sign[:, None, :]) @ Vt
-        d2 = curve.h * np.sum((f - qs @ R) ** 2, axis=(1, 2))
-        best = min(best, float(d2.min()))
-    return float(np.sqrt(best))
+    U, _, Vt = np.linalg.svd(q.T @ f)
+    sign = np.ones(n)
+    sign[-1] = np.sign(np.linalg.det(U @ Vt))
+    R = (U * sign) @ Vt
+    return float(np.sqrt(curve.h * np.sum((f - q @ R) ** 2)))

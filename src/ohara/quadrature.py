@@ -22,10 +22,11 @@ The reported error estimate combines the band-halving difference with the
 magnitudes of the h^4 corrections and a rounding floor.
 
 The rule reads each row only through its off-band sum and a few columns
-(:class:`_Rows`), so the variation integrands G and H are evaluated on row
-chunks of the grid and reduced at once: their memory is O(rows x M) per
-live block, not O(M^2).  Rows reduce independently, so the result does not
-depend on the chunking, bit for bit.
+(:class:`_Rows`), so the energy density and the variation integrands G and
+H are evaluated on row chunks of the grid and reduced at once: their memory
+is O(rows x M) per live block, not O(M^2).  The geometry blocks that
+:class:`GridOperator` keeps are built on the same row chunks.  Rows reduce
+independently, so the result does not depend on the chunking, bit for bit.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -306,11 +307,15 @@ def _g_grid(b):
 class GridOperator:
     """Shared grid geometry for repeated quadrature on one curve.
 
-    Builds the offset-grid pair evaluator and the geometry-only kernel
-    blocks once.  Field-dependent integrands are evaluated on row chunks of
-    the grid (:meth:`_rows`), each starting from row views of those blocks,
-    so N(tau,tau), M_alpha etc. are never recomputed and G and H never exist
-    as whole grids unless a caller asks for one.
+    Keeps the geometry-only blocks of the offset grid as whole ``(M, M)``
+    arrays: ``ntt`` = N(tau, tau), ``calpha`` = |df|^alpha, ``malpha`` =
+    M_alpha and the three ``phis`` of phi_alpha (one ``(3, M, M)`` array).
+    One evaluator, :meth:`_rows`, works on row chunks of the grid (about
+    ``_pairs.CHUNK_CELLS`` cells each): the build writes each chunk's
+    geometry blocks into those arrays, and the energy and the variations
+    start each chunk from row views of them and reduce it at once
+    (:meth:`_reduce`).  So N(tau,tau), M_alpha etc. are computed once, and
+    G and H never exist as whole grids unless a caller asks for one.
     """
 
     def __init__(self, curve, params, band=DEFAULT_BAND):
@@ -319,46 +324,55 @@ class GridOperator:
         self.curve = curve
         self.params = params
         self.band = band
-        self.ps = _grid_pairs(curve)
-        self.offband = _offband_cols(curve.M, 0)  # everything except the diagonal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geo = Blocks(self.ps, curve, params=params)
-            n_tau_checked(geo.ntt_raw(), where=self.offband[None, :])
-            geo.ntt()
-            geo.malpha()
-            geo.phis()
-        self._geo = geo
         self.gamma = (params.alpha - 2.0) * params.p
+        M = curve.M
+        self.ntt, self.calpha, self.malpha = (np.empty((M, M)) for _ in range(3))
+        self.phis = np.empty((3, M, M))
+        offdiag = _offband_cols(M, 0)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j0, j1 in row_chunks(M):
+                b = Blocks(_grid_pairs(curve, j0, j1), curve, params=params)
+                n_tau_checked(b.ntt_raw(), where=offdiag)
+                rows = self._geometry(j0, j1)
+                for name, block in b.geometry().items():
+                    rows[name][...] = block
+
+    def _geometry(self, j0, j1):
+        """Rows ``j0:j1`` of the geometry blocks, keyed as :meth:`Blocks.geometry`."""
+        return {k: getattr(self, k)[..., j0:j1, :] for k in Blocks.GEOMETRY}
 
     def _rows(self, j0, j1, phi=None, psi=None):
         """``Blocks`` on rows ``j0:j1`` of the offset grid, its geometry blocks
         row views of the operator's."""
-        geo = self._geo._memo
-        b = Blocks(_grid_pairs(self.curve, j0, j1), self.curve, params=self.params,
-                   phi=phi, psi=psi)
-        b._memo = {k: geo[k][j0:j1] for k in ("ntt_raw", "ntt", "calpha", "malpha")}
-        b._memo["phis"] = tuple(a[j0:j1] for a in geo["phis"])
-        b._memo["tt"] = geo["tt"]
-        return b
+        return Blocks(_grid_pairs(self.curve, j0, j1), self.curve, params=self.params,
+                      phi=phi, psi=psi, geometry=self._geometry(j0, j1))
 
     def _chunks(self, phi, psi=None):
         """``Blocks`` on successive row chunks of the offset grid."""
         for j0, j1 in row_chunks(self.curve.M):
             yield self._rows(j0, j1, phi, psi)
 
+    def _reduce(self, grids, band=None):
+        """The :class:`_Rows` of the row chunks in ``grids``, in order."""
+        band = self.band if band is None else band
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _Rows.concat([_Rows.of(F, band) for F in grids])
+
     def _h_grid(self, b):
         """H = H1 + ... + H6 on the rows of ``b`` and its off-diagonal H2 flags."""
         terms, flagged = b.h_terms()
-        return sum(terms.values()), flagged & self.offband[None, :]
+        return sum(terms.values()), flagged & _offband_cols(self.curve.M, 0)[None, :]
 
     def density_values(self):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._geo.malpha() ** self.params.p
+            return self.malpha ** self.params.p
 
     def energy(self, band=None):
         band = self.band if band is None else band
+        rows = self._reduce((self.malpha[j0:j1] ** self.params.p
+                             for j0, j1 in row_chunks(self.curve.M)), band)
         W0 = density_limit(self.curve, self.params, beta=1.0)
-        return self._assemble(_Rows.of(self.density_values(), band), band, W0)
+        return self._assemble(rows, band, W0)
 
     def energy_with_estimate(self):
         value, parts = self.energy()
@@ -381,9 +395,7 @@ class GridOperator:
             return _g_grid(self._rows(0, self.curve.M, phi=phi))
 
     def first_variation(self, phi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = _Rows.concat([_Rows.of(_g_grid(b), self.band)
-                                 for b in self._chunks(phi)])
+        rows = self._reduce(_g_grid(b) for b in self._chunks(phi))
         W0 = g_limit(self.curve, self.params, phi)
         value, _ = self._assemble(rows, self.band, W0)
         return value
@@ -407,13 +419,15 @@ class GridOperator:
         coefficient grids of ``G = cK K(f, phi) + cN N(tau, phi') +
         cT (tau.phi'(s1) + tau.phi'(s2))``, in one pass over the offset grid.
         """
-        cv, ps, geo, pr = self.curve, self.ps, self._geo, self.params
+        cv, pr = self.curve, self.params
         M, h, p = cv.M, cv.h, pr.p
         w, w0 = self._row_weights()
         # the band columns have weight 0, and there the blocks are singular
         k = slice(self.band + 1, M - self.band)
-        i, wrap, chord2 = ps.i[:, k], ps.wrap[:, k], ps.chord2[:, k]
-        back = (np.arange(M)[:, None] - np.arange(M)[k]) % M
+        j = np.arange(M)[:, None]
+        ps = PairSet(cv, j + np.arange(M)[k], j, chord2=cv.chord2_grid()[:, k])
+        i, wrap, chord2, ds = ps.i, ps.wrap, ps.chord2, ps.ds
+        back = (j - np.arange(M)[k]) % M
 
         def at_i(a):
             # row l, column k: a[l - k, k], the pair whose first point is s_l
@@ -425,15 +439,15 @@ class GridOperator:
             # the row sum keeps that cancellation exact
             return (at_i(a) - a).sum(axis=1)
 
-        m = geo.malpha()[:, k]
+        m = self.malpha[:, k]
         hmp1 = h * w[k] * np.power(m, p - 1.0)
-        p1_ca = geo.phis()[1][:, k] / geo.calpha()[:, k]
-        cK = -p * hmp1 * (2.0 * p1_ca * geo.ntt()[:, k] + pr.alpha * m)
+        p1_ca = self.phis[1][:, k] / self.calpha[:, k]
+        cK = -p * hmp1 * (2.0 * p1_ca * self.ntt[:, k] + pr.alpha * m)
         cN = 2.0 * p * hmp1 * p1_ca
         cT = hmp1 * m
         # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2, and
         # K(f, phi) = (f(s1) - f(s2)) . I(phi') / |df|^2
-        b = cN * ps.ds[:, k] / chord2
+        b = cN * ds / chord2
         tp = (at_i(cT) + cT).sum(axis=1)
         Ptau, Ttau = cv.tau_field.prefix()
         prefix, total = np.empty((M, cv.n)), np.empty(cv.n)
@@ -455,19 +469,21 @@ class GridOperator:
             return self._h_grid(self._rows(0, self.curve.M, phi, psi))
 
     def second_variation(self, phi, psi):
-        parts, flagged = [], 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for b in self._chunks(phi, psi):
-                F, mask = self._h_grid(b)
-                parts.append(_Rows.of(F, self.band))
-                flagged += int(np.count_nonzero(mask))
-        if flagged:
+        flagged = []
+
+        def h_grid(b):
+            F, mask = self._h_grid(b)
+            flagged.append(int(np.count_nonzero(mask)))
+            return F
+
+        rows = self._reduce(h_grid(b) for b in self._chunks(phi, psi))
+        if sum(flagged):
             warnings.warn(
                 "H2 singular policy fired at %d grid pairs; excluded from "
-                "quadrature" % flagged
+                "quadrature" % sum(flagged)
             )
         W0 = h_limit(self.curve, self.params, phi, psi)
-        value, _ = self._assemble(_Rows.concat(parts), self.band, W0)
+        value, _ = self._assemble(rows, self.band, W0)
         return value + antipodal_motion_term(self.curve, phi, psi, self.params)
 
 
@@ -589,10 +605,12 @@ class PairGrid:
         }
 
 
-def _to_pair_major(ps, V):
-    M = ps.curve.M
+def _to_pair_major(V):
+    """``out[i, j]`` = the offset-grid value of the pair ``(s_i, s_j)``."""
+    M = V.shape[0]
+    j = np.arange(M)[:, None]
     out = np.full((M, M), np.nan)
-    out[ps.i, ps.j] = V
+    out[(j + np.arange(M)) % M, j] = V
     return out
 
 
@@ -619,9 +637,8 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
         if phi is None or psi is None:
             raise ValidationError("which='h' requires phi and psi")
         V, fmask = op.h_values(phi, psi)
-        # op.ps.j is an (M, 1) column
-        flagged = [(int(op.ps.i[a, b]), int(op.ps.j[a, 0]))
-                   for a, b in zip(*np.nonzero(fmask))]
+        # row j, column k is the pair (s_{j+k}, s_j)
+        flagged = [(int((j + k) % curve.M), int(j)) for j, k in zip(*np.nonzero(fmask))]
         label = "H"
     else:
         raise ValidationError("unknown grid quantity %r" % (which,))
@@ -654,7 +671,7 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     band_l1 = float(curve.h * np.sum(np.abs(band_int)))
 
     return PairGrid(
-        values=_to_pair_major(op.ps, V), band=band, label=label, M=curve.M,
+        values=_to_pair_major(V), band=band, label=label, M=curve.M,
         L=curve.L, alpha=params.alpha, p=params.p, beta=beta, sup=sup,
         l1_offband=l1_off, band_l1_estimate=band_l1, flagged=flagged,
     )

@@ -19,6 +19,8 @@ or rows of the offset grid -- see ``_pairs``), so the pointwise operations
 here and the quadrature module share one implementation.
 """
 
+import functools
+
 import numpy as np
 
 from ._pairs import PairSet, k_raw, n_raw, n_raw_scalar
@@ -84,6 +86,20 @@ class VariationTerms:
         return "VariationTerms(%s, total=%.6g)" % (inner, self.total)
 
 
+def _memo(fn):
+    """Cache ``fn(self, *args)`` in the instance's memo, keyed by name and args."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(self, *args):
+        key = (name,) + args
+        if key not in self._memo:
+            self._memo[key] = fn(self, *args)
+        return self._memo[key]
+
+    return cached
+
+
 class Blocks:
     """Memoized pair-level building blocks for one (curve, phi, psi) setup.
 
@@ -91,20 +107,25 @@ class Blocks:
     each block is computed lazily on the evaluator's shape: one pair, a few,
     a row chunk of the offset grid or all of it.  ``params`` may be None for
     the parameter-free chord/N operations.
+
+    ``geometry`` seeds the field-independent blocks N(tau, tau), |df|^alpha,
+    phi_alpha and M_alpha, as returned by :meth:`geometry` of an instance on
+    the same pairs (or views of them), so they are not recomputed.
     """
 
-    def __init__(self, ev, curve, params=None, phi=None, psi=None):
+    GEOMETRY = ("ntt", "calpha", "phis", "malpha")
+
+    def __init__(self, ev, curve, params=None, phi=None, psi=None, geometry=None):
         self.ev = ev
         self.curve = curve
         self.params = params
         self.phi = phi
         self.psi = psi
-        self._memo = {}
+        self._memo = {(k,): v for k, v in (geometry or {}).items()}
 
-    def _get(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
+    def geometry(self):
+        """``{name: block}`` of the field-independent blocks."""
+        return {k: getattr(self, k)() for k in self.GEOMETRY}
 
     # -- geometry ------------------------------------------------------------
 
@@ -112,29 +133,27 @@ class Blocks:
     def tau(self):
         return self.curve.tau_field
 
-    def _tt(self):
-        # pointwise tau . tau as a scalar field (samples are 1 + O(eps))
-        return self._get("tt", lambda: self.tau.dot(self.tau))
-
+    @_memo
     def ntt_raw(self):
-        return self._get(
-            "ntt_raw", lambda: n_raw(self.ev, self.tau, self.tau, self._tt())
-        )
+        # the product field tau . tau has samples 1 + O(eps)
+        return n_raw(self.ev, self.tau, self.tau, self.tau.dot(self.tau))
 
+    @_memo
     def ntt(self):
         """N(tau, tau), clamp applied; validity is checked by the caller."""
-        return self._get("ntt", lambda: np.where(self.ntt_raw() < 0.0, 0.0, self.ntt_raw()))
+        return np.where(self.ntt_raw() < 0.0, 0.0, self.ntt_raw())
 
+    @_memo
     def calpha(self):
-        return self._get(
-            "calpha", lambda: np.power(self.ev.chord2, self.params.alpha / 2.0)
-        )
+        return np.power(self.ev.chord2, self.params.alpha / 2.0)
 
+    @_memo
     def phis(self):
-        return self._get("phis", lambda: phi_alpha(self.ntt(), self.params.alpha))
+        return phi_alpha(self.ntt(), self.params.alpha)
 
+    @_memo
     def malpha(self):
-        return self._get("malpha", lambda: self.phis()[0] / self.calpha())
+        return self.phis()[0] / self.calpha()
 
     # -- phi / psi dependent blocks -----------------------------------------
 
@@ -144,191 +163,154 @@ class Blocks:
     def _dfield(self, which):
         return self._field(which).deriv
 
+    @_memo
     def _t_dot(self, which):
         # pointwise tau . phi' as a scalar field
-        key = "tdot_" + which
-        return self._get(key, lambda: self.tau.dot(self._dfield(which)))
+        return self.tau.dot(self._dfield(which))
 
+    @_memo
     def kf(self, which):
-        key = "kf_" + which
-        return self._get(key, lambda: k_raw(self.ev, self.curve.position_field, self._field(which)))
+        return k_raw(self.ev, self.curve.position_field, self._field(which))
 
+    @_memo
     def nt(self, which):
         """N(tau, phi') -- the mixed bilinear block of delta N."""
-        key = "nt_" + which
+        return n_raw(self.ev, self.tau, self._dfield(which), self._t_dot(which))
 
-        def fn():
-            d = self._dfield(which)
-            return n_raw(self.ev, self.tau, d, self._t_dot(which))
-
-        return self._get(key, fn)
-
+    @_memo
     def t1(self, which):
-        key = "t1_" + which
-        return self._get(key, lambda: self.ev.value1(self._t_dot(which)))
+        return self.ev.value1(self._t_dot(which))
 
+    @_memo
     def t2(self, which):
-        key = "t2_" + which
-        return self._get(key, lambda: self.ev.value2(self._t_dot(which)))
+        return self.ev.value2(self._t_dot(which))
 
+    @_memo
     def kpq(self):
-        return self._get("kpq", lambda: k_raw(self.ev, self.phi, self.psi))
+        return k_raw(self.ev, self.phi, self.psi)
 
+    @_memo
     def npq(self):
-        def fn():
-            dp, dq = self.phi.deriv, self.psi.deriv
-            return n_raw(self.ev, dp, dq, dp.dot(dq))
+        dp, dq = self.phi.deriv, self.psi.deriv
+        return n_raw(self.ev, dp, dq, dp.dot(dq))
 
-        return self._get("npq", fn)
-
+    @_memo
     def nscal(self):
         # N((tau.phi'), (tau.psi')) with d = 1 scalar fields
-        def fn():
-            u, v = self._t_dot("phi"), self._t_dot("psi")
-            return n_raw_scalar(self.ev, u, v, u.dot(v))
+        u, v = self._t_dot("phi"), self._t_dot("psi")
+        return n_raw_scalar(self.ev, u, v, u.dot(v))
 
-        return self._get("nscal", fn)
-
-    def pp_sum(self):
-        # phi'(s1).psi'(s1) + phi'(s2).psi'(s2)
-        def fn():
-            pq = self._dfield("phi").dot(self._dfield("psi"))
-            return self.ev.value1(pq) + self.ev.value2(pq)
-
-        return self._get("pp_sum", fn)
-
+    @_memo
     def pp_split(self):
-        def fn():
-            pq = self._dfield("phi").dot(self._dfield("psi"))
-            return self.ev.value1(pq), self.ev.value2(pq)
-
-        return self._get("pp_split", fn)
+        # phi'.psi' at s1 and at s2
+        pq = self._dfield("phi").dot(self._dfield("psi"))
+        return self.ev.value1(pq), self.ev.value2(pq)
 
     # -- assembled variation pieces -----------------------------------------
 
+    @_memo
     def dn(self, which):
-        key = "dn_" + which
-        return self._get(
-            key, lambda: -2.0 * self.kf(which) * self.ntt() + 2.0 * self.nt(which)
-        )
+        return -2.0 * self.kf(which) * self.ntt() + 2.0 * self.nt(which)
 
+    @_memo
     def d2n_terms(self):
-        def fn():
-            ntt = self.ntt()
-            kfp, kfq = self.kf("phi"), self.kf("psi")
-            return {
-                "S1": -2.0 * (self.kpq() - 2.0 * kfp * kfq) * ntt,
-                "S2": -kfp * self.dn("psi") - kfq * self.dn("phi"),
-                "S3": -2.0 * kfq * self.nt("phi") - 2.0 * kfp * self.nt("psi"),
-                "S4": 2.0 * self.npq(),
-                "S5": -2.0 * self.nscal(),
-            }
+        ntt = self.ntt()
+        kfp, kfq = self.kf("phi"), self.kf("psi")
+        return {
+            "S1": -2.0 * (self.kpq() - 2.0 * kfp * kfq) * ntt,
+            "S2": -kfp * self.dn("psi") - kfq * self.dn("phi"),
+            "S3": -2.0 * kfq * self.nt("phi") - 2.0 * kfp * self.nt("psi"),
+            "S4": 2.0 * self.npq(),
+            "S5": -2.0 * self.nscal(),
+        }
 
-        return self._get("d2n_terms", fn)
-
+    @_memo
     def dm_terms(self, which):
-        key = "dm_terms_" + which
+        _, p1, _ = self.phis()
+        alpha = self.params.alpha
+        return {
+            "P1": p1 * self.dn(which) / self.calpha(),
+            "P2": -(alpha / 2.0) * self.malpha() * 2.0 * self.kf(which),
+        }
 
-        def fn():
-            _, p1, _ = self.phis()
-            alpha = self.params.alpha
-            return {
-                "P1": p1 * self.dn(which) / self.calpha(),
-                "P2": -(alpha / 2.0) * self.malpha() * 2.0 * self.kf(which),
-            }
-
-        return self._get(key, fn)
-
+    @_memo
     def dm(self, which):
-        key = "dm_" + which
+        t = self.dm_terms(which)
+        return t["P1"] + t["P2"]
 
-        def fn():
-            t = self.dm_terms(which)
-            return t["P1"] + t["P2"]
-
-        return self._get(key, fn)
-
+    @_memo
     def d2m_terms(self):
-        def fn():
-            _, p1, p2 = self.phis()
-            alpha = self.params.alpha
-            ca = self.calpha()
-            d2n = sum(self.d2n_terms().values())
-            dnp, dnq = self.dn("phi"), self.dn("psi")
-            kfp, kfq = self.kf("phi"), self.kf("psi")
-            return {
-                "Q1": p1 * d2n / ca,
-                "Q2": -(alpha / 2.0) * p1 * (dnp / ca) * (2.0 * kfq),
-                "Q3": p2 * dnp * dnq / ca,
-                "Q4": -(alpha / 2.0) * self.dm("psi") * (2.0 * kfp),
-                "Q5": -(alpha / 2.0) * self.malpha() * (2.0 * self.kpq()),
-                "Q6": (alpha / 2.0) * self.malpha() * (2.0 * kfp) * (2.0 * kfq),
-            }
+        _, p1, p2 = self.phis()
+        alpha = self.params.alpha
+        ca = self.calpha()
+        d2n = sum(self.d2n_terms().values())
+        dnp, dnq = self.dn("phi"), self.dn("psi")
+        kfp, kfq = self.kf("phi"), self.kf("psi")
+        return {
+            "Q1": p1 * d2n / ca,
+            "Q2": -(alpha / 2.0) * p1 * (dnp / ca) * (2.0 * kfq),
+            "Q3": p2 * dnp * dnq / ca,
+            "Q4": -(alpha / 2.0) * self.dm("psi") * (2.0 * kfp),
+            "Q5": -(alpha / 2.0) * self.malpha() * (2.0 * self.kpq()),
+            "Q6": (alpha / 2.0) * self.malpha() * (2.0 * kfp) * (2.0 * kfq),
+        }
 
-        return self._get("d2m_terms", fn)
-
+    @_memo
     def d2m(self):
-        return self._get("d2m", lambda: sum(self.d2m_terms().values()))
+        return sum(self.d2m_terms().values())
 
-    def g_terms(self, which="phi"):
-        key = "g_terms_" + which
+    @_memo
+    def g_terms(self, which):
+        p = self.params.p
+        m = self.malpha()
+        mp1 = np.power(m, p - 1.0) if p != 1.0 else np.ones_like(np.asarray(m))
+        g1 = p * mp1 * self.dm(which)
+        g2 = m * mp1 * (self.t1(which) + self.t2(which))
+        return {"G1": g1, "G2": g2}
 
-        def fn():
-            p = self.params.p
-            m = self.malpha()
-            mp1 = np.power(m, p - 1.0) if p != 1.0 else np.ones_like(np.asarray(m))
-            g1 = p * mp1 * self.dm(which)
-            g2 = m * mp1 * (self.t1(which) + self.t2(which))
-            return {"G1": g1, "G2": g2}
-
-        return self._get(key, fn)
-
+    @_memo
     def h_terms(self):
         """H1..H6 plus a mask of pairs where the H2 singular policy fired."""
-
-        def fn():
-            p = self.params.p
-            m = np.asarray(self.malpha())
-            mp = np.power(m, p)
-            mp1 = np.power(m, p - 1.0) if p != 1.0 else np.ones_like(m)
-            dmp, dmq = np.asarray(self.dm("phi")), np.asarray(self.dm("psi"))
-            if p == 1.0:
-                h2 = np.zeros_like(m)
-                flagged = np.zeros_like(m, dtype=bool)
-            elif p >= 2.0:
-                h2 = p * (p - 1.0) * np.power(m, p - 2.0) * dmp * dmq
-                flagged = np.zeros_like(m, dtype=bool)
-            else:
-                sing = m < H2_SINGULAR_THRESHOLD
-                safe_m = np.where(sing, 1.0, m)
-                h2 = p * (p - 1.0) * np.power(safe_m, p - 2.0) * dmp * dmq
-                vanish = (np.abs(dmp) <= H2_DELTA_TOLERANCE) & (
-                    np.abs(dmq) <= H2_DELTA_TOLERANCE
-                )
-                h2 = np.where(sing, 0.0, h2)
-                flagged = sing & ~vanish
-            tp = self.t1("phi") + self.t2("phi")
-            tq = self.t1("psi") + self.t2("psi")
-            pp1, pp2 = self.pp_split()
-            g1p = self.g_terms("phi")["G1"]
-            g1q = self.g_terms("psi")["G1"]
-            terms = {
-                "H1": p * mp1 * self.d2m(),
-                "H2": h2,
-                "H3": g1p * tq,
-                "H4": g1q * tp,
-                "H5": mp
-                * (
-                    pp1
-                    + pp2
-                    - 2.0 * self.t1("phi") * self.t1("psi")
-                    - 2.0 * self.t2("phi") * self.t2("psi")
-                ),
-                "H6": mp * tp * tq,
-            }
-            return terms, flagged
-
-        return self._get("h_terms", fn)
+        p = self.params.p
+        m = np.asarray(self.malpha())
+        mp = np.power(m, p)
+        mp1 = np.power(m, p - 1.0) if p != 1.0 else np.ones_like(m)
+        dmp, dmq = np.asarray(self.dm("phi")), np.asarray(self.dm("psi"))
+        if p == 1.0:
+            h2 = np.zeros_like(m)
+            flagged = np.zeros_like(m, dtype=bool)
+        elif p >= 2.0:
+            h2 = p * (p - 1.0) * np.power(m, p - 2.0) * dmp * dmq
+            flagged = np.zeros_like(m, dtype=bool)
+        else:
+            sing = m < H2_SINGULAR_THRESHOLD
+            safe_m = np.where(sing, 1.0, m)
+            h2 = p * (p - 1.0) * np.power(safe_m, p - 2.0) * dmp * dmq
+            vanish = (np.abs(dmp) <= H2_DELTA_TOLERANCE) & (
+                np.abs(dmq) <= H2_DELTA_TOLERANCE
+            )
+            h2 = np.where(sing, 0.0, h2)
+            flagged = sing & ~vanish
+        tp = self.t1("phi") + self.t2("phi")
+        tq = self.t1("psi") + self.t2("psi")
+        pp1, pp2 = self.pp_split()
+        g1p = self.g_terms("phi")["G1"]
+        g1q = self.g_terms("psi")["G1"]
+        terms = {
+            "H1": p * mp1 * self.d2m(),
+            "H2": h2,
+            "H3": g1p * tq,
+            "H4": g1q * tp,
+            "H5": mp
+            * (
+                pp1
+                + pp2
+                - 2.0 * self.t1("phi") * self.t1("psi")
+                - 2.0 * self.t2("phi") * self.t2("psi")
+            ),
+            "H6": mp * tp * tq,
+        }
+        return terms, flagged
 
 
 def _single(curve, pair, params=None, phi=None, psi=None):

@@ -277,9 +277,11 @@ def test_quadrature_sets_no_attributes_on_curves():
 
 def test_grid_operator_shares_the_curve_chords():
     cv = random_curve(3, M=64, n=3)
-    ps = GridOperator(cv, EnergyParams(2.0, 1.0)).ps
-    assert ps.chord2 is cv.chord2_grid()
-    assert ps.j.shape == (cv.M, 1)
+    op = GridOperator(cv, EnergyParams(2.0, 1.0))
+    b = op._rows(5, 12)
+    assert np.shares_memory(b.ev.chord2, cv.chord2_grid())
+    assert np.array_equal(b.ev.chord2, cv.chord2_grid()[5:12])
+    assert b.ev.j.shape == (7, 1)
 
 
 def test_random_curve_deterministic():
@@ -317,3 +319,24 @@ def test_bilipschitz_constant_is_chunk_independent(monkeypatch):
     full = max(1.0, float(np.max(D / np.sqrt(cv.chord2_grid()[:, 1:]))))
     monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * cv.M)
     assert bilipschitz_constant(cv) == full > 1.0
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_offset_sq_diffs_matches_the_roll_loop(monkeypatch, rows):
+    from ohara import _pairs
+
+    def roll_loop(values):
+        vals = values if values.ndim == 2 else values[:, None]
+        M = vals.shape[0]
+        out = np.empty((M, M))
+        for k in range(M):
+            d = np.roll(vals, -k, axis=0) - vals
+            out[:, k] = np.einsum("ij,ij->i", d, d)
+        return out
+
+    cv = random_curve(2, M=96, n=3)
+    if rows is not None:
+        monkeypatch.setattr(_pairs, "CHUNK_CELLS", rows * cv.M)
+    phi = random_field(cv, 3)
+    for values in (cv.positions, cv.tau, phi.deriv.values, cv.kappa_sq()):
+        assert np.array_equal(_pairs.offset_sq_diffs(values), roll_loop(values))

@@ -133,7 +133,7 @@ class ClosedCurve:
         Total length.
     """
 
-    def __init__(self, positions, L, _validated=False):
+    def __init__(self, positions, L):
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2:
             raise ValidationError("positions must be an (M, n) array")
@@ -142,16 +142,22 @@ class ClosedCurve:
             raise ValidationError("ambient dimension must be >= 2")
         if M < 16 or M % 2 != 0:
             raise ValidationError("sample count must be even and >= 16")
+        if not np.all(np.isfinite(positions)):
+            raise ValidationError("positions must be finite")
+        L = float(L)
+        if not (np.isfinite(L) and L > 0.0):
+            raise ValidationError("curve length must be finite and positive (got %r)" % L)
         self.M = M
         self.n = n
-        self.L = float(L)
+        self.L = L
         self.h = self.L / M
         self.s = np.arange(M) * self.h
 
         tau = spectral_derivative(positions, self.L)
         speed = np.linalg.norm(tau, axis=1)
         dev = float(np.max(np.abs(speed - 1.0)))
-        if dev > 1.0e-6:
+        # every guard is written so that a NaN fails it
+        if not dev <= 1.0e-6:
             raise ValidationError(
                 "samples are not uniform in arclength (unit-speed deviation %.3g)" % dev
             )
@@ -170,27 +176,26 @@ class ClosedCurve:
         self._pos_field = None
         self._chord2 = None
         self._bilip = None
-        if not _validated:
-            self._validate()
+        self._validate()
 
     # -- construction-time checks -------------------------------------------
 
     def _validate(self):
-        if self.closure_defect > 1.0e-8 * self.L:
+        if not self.closure_defect <= 1.0e-8 * self.L:
             raise ValidationError(
                 "curve does not close up (defect %.3g x L)" % (self.closure_defect / self.L)
             )
-        ortho = np.abs(np.einsum("ij,ij->i", self.tau, self.kappa))
-        if float(np.max(ortho)) > 1.0e-6:
+        ortho = float(np.max(np.abs(np.einsum("ij,ij->i", self.tau, self.kappa))))
+        if not ortho <= 1.0e-6:
             raise ValidationError(
                 "tangent/curvature orthogonality defect %.3g; curve is not "
-                "resolved by its grid" % float(np.max(ortho))
+                "resolved by its grid" % ortho
             )
         # reject (near-)self-intersecting data: any two samples at least two
         # grid steps apart must be separated by a minimal chord
         # columns 2 .. M-2 are the cyclic offsets of at least 2
         min_chord = float(np.sqrt(np.min(self.chord2_grid()[:, 2:self.M - 1])))
-        if min_chord < MIN_CHORD_REL * self.L:
+        if not min_chord >= MIN_CHORD_REL * self.L:
             raise ValidationError(
                 "curve is degenerate or self-intersecting (min separated chord "
                 "%.3g x L)" % (min_chord / self.L)
@@ -222,9 +227,9 @@ class ClosedCurve:
     # -- transforms ----------------------------------------------------------
 
     def scaled(self, lam):
-        """Dilation by ``lam > 0`` about the origin."""
-        if lam <= 0:
-            raise ValidationError("scale factor must be positive")
+        """Dilation by a finite ``lam > 0`` about the origin."""
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValidationError("scale factor must be finite and positive (got %r)" % lam)
         return ClosedCurve(self.positions * lam, self.L * lam)
 
 
@@ -273,7 +278,16 @@ def from_samples(points, closed=True):
 
 
 def _arclength_pass(pts, oversample=4):
-    """One spectral reparametrization sweep; returns (new_pts, L, speed_dev)."""
+    """One spectral reparametrization sweep; returns (new_pts, L, speed_dev).
+
+    The Newton solve for the arclength targets runs each step only on the
+    rows whose iterate moved in the step before, and stops once none moves.
+    A row whose iterate did not change is a fixed point: its next step would
+    repeat the same arithmetic and give the same bits, so freezing it leaves
+    every output bit as six full steps give it.  That needs the rows of a
+    product over a subset to equal the same rows of the full product, which
+    holds for two rows or more but not for one (see the guard below).
+    """
     M = pts.shape[0]
     interp = Interpolant(pts, 1.0)
     Mf = oversample * M
@@ -289,9 +303,20 @@ def _arclength_pass(pts, oversample=4):
     sp_interp = Interpolant(speed, 1.0)
     # Newton solve A(t) = target, dA/dt = speed(t); A is strictly increasing
     t = np.interp(targets, np.concatenate([A, [L]]), np.concatenate([tf, [1.0]]))
+    rows = np.arange(M)
     for _ in range(6):
-        speed_t, A_t = sp_interp.value_and_prefix(t)
-        t = t - (A_t - targets) / speed_t
+        if rows.size == 1:
+            # numpy takes a one-row (1, K) @ (K, 1) product down its dot
+            # path, whose bits can differ from that row of a larger product;
+            # a frozen companion row keeps it a matrix product and stays put
+            rows = np.array([rows[0], (rows[0] + 1) % M])
+        t_rows = t[rows]
+        speed_t, A_t = sp_interp.value_and_prefix(t_rows)
+        step = t_rows - (A_t - targets[rows]) / speed_t
+        t[rows] = step
+        rows = rows[step != t_rows]
+        if rows.size == 0:
+            break
     t[0] = 0.0
     return interp(t), L, dev
 

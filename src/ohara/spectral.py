@@ -89,6 +89,12 @@ class Interpolant:
     mode sum, O(M) per point: it serves the verification routines and the
     oversampled evaluations and Newton steps of the arclength
     reparametrization, where it is most of the cost of ``from_samples``.
+
+    Each point's value is its own row of the table product, so evaluating a
+    subset of points gives the same bits as those rows of a full evaluation.
+    The Newton solve relies on this to evaluate only its unconverged rows.
+    The exception is a single point: numpy computes a one-row product by
+    its dot path, whose bits can differ, so that caller never passes one.
     """
 
     def __init__(self, values, L):

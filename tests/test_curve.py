@@ -138,22 +138,66 @@ def _angle_samples(seed, M, n=3, modes=4, amplitude=0.05):
     return pts
 
 
-def _ellipse_samples(M=128):
+def _ellipse_samples(M=128, a=2.0):
     theta = 2.0 * np.pi * np.arange(M) / M
-    return np.stack([2.0 * np.cos(theta), np.sin(theta)], axis=1)
+    return np.stack([a * np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _flow_trial_samples(M=256):
+    """A flow backtracking trial's input: a random curve moved off arclength."""
+    cv = random_curve(0, M=M)
+    return cv.positions - 0.05 * random_field(cv, 1).values
 
 
 @pytest.mark.parametrize(
-    "pts",
-    [_angle_samples(1, 64), _angle_samples(2, 128), _ellipse_samples()],
-    ids=["angle-m64", "angle-m128", "ellipse-m128"],
+    "make_pts",
+    [
+        lambda: _angle_samples(1, 64),
+        lambda: _angle_samples(2, 128),
+        _ellipse_samples,
+        lambda: _angle_samples(0, 1024, modes=5, amplitude=0.1),
+        _flow_trial_samples,
+    ],
+    ids=["angle-m64", "angle-m128", "ellipse-m128", "cli-m1024", "flow-trial-m256"],
 )
-def test_from_samples_is_bit_identical_to_direct_tables(pts):
-    # the shared cos/sin table only removes work: every output bit stays
+def test_from_samples_is_bit_identical_to_direct_tables(make_pts):
+    # the shared cos/sin table and the frozen Newton rows only remove work:
+    # every output bit stays as the reference's six full sweeps give it
+    pts = make_pts()
     positions, L = _direct_from_samples(pts)
     cv = from_samples(pts)
     assert np.array_equal(cv.positions, positions)
     assert cv.L == L
+
+
+@pytest.mark.parametrize(
+    "make_pts",
+    [lambda: _angle_samples(0, 256, modes=5, amplitude=0.1), lambda: _ellipse_samples(64, 1.5)],
+    ids=["angle-m256", "ellipse-m64"],
+)
+def test_newton_steps_skip_converged_rows(monkeypatch, make_pts):
+    # the 1.5 x 1 ellipse at M = 64 reaches steps with one moving row, which
+    # must still be evaluated together with a frozen companion row
+    from ohara import curve
+
+    pts = make_pts()
+    rows, passes = [], []
+    value_and_prefix = Interpolant.value_and_prefix
+    arclength_pass = curve._arclength_pass
+
+    def counted_value_and_prefix(self, s):
+        rows.append(np.size(s))
+        return value_and_prefix(self, s)
+
+    def counted_pass(points):
+        passes.append(1)
+        return arclength_pass(points)
+
+    monkeypatch.setattr(Interpolant, "value_and_prefix", counted_value_and_prefix)
+    monkeypatch.setattr(curve, "_arclength_pass", counted_pass)
+    from_samples(pts)
+    assert 1 not in rows
+    assert sum(rows) < 0.5 * 6 * len(pts) * len(passes)
 
 
 def test_value_and_prefix_is_bit_identical_to_separate_calls():
@@ -308,6 +352,33 @@ def test_scaled_curve_construction(circle128):
     cv = ClosedCurve(2.0 * circle128.positions, 2.0 * circle128.L)
     assert cv.L == pytest.approx(2.0 * circle128.L)
     assert cv.h == pytest.approx(2.0 * circle128.h)
+
+
+def _with_sample(value):
+    pts = circle(64).positions.copy()
+    pts[3, 1] = value
+    return pts
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ClosedCurve(_with_sample(np.nan), 2.0 * np.pi), "positions must be finite"),
+        (lambda: ClosedCurve(_with_sample(np.inf), 2.0 * np.pi), "positions must be finite"),
+        (lambda: ClosedCurve(circle(64).positions, np.nan), "length must be finite and positive"),
+        (lambda: ClosedCurve(circle(64).positions, -2.0 * np.pi), "length must be finite and positive"),
+        (lambda: ClosedCurve(circle(64).positions, 0.0), "length must be finite and positive"),
+        (lambda: circle(64).scaled(np.nan), "scale factor must be finite and positive"),
+        (lambda: circle(64).scaled(np.inf), "scale factor must be finite and positive"),
+        # finite input whose spectral tangent overflows to NaN
+        (lambda: ClosedCurve(1e307 * circle(64).positions, 2e307 * np.pi), "unit-speed deviation nan"),
+    ],
+    ids=["nan-sample", "inf-sample", "nan-length", "negative-length", "zero-length",
+         "scaled-nan", "scaled-inf", "overflowing-tangent"],
+)
+def test_closed_curve_rejects_non_finite_or_non_positive_input(build, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match=message):
+        build()
 
 
 def test_bilipschitz_constant_is_chunk_independent(monkeypatch):

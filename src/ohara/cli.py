@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
 
 from .curve import (
     Field,
@@ -58,26 +57,7 @@ from .verify import (
     neville_h2,
 )
 
-__all__ = ["RunConfig", "main"]
-
-_SUITES = ("fd", "limits", "circle", "norms", "all")
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    params: EnergyParams
-    curve_path: str = None
-    M: int = None
-    band: int = 2
-    phi_spec: str = "synthetic:6"
-    psi_spec: str = "synthetic:6"
-    out: str = None
-    seed: int = 0
-    suite: str = "all"
-    beta_requested: bool = False
+__all__ = ["main"]
 
 
 def _parser():
@@ -86,16 +66,7 @@ def _parser():
         description="O'Hara-type (alpha, p) knot energies on closed curves",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("energy", "energy value with error estimate"),
-        ("gradient", "first variation along a field"),
-        ("hessian-form", "second variation along two fields"),
-        ("density", "pair-grid export of density/G/H"),
-        ("limits", "diagonal-limit reports"),
-        ("norms", "seminorm reports"),
-        ("flow", "projected gradient descent"),
-        ("verify", "oracle suites"),
-    ]:
+    for name, (_, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--curve", metavar="PATH", default=None)
         sp.add_argument("--alpha", type=float, default=2.0)
@@ -110,37 +81,23 @@ def _parser():
         if name == "density":
             sp.add_argument("--which", choices=("density", "g", "h"), default="density")
         if name == "verify":
-            sp.add_argument("--suite", choices=_SUITES, default="all")
+            sp.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     return ap
 
 
-def _config(args):
-    params = EnergyParams(args.alpha, args.p, beta=args.beta)
-    if args.seed < 0:
-        raise ValidationError("seed must be >= 0")
-    return RunConfig(
-        command=args.command,
-        params=params,
-        curve_path=args.curve,
-        M=args.M,
-        band=args.band,
-        phi_spec=args.phi,
-        psi_spec=args.psi,
-        out=args.out,
-        seed=args.seed,
-        suite=getattr(args, "suite", "all"),
-        beta_requested=args.beta is not None,
-    )
-
-
-def _need_curve(cfg):
-    if cfg.curve_path is None:
+def _need_curve(args):
+    if args.curve is None:
         raise ValidationError("this command requires --curve PATH")
-    return load_curve(cfg.curve_path, M=cfg.M)
+    return load_curve(args.curve, M=args.M)
 
 
 def _load_field(curve, spec, seed):
-    """A field from ``synthetic:K`` (seeded trig noise) or a JSON/CSV file."""
+    """A vector field from ``synthetic:K`` (seeded trig noise) or a file.
+
+    A field file holds an ``(M, n)`` array, one row of ``n`` coordinates per
+    curve sample: JSON ``{"values": [[...], ...]}`` (or ``"points"``) or CSV
+    rows.  Any other shape raises :class:`ValidationError`.
+    """
     if spec.startswith("synthetic:"):
         try:
             modes = int(spec.split(":", 1)[1])
@@ -165,8 +122,12 @@ def _load_field(curve, spec, seed):
         vals = _float_array(doc[key], "field " + key)
     else:
         vals = _read_rows(text, "field file")
-        if vals.ndim == 2 and vals.shape[1] == 1:
-            vals = vals[:, 0]
+    if vals.ndim in (1, 2) and vals.shape != (curve.M, curve.n):
+        # Field rejects the other ranks itself
+        raise ValidationError(
+            "field file holds a %s array, not (M, n) = (%d, %d): one row of %d "
+            "coordinates per sample" % (vals.shape, curve.M, curve.n, curve.n)
+        )
     return Field(curve, vals)
 
 
@@ -188,127 +149,126 @@ def _emit(doc, out):
     print(text)
 
 
-# -- subcommand bodies -------------------------------------------------------
+# -- subcommand bodies: each takes the parsed arguments and their params -----
 
 
-def _cmd_energy(cfg):
-    cv = _need_curve(cfg)
-    value, est = energy(cv, cfg.params, band=cfg.band, with_estimate=True)
+def _cmd_energy(args, params):
+    cv = _need_curve(args)
+    value, est = energy(cv, params, band=args.band, with_estimate=True)
     _emit(
         {
             "E": value,
             "estimate": est,
-            "alpha": cfg.params.alpha,
-            "p": cfg.params.p,
+            "alpha": params.alpha,
+            "p": params.p,
             "M": cv.M,
-            "band": cfg.band,
+            "band": args.band,
             "L": cv.L,
         },
-        cfg.out,
+        args.out,
     )
     return 0
 
 
-def _cmd_gradient(cfg):
-    cv = _need_curve(cfg)
-    phi = _load_field(cv, cfg.phi_spec, cfg.seed)
-    value = first_variation(cv, phi, cfg.params, band=cfg.band)
+def _cmd_gradient(args, params):
+    cv = _need_curve(args)
+    phi = _load_field(cv, args.phi, args.seed)
+    value = first_variation(cv, phi, params, band=args.band)
     _emit(
-        {"delta_E": value, "phi": cfg.phi_spec, "seed": cfg.seed, "M": cv.M},
-        cfg.out,
+        {"delta_E": value, "phi": args.phi, "seed": args.seed, "M": cv.M},
+        args.out,
     )
     return 0
 
 
-def _cmd_hessian(cfg):
-    cv = _need_curve(cfg)
-    phi = _load_field(cv, cfg.phi_spec, cfg.seed)
-    psi = _load_field(cv, cfg.psi_spec, cfg.seed + 1)
-    value = second_variation(cv, phi, psi, cfg.params, band=cfg.band)
+def _cmd_hessian(args, params):
+    cv = _need_curve(args)
+    phi = _load_field(cv, args.phi, args.seed)
+    psi = _load_field(cv, args.psi, args.seed + 1)
+    value = second_variation(cv, phi, psi, params, band=args.band)
     _emit(
         {
             "delta2_E": value,
-            "phi": cfg.phi_spec,
-            "psi": cfg.psi_spec,
-            "seed": cfg.seed,
+            "phi": args.phi,
+            "psi": args.psi,
+            "seed": args.seed,
             "M": cv.M,
         },
-        cfg.out,
+        args.out,
     )
     return 0
 
 
-def _cmd_density(cfg, which):
-    cv = _need_curve(cfg)
+def _cmd_density(args, params):
+    cv = _need_curve(args)
     phi = psi = None
-    if which in ("g", "h"):
-        phi = _load_field(cv, cfg.phi_spec, cfg.seed)
-    if which == "h":
-        psi = _load_field(cv, cfg.psi_spec, cfg.seed + 1)
-    beta = cfg.params.beta if cfg.beta_requested else None
+    if args.which in ("g", "h"):
+        phi = _load_field(cv, args.phi, args.seed)
+    if args.which == "h":
+        psi = _load_field(cv, args.psi, args.seed + 1)
+    beta = args.beta
     grid = density_grid(
-        cv, cfg.params, which=which, beta=beta, phi=phi, psi=psi, band=cfg.band
+        cv, params, which=args.which, beta=beta, phi=phi, psi=psi, band=args.band
     )
-    if cfg.out is not None:
-        with _writing(cfg.out):
-            save_grid_csv(grid, cfg.out)
+    if args.out is not None:
+        with _writing(args.out):
+            save_grid_csv(grid, args.out)
     doc = grid.summary()
-    doc.update({"M": cv.M, "band": cfg.band, "beta": beta, "csv": cfg.out})
+    doc.update({"M": cv.M, "band": args.band, "beta": beta, "csv": args.out})
     _emit(doc, None)
     return 0
 
 
-def _cmd_limits(cfg):
-    cv = _need_curve(cfg)
-    phi = _load_field(cv, cfg.phi_spec, cfg.seed)
-    psi = _load_field(cv, cfg.psi_spec, cfg.seed + 1)
+def _cmd_limits(args, params):
+    cv = _need_curve(args)
+    phi = _load_field(cv, args.phi, args.seed)
+    psi = _load_field(cv, args.psi, args.seed + 1)
     kinds = ["m_alpha", "density", "n_tau", "r1", "r2", "s1", "s2", "s3", "s4", "s5"]
     reports = []
     for idx in (0, cv.M // 8, cv.M // 3):
         s = cv.s[idx]
         for which in kinds:
-            reports.append(diagonal_limit(cv, phi, psi, cfg.params, s, which).as_dict())
-    _emit({"reports": reports}, cfg.out)
+            reports.append(diagonal_limit(cv, phi, psi, params, s, which).as_dict())
+    _emit({"reports": reports}, args.out)
     return 0
 
 
-def _cmd_norms(cfg):
-    cv = _need_curve(cfg)
-    phi = _load_field(cv, cfg.phi_spec, cfg.seed)
-    pr = cfg.params
-    q = 2.0 * pr.p
+def _cmd_norms(args, params):
+    cv = _need_curve(args)
+    phi = _load_field(cv, args.phi, args.seed)
+    q = 2.0 * params.p
     tau = cv.tau_field
     dphi = phi.deriv
     doc = {
-        "sigma": pr.sigma,
+        "sigma": params.sigma,
         "q": q,
-        "beta": pr.beta,
+        "beta": params.beta,
         "tau": {
-            "gagliardo": gagliardo_seminorm(tau, pr.sigma, q),
-            "holder": holder_seminorm(tau, pr.beta),
-            "sobolev_linf": sobolev_linf_norm(tau, pr.sigma, q),
+            "gagliardo": gagliardo_seminorm(tau, params.sigma, q),
+            "holder": holder_seminorm(tau, params.beta),
+            "sobolev_linf": sobolev_linf_norm(tau, params.sigma, q),
         },
         "phi_deriv": {
-            "gagliardo": gagliardo_seminorm(dphi, pr.sigma, q),
-            "holder": holder_seminorm(dphi, pr.beta),
-            "sobolev_linf": sobolev_linf_norm(dphi, pr.sigma, q),
+            "gagliardo": gagliardo_seminorm(dphi, params.sigma, q),
+            "holder": holder_seminorm(dphi, params.beta),
+            "sobolev_linf": sobolev_linf_norm(dphi, params.sigma, q),
         },
         "product_check": product_seminorm_check(cv, phi),
     }
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     return 0
 
 
-def _cmd_flow(cfg):
-    cv = _need_curve(cfg)
-    snap = cfg.out + ".steps" if cfg.out is not None else None
-    with _writing(cfg.out):
+def _cmd_flow(args, params):
+    cv = _need_curve(args)
+    snap = args.out + ".steps" if args.out is not None else None
+    with _writing(args.out):
         state = run_flow(
             cv,
-            cfg.params,
+            params,
             steps=60,
             K=8,
-            trace_path=cfg.out,
+            trace_path=args.out,
             snapshot_dir=snap,
         )
     _emit(
@@ -319,26 +279,26 @@ def _cmd_flow(cfg):
             "halted": state.halted,
             "diagnostic": state.diagnostic,
             "circle_distance": circle_distance(state.curve),
-            "trace": cfg.out,
+            "trace": args.out,
         },
         None,
     )
     return 0
 
 
-def _suite_fd(cfg):
+def _suite_fd(args, params):
     cv = (
-        load_curve(cfg.curve_path, M=cfg.M)
-        if cfg.curve_path is not None
-        else random_curve(cfg.seed, M=cfg.M or 192, n=3)
+        load_curve(args.curve, M=args.M)
+        if args.curve is not None
+        else random_curve(args.seed, M=args.M or 192, n=3)
     )
-    phi = _load_field(cv, cfg.phi_spec, cfg.seed)
-    psi = _load_field(cv, cfg.psi_spec, cfg.seed + 1)
-    fv = first_variation(cv, phi, cfg.params, band=cfg.band)
-    _, rich = fd_energy_gradient(cv, phi, cfg.params)
+    phi = _load_field(cv, args.phi, args.seed)
+    psi = _load_field(cv, args.psi, args.seed + 1)
+    fv = first_variation(cv, phi, params, band=args.band)
+    _, rich = fd_energy_gradient(cv, phi, params)
     gap_g = abs(fv - rich) / max(abs(rich), 1.0e-300)
-    sv = second_variation(cv, phi, psi, cfg.params, band=cfg.band)
-    fh = fd_energy_hessian(cv, phi, psi, cfg.params)
+    sv = second_variation(cv, phi, psi, params, band=args.band)
+    fh = fd_energy_hessian(cv, phi, psi, params)
     gap_h = abs(sv - fh) / max(abs(fh), 1.0e-300)
     return {
         "first_variation": fv,
@@ -351,29 +311,28 @@ def _suite_fd(cfg):
     }, max(gap_g / 1.0e-6, gap_h / 1.0e-4)
 
 
-def _suite_limits(cfg):
+def _suite_limits(args, params):
     worst = 0.0
     rows = []
-    for cv in (circle(cfg.M or 256), ellipse(2.0, 1.0, cfg.M or 256)):
-        phi = random_field(cv, seed=cfg.seed)
-        psi = random_field(cv, seed=cfg.seed + 1)
+    for cv in (circle(args.M or 256), ellipse(2.0, 1.0, args.M or 256)):
+        phi = random_field(cv, seed=args.seed)
+        psi = random_field(cv, seed=args.seed + 1)
         for which in ("m_alpha", "r1", "r2", "s1", "s2", "s3", "s4", "s5"):
-            rep = diagonal_limit(cv, phi, psi, cfg.params, cv.s[cv.M // 8], which)
+            rep = diagonal_limit(cv, phi, psi, params, cv.s[cv.M // 8], which)
             gap = rep.gap_rel if rep.gap_rel is not None else rep.gap_abs
             worst = max(worst, gap)
             rows.append(rep.as_dict())
     return {"max_rel_gap": worst, "reports": rows}, worst / 1.0e-4
 
 
-def _suite_circle(cfg):
-    M = cfg.M or 256
+def _suite_circle(args, params):
+    M = args.M or 256
     cv = circle(M)
-    pr = cfg.params
-    e, est = energy(cv, pr, band=cfg.band, with_estimate=True)
+    e, est = energy(cv, params, band=args.band, with_estimate=True)
     hs = [cv.L / 16.0 / 2.0**k for k in range(6)]
-    tab = circle_reference(pr.alpha, pr.p, hs)
+    tab = circle_reference(params.alpha, params.p, hs)
     direct = neville_h2(hs, [r["weighted"] for r in tab["rows"]])
-    rep = diagonal_limit(cv, None, None, pr, 0.0, "density")
+    rep = diagonal_limit(cv, None, None, params, 0.0, "density")
     gap = abs(direct - rep.extrapolated) / max(abs(direct), 1.0e-300)
     return {
         "E": e,
@@ -385,35 +344,51 @@ def _suite_circle(cfg):
     }, gap / 1.0e-6
 
 
-def _suite_norms(cfg):
-    cv = circle(cfg.M or 256)
-    phi = random_field(cv, seed=cfg.seed)
+def _suite_norms(args, params):
+    cv = circle(args.M or 256)
+    phi = random_field(cv, seed=args.seed)
     chk = product_seminorm_check(cv, phi)
     margin = chk["margin"]
     return {"product_check": chk}, (1.0 if margin < -1.0e-10 else 0.0)
 
 
-def _cmd_verify(cfg):
-    runs = {
-        "fd": _suite_fd,
-        "limits": _suite_limits,
-        "circle": _suite_circle,
-        "norms": _suite_norms,
-    }
-    names = list(runs) if cfg.suite == "all" else [cfg.suite]
+#: verify suite -> function returning ``(report, badness)``; ``all`` runs each
+_SUITES = {
+    "fd": _suite_fd,
+    "limits": _suite_limits,
+    "circle": _suite_circle,
+    "norms": _suite_norms,
+}
+
+
+def _cmd_verify(args, params):
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     doc = {}
     failed = False
     for name in names:
-        body, badness = runs[name](cfg)
+        body, badness = _SUITES[name](args, params)
         body["pass"] = bool(badness <= 1.0)
         failed = failed or not body["pass"]
         doc[name] = body
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     if failed:
         raise NumericalError("verify suite failed: %s" % ", ".join(
             n for n in names if not doc[n]["pass"]
         ))
     return 0
+
+
+#: subcommand -> (function, help text), in the order ``--help`` lists them
+_COMMANDS = {
+    "energy": (_cmd_energy, "energy value with error estimate"),
+    "gradient": (_cmd_gradient, "first variation along a field"),
+    "hessian-form": (_cmd_hessian, "second variation along two fields"),
+    "density": (_cmd_density, "pair-grid export of density/G/H"),
+    "limits": (_cmd_limits, "diagonal-limit reports"),
+    "norms": (_cmd_norms, "seminorm reports"),
+    "flow": (_cmd_flow, "projected gradient descent"),
+    "verify": (_cmd_verify, "oracle suites"),
+}
 
 
 def main(argv=None):
@@ -423,24 +398,11 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = _config(args)
-        if cfg.command == "energy":
-            return _cmd_energy(cfg)
-        if cfg.command == "gradient":
-            return _cmd_gradient(cfg)
-        if cfg.command == "hessian-form":
-            return _cmd_hessian(cfg)
-        if cfg.command == "density":
-            return _cmd_density(cfg, args.which)
-        if cfg.command == "limits":
-            return _cmd_limits(cfg)
-        if cfg.command == "norms":
-            return _cmd_norms(cfg)
-        if cfg.command == "flow":
-            return _cmd_flow(cfg)
-        if cfg.command == "verify":
-            return _cmd_verify(cfg)
-        raise ValidationError("unknown command %r" % (cfg.command,))
+        params = EnergyParams(args.alpha, args.p, beta=args.beta)
+        if args.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        command, _ = _COMMANDS[args.command]
+        return command(args, params)
     except ValidationError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -43,6 +43,10 @@ BILIPSCHITZ_CAP = 1.0e6
 #: minimum admissible chord (relative to L) between non-neighbor samples
 MIN_CHORD_REL = 1.0e-9
 
+#: the arclength reparametrization samples the speed on this many times the
+#: grid before integrating it
+_OVERSAMPLE = 4
+
 
 class Field:
     """Periodic samples of a function along a curve's arclength grid.
@@ -74,10 +78,6 @@ class Field:
         self._deriv = derivative
         self._prefix = None
         self._interp = None
-
-    @property
-    def d(self):
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
 
     @property
     def deriv(self):
@@ -277,7 +277,7 @@ def from_samples(points, closed=True):
     return ClosedCurve(uniform, L)
 
 
-def _arclength_pass(pts, oversample=4):
+def _arclength_pass(pts):
     """One spectral reparametrization sweep; returns (new_pts, L, speed_dev).
 
     The Newton solve for the arclength targets runs each step only on the
@@ -290,7 +290,7 @@ def _arclength_pass(pts, oversample=4):
     """
     M = pts.shape[0]
     interp = Interpolant(pts, 1.0)
-    Mf = oversample * M
+    Mf = _OVERSAMPLE * M
     tf = np.arange(Mf) / Mf
     dv = interp(tf, order=1)
     speed = np.linalg.norm(dv, axis=1)

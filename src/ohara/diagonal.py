@@ -21,8 +21,6 @@ using d/ds (tau . phi') = kappa . phi' + tau . phi''.
 
 import numpy as np
 
-from .errors import ValidationError
-
 __all__ = [
     "m_limit",
     "density_limit",
@@ -66,80 +64,80 @@ def m_limit(curve, params):
     return (params.alpha / 24.0) * curve.kappa_sq()
 
 
-def density_limit(curve, params, beta=None):
-    """Limit of the beta-weighted density ``D^((alpha-2 beta) p) M_alpha^p``.
+def density_limit(curve, params):
+    """Limit of ``D^((alpha-2)p) M_alpha^p``: ``((alpha/24)|kappa|^2)^p``.
 
-    For beta = 1 this is ``((alpha/24)|kappa|^2)^p``; for beta < 1 the weight
-    overcompensates and the limit vanishes identically.
+    This is the unit-beta weight; for beta < 1 the weight overcompensates and
+    the limit is 0, which callers that use such a weight supply themselves.
     """
-    if beta is None:
-        beta = params.beta
-    if not (0.0 < beta <= 1.0):
-        raise ValidationError("beta must lie in (0, 1]")
-    if beta < 1.0:
-        return np.zeros(curve.M)
-    return m_limit(curve, params) ** params.p
+    return term_limits(curve, params)["density"]
 
 
 def term_limits(curve, params, phi=None, psi=None):
     """Closed forms of the weighted diagonal limits, per grid sample.
 
-    Returns a dict keyed like the variation terms.  All N-type entries are
-    limits of ``D^(alpha-2) X / |df|^alpha`` (X the unnormalized term), the
-    chord-ratio entries are plain limits, and ``g``/``h`` are limits of
-    ``D^((alpha-2)p) G`` and ``D^((alpha-2)p) H``.
+    Returns a dict keyed like the limit kinds of the verify module: every
+    kind that the given fields determine has one entry.  The N-type entries
+    (``n_tau``, ``r1``, ``r2``, ``delta_n``, ``s1``..``s5``, ``delta2_n``)
+    are limits of ``D^(alpha-2) X / |df|^alpha`` (X the unnormalized term),
+    the M-type entries (``m_alpha``, ``delta_m``, ``delta2_m``) limits of
+    ``D^(alpha-2) X``, the chord ratios plain limits, and ``density``,
+    ``g`` and ``h`` limits of ``D^((alpha-2)p)`` times ``M_alpha^p``, G and
+    H.  The ``phi`` entries need ``phi``; the mixed ones need ``psi`` too.
     """
     d = _dots(curve, phi, psi)
     k2 = d["k2"]
-    alpha = params.alpha if params is not None else None
-    out = {"n_tau": k2 / 12.0}
+    alpha, p = params.alpha, params.p
+    m0 = m_limit(curve, params)
+    mp = m0 ** p
+    out = {"n_tau": k2 / 12.0, "m_alpha": m0, "density": mp}
     if phi is not None:
         tp, kpp = d["tp"], d["kpp"]
+        mp1 = m0 ** (p - 1.0) if p != 1.0 else np.ones_like(m0)
         out["chord_ratio"] = 2.0 * tp
         out["r1"] = -tp * k2 / 6.0
         out["r2"] = kpp / 6.0
         out["delta_n"] = out["r1"] + out["r2"]
+        out["delta_m"] = (alpha / 2.0) * out["delta_n"] - alpha * m0 * tp
+        out["g"] = p * mp1 * out["delta_m"] + m0 * mp1 * 2.0 * tp
     if phi is not None and psi is not None:
         tq, kqq, pq = d["tq"], d["kqq"], d["pq"]
-        dnp = out["delta_n"]
+        dnp, dmp = out["delta_n"], out["delta_m"]
         dnq = -tq * k2 / 6.0 + kqq / 6.0
+        dmq = (alpha / 2.0) * dnq - alpha * m0 * tq
         out["k_ratio"] = 2.0 * pq
-        out["n"] = pq / 12.0
-        out["s1"] = -(pq - 2.0 * d["tp"] * tq) * k2 / 6.0
-        out["s2"] = -d["tp"] * dnq - tq * dnp
-        out["s3"] = -tq * d["kpp"] / 6.0 - d["tp"] * kqq / 6.0
+        out["s1"] = -(pq - 2.0 * tp * tq) * k2 / 6.0
+        out["s2"] = -tp * dnq - tq * dnp
+        out["s3"] = -tq * kpp / 6.0 - tp * kqq / 6.0
         out["s4"] = d["ppqq"] / 6.0
         # (tau.phi')' = kappa.phi' + tau.phi''
         gp = d["kp"] + d["tpp"]
         gq = d["kq"] + d["tqq"]
         out["s5"] = -gp * gq / 6.0
         out["delta2_n"] = out["s1"] + out["s2"] + out["s3"] + out["s4"] + out["s5"]
-    if params is not None:
-        m0 = m_limit(curve, params)
-        out["m_alpha"] = m0
-        if phi is not None:
-            out["delta_m"] = (alpha / 2.0) * out["delta_n"] - alpha * m0 * d["tp"]
-        if phi is not None and psi is not None:
-            dmq = (alpha / 2.0) * dnq - alpha * m0 * d["tq"]
-            q1 = (alpha / 2.0) * out["delta2_n"]
-            q2 = -(alpha ** 2 / 2.0) * out["delta_n"] * d["tq"]
-            # Q3 carries an extra factor D^2 -> vanishes in the limit
-            q4 = -alpha * dmq * d["tp"]
-            q5 = -alpha * m0 * d["pq"]
-            q6 = 2.0 * alpha * m0 * d["tp"] * d["tq"]
-            out["delta2_m"] = q1 + q2 + q4 + q5 + q6
-            out["_dm_psi"] = dmq
+        q1 = (alpha / 2.0) * out["delta2_n"]
+        q2 = -(alpha ** 2 / 2.0) * dnp * tq
+        # Q3 carries an extra factor D^2 -> vanishes in the limit
+        q4 = -alpha * dmq * tp
+        q5 = -alpha * m0 * pq
+        q6 = 2.0 * alpha * m0 * tp * tq
+        out["delta2_m"] = q1 + q2 + q4 + q5 + q6
+        h1 = p * mp1 * out["delta2_m"]
+        if p == 1.0:
+            h2 = np.zeros_like(m0)
+        else:
+            h2 = p * (p - 1.0) * m0 ** (p - 2.0) * dmp * dmq
+        h3 = p * mp1 * dmp * 2.0 * tq
+        h4 = p * mp1 * dmq * 2.0 * tp
+        h5 = mp * (2.0 * pq - 4.0 * tp * tq)
+        h6 = mp * 4.0 * tp * tq
+        out["h"] = h1 + h2 + h3 + h4 + h5 + h6
     return out
 
 
 def g_limit(curve, params, phi):
     """Limit of ``D^((alpha-2)p) G[phi]`` at each sample."""
-    t = term_limits(curve, params, phi=phi)
-    m0 = t["m_alpha"]
-    p = params.p
-    d = _dots(curve, phi, None)
-    mp1 = m0 ** (p - 1.0) if p != 1.0 else np.ones_like(m0)
-    return p * mp1 * t["delta_m"] + m0 * mp1 * 2.0 * d["tp"]
+    return term_limits(curve, params, phi=phi)["g"]
 
 
 def g_limit_weights(curve, params):
@@ -158,21 +156,4 @@ def g_limit_weights(curve, params):
 
 def h_limit(curve, params, phi, psi):
     """Limit of ``D^((alpha-2)p) H[phi, psi]`` at each sample."""
-    t = term_limits(curve, params, phi=phi, psi=psi)
-    d = _dots(curve, phi, psi)
-    m0 = t["m_alpha"]
-    p = params.p
-    mp = m0 ** p
-    mp1 = m0 ** (p - 1.0) if p != 1.0 else np.ones_like(m0)
-    dmp = t["delta_m"]
-    dmq = t["_dm_psi"]
-    h1 = p * mp1 * t["delta2_m"]
-    if p == 1.0:
-        h2 = np.zeros_like(m0)
-    else:
-        h2 = p * (p - 1.0) * m0 ** (p - 2.0) * dmp * dmq
-    h3 = p * mp1 * dmp * 2.0 * d["tq"]
-    h4 = p * mp1 * dmq * 2.0 * d["tp"]
-    h5 = mp * (2.0 * d["pq"] - 4.0 * d["tp"] * d["tq"])
-    h6 = mp * 4.0 * d["tp"] * d["tq"]
-    return h1 + h2 + h3 + h4 + h5 + h6
+    return term_limits(curve, params, phi=phi, psi=psi)["h"]

@@ -57,10 +57,6 @@ class FlowState:
     #: the grid operator of the last curve whose energy a step computed
     _op: object = dc_field(default=None, repr=False)
 
-    @property
-    def energy(self):
-        return self.energies[-1] if self.energies else None
-
 
 def _basis_matrix(curve, K):
     """Orthonormal L2 trig basis values, shape (2K+1, M).

@@ -371,7 +371,7 @@ class GridOperator:
         band = self.band if band is None else band
         rows = self._reduce((self.malpha[j0:j1] ** self.params.p
                              for j0, j1 in row_chunks(self.curve.M)), band)
-        W0 = density_limit(self.curve, self.params, beta=1.0)
+        W0 = density_limit(self.curve, self.params)
         return self._assemble(rows, band, W0)
 
     def energy_with_estimate(self):
@@ -626,20 +626,18 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     op = GridOperator(curve, params, band)
     flagged = []
     if which == "density":
-        V = op.density_values()
-        label = "M_alpha^p"
+        V, label, W0 = op.density_values(), "M_alpha^p", density_limit(curve, params)
     elif which == "g":
         if phi is None:
             raise ValidationError("which='g' requires phi")
-        V = op.g_values(phi)
-        label = "G"
+        V, label, W0 = op.g_values(phi), "G", g_limit(curve, params, phi)
     elif which == "h":
         if phi is None or psi is None:
             raise ValidationError("which='h' requires phi and psi")
         V, fmask = op.h_values(phi, psi)
         # row j, column k is the pair (s_{j+k}, s_j)
         flagged = [(int((j + k) % curve.M), int(j)) for j, k in zip(*np.nonzero(fmask))]
-        label = "H"
+        label, W0 = "H", h_limit(curve, params, phi, psi)
     else:
         raise ValidationError("unknown grid quantity %r" % (which,))
 
@@ -660,12 +658,6 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
 
     # band L1 estimate from the quartic model of |values| (weighted form)
     gamma_model = op.gamma - gamma_w
-    if which == "density":
-        W0 = density_limit(curve, params, beta=1.0)
-    elif which == "g":
-        W0 = g_limit(curve, params, phi)
-    else:
-        W0 = h_limit(curve, params, phi, psi)
     band_int, _, _ = _band_pieces(_Rows.of(np.abs(V), band).cols, curve, band,
                                   gamma_model, np.abs(np.asarray(W0, dtype=float)))
     band_l1 = float(curve.h * np.sum(np.abs(band_int)))

@@ -209,8 +209,13 @@ class Blocks:
     # -- assembled variation pieces -----------------------------------------
 
     @_memo
+    def dn_terms(self, which):
+        return {"R1": -2.0 * self.kf(which) * self.ntt(), "R2": 2.0 * self.nt(which)}
+
+    @_memo
     def dn(self, which):
-        return -2.0 * self.kf(which) * self.ntt() + 2.0 * self.nt(which)
+        t = self.dn_terms(which)
+        return t["R1"] + t["R2"]
 
     @_memo
     def d2n_terms(self):
@@ -347,9 +352,7 @@ def delta_k(curve, phi, psi, pair):
 def delta_n_tau(curve, phi, pair):
     """delta N(tau)[phi] = R1 + R2."""
     b = _single(curve, pair, phi=phi)
-    return VariationTerms(
-        {"R1": -2.0 * b.kf("phi") * b.ntt(), "R2": 2.0 * b.nt("phi")}
-    )
+    return VariationTerms(b.dn_terms("phi"))
 
 
 def delta2_n_tau(curve, phi, psi, pair):

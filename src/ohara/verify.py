@@ -20,7 +20,7 @@ import numpy as np
 
 from ._pairs import OffGridPair
 from .curve import Field, from_samples
-from .diagonal import density_limit, g_limit, h_limit, term_limits
+from .diagonal import term_limits
 from .errors import NumericalError, ValidationError
 from .kernels import n_tau_checked
 from .quadrature import energy
@@ -79,103 +79,64 @@ def neville_h2(hs, vals):
     return t[0]
 
 
-# weight kinds: how the raw quantity is scaled before taking the limit.
+def _h_raw(b):
+    terms, flagged = b.h_terms()
+    if bool(np.any(flagged)):
+        raise NumericalError("H2 singular along the diagonal path")
+    return sum(terms.values())
+
+
+_PHI, _PSI = ("phi",), ("phi", "psi")
+
+# kind -> (weight, fields needed, raw value on a Blocks).  The weight says
+# how the raw quantity is scaled before taking the limit:
 #   n     -> D^(alpha - 2 beta) X / |df|^alpha
 #   m     -> D^(alpha - 2 beta) X          (X already carries 1/|df|^alpha)
 #   gh    -> D^((alpha - 2 beta) p) X
 #   plain -> X
-LIMIT_KINDS = {
-    "m_alpha": "m",
-    "density": "gh",
-    "n_tau": "n",
-    "chord_ratio": "plain",
-    "k_ratio": "plain",
-    "r1": "n",
-    "r2": "n",
-    "delta_n": "n",
-    "s1": "n",
-    "s2": "n",
-    "s3": "n",
-    "s4": "n",
-    "s5": "n",
-    "delta2_n": "n",
-    "delta_m": "m",
-    "delta2_m": "m",
-    "g": "gh",
-    "h": "gh",
+_KINDS = {
+    "m_alpha": ("m", (), lambda b: b.malpha()),
+    "density": ("gh", (), lambda b: b.malpha() ** b.params.p),
+    "n_tau": ("n", (), lambda b: b.ntt()),
+    "chord_ratio": ("plain", _PHI, lambda b: 2.0 * b.kf("phi")),
+    "k_ratio": ("plain", _PSI, lambda b: 2.0 * b.kpq()),
+    "r1": ("n", _PHI, lambda b: b.dn_terms("phi")["R1"]),
+    "r2": ("n", _PHI, lambda b: b.dn_terms("phi")["R2"]),
+    "delta_n": ("n", _PHI, lambda b: b.dn("phi")),
+    "s1": ("n", _PSI, lambda b: b.d2n_terms()["S1"]),
+    "s2": ("n", _PSI, lambda b: b.d2n_terms()["S2"]),
+    "s3": ("n", _PSI, lambda b: b.d2n_terms()["S3"]),
+    "s4": ("n", _PSI, lambda b: b.d2n_terms()["S4"]),
+    "s5": ("n", _PSI, lambda b: b.d2n_terms()["S5"]),
+    "delta2_n": ("n", _PSI, lambda b: sum(b.d2n_terms().values())),
+    "delta_m": ("m", _PHI, lambda b: b.dm("phi")),
+    "delta2_m": ("m", _PSI, lambda b: b.d2m()),
+    "g": ("gh", _PHI, lambda b: sum(b.g_terms("phi").values())),
+    "h": ("gh", _PSI, _h_raw),
 }
 
-_NEEDS_PHI = {
-    "chord_ratio", "r1", "r2", "delta_n", "delta_m", "g",
-}
-_NEEDS_PSI = {
-    "k_ratio", "s1", "s2", "s3", "s4", "s5", "delta2_n", "delta2_m", "h",
-}
-
-
-def _raw_values(b, which, p):
-    if which == "m_alpha":
-        return b.malpha()
-    if which == "density":
-        return b.malpha() ** p
-    if which == "n_tau":
-        return b.ntt()
-    if which == "chord_ratio":
-        return 2.0 * b.kf("phi")
-    if which == "k_ratio":
-        return 2.0 * b.kpq()
-    if which == "r1":
-        return -2.0 * b.kf("phi") * b.ntt()
-    if which == "r2":
-        return 2.0 * b.nt("phi")
-    if which == "delta_n":
-        return b.dn("phi")
-    if which in ("s1", "s2", "s3", "s4", "s5"):
-        return b.d2n_terms()[which.upper()]
-    if which == "delta2_n":
-        return sum(b.d2n_terms().values())
-    if which == "delta_m":
-        return b.dm("phi")
-    if which == "delta2_m":
-        return sum(b.d2m_terms().values())
-    if which == "g":
-        return sum(b.g_terms("phi").values())
-    if which == "h":
-        terms, flagged = b.h_terms()
-        if bool(np.any(flagged)):
-            raise NumericalError("H2 singular along the diagonal path")
-        return sum(terms.values())
-    raise ValidationError("unknown limit kind %r" % (which,))
-
-
-def _reference(curve, params, phi, psi, which, idx, beta):
-    kind = LIMIT_KINDS[which]
-    if beta < 1.0 and kind != "plain":
-        return 0.0
-    if which == "density":
-        return float(density_limit(curve, params, beta=1.0)[idx])
-    if which == "g":
-        return float(g_limit(curve, params, phi)[idx])
-    if which == "h":
-        return float(h_limit(curve, params, phi, psi)[idx])
-    table = term_limits(curve, params, phi=phi, psi=psi)
-    return float(table[which][idx])
+#: limit kind -> weight (see the table above)
+LIMIT_KINDS = {which: row[0] for which, row in _KINDS.items()}
 
 
 def diagonal_limit(curve, phi, psi, params, s, which, h0=None):
     """Extrapolate a weighted kernel quantity along ``(s + h/2, s - h/2)``.
 
-    ``which`` selects the quantity (see :data:`LIMIT_KINDS`); the weight
-    exponent follows ``params.beta``, and for ``beta < 1`` the reference
-    value is 0 — the weighted fields vanish on the diagonal in that branch,
-    so the report's absolute gap is the decayed value itself (``gap_rel`` is
-    None there).  ``s`` must be a grid point of the curve.
+    ``which`` selects the quantity (see :data:`LIMIT_KINDS`).  Kinds of
+    the first variation need ``phi``, kinds of the second need ``phi`` and
+    ``psi``; a missing field raises :class:`ValidationError`.  The weight
+    exponent follows ``params.beta``.  The reference value is the entry of
+    :func:`~ohara.diagonal.term_limits` at ``s``; for ``beta < 1`` it is 0
+    for every weighted kind — the weighted fields vanish on the diagonal in
+    that branch, so the report's absolute gap is the decayed value itself
+    (``gap_rel`` is None there).  ``s`` must be a grid point of the curve.
     """
-    if which not in LIMIT_KINDS:
+    if which not in _KINDS:
         raise ValidationError("unknown limit kind %r" % (which,))
-    if phi is None and (which in _NEEDS_PHI or which in _NEEDS_PSI):
+    kind, needs, raw_value = _KINDS[which]
+    if phi is None and needs:
         raise ValidationError("%s needs a phi field" % which)
-    if psi is None and which in _NEEDS_PSI:
+    if psi is None and "psi" in needs:
         raise ValidationError("%s needs phi and psi fields" % which)
     idx = int(round(s / curve.h)) % curve.M
     if abs(s - round(s / curve.h) * curve.h) > 1.0e-9 * curve.L:
@@ -189,8 +150,7 @@ def diagonal_limit(curve, phi, psi, params, s, which, h0=None):
     n_tau_checked(b.ntt_raw())
 
     alpha, p, beta = params.alpha, params.p, params.beta
-    kind = LIMIT_KINDS[which]
-    raw = np.asarray(_raw_values(b, which, p), dtype=float)
+    raw = np.asarray(raw_value(b), dtype=float)
     if kind == "n":
         weighted = ev.D ** (alpha - 2.0 * beta) * raw / b.calpha()
     elif kind == "m":
@@ -201,7 +161,10 @@ def diagonal_limit(curve, phi, psi, params, s, which, h0=None):
         weighted = raw
 
     extrap = neville_h2(hs, weighted)
-    ref = _reference(curve, params, phi, psi, which, idx, beta)
+    if beta < 1.0 and kind != "plain":
+        ref = 0.0
+    else:
+        ref = float(term_limits(curve, params, phi=phi, psi=psi)[which][idx])
     gap_abs = abs(extrap - ref)
     gap_rel = gap_abs / abs(ref) if ref != 0.0 else None
     return LimitReport(

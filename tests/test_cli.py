@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ohara
+from ohara import cli
 from ohara.cli import main
 from ohara.curve import circle, save_curve
 
@@ -209,6 +210,80 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, circle_file, case):
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+FIELD_JOBS = {
+    "gradient": ["gradient"],
+    "hessian-form": ["hessian-form"],
+    "density-g": ["density", "--which", "g"],
+    "density-h": ["density", "--which", "h"],
+    "verify-fd": ["verify", "--suite", "fd"],
+    "limits": ["limits"],
+    "norms": ["norms"],
+}
+
+
+@pytest.mark.parametrize("layout", ["csv-one-column", "json-flat-values"])
+@pytest.mark.parametrize("job", sorted(FIELD_JOBS))
+def test_scalar_field_file_is_one_error_line(capsys, tmp_path, job, layout):
+    # every command takes (M, n) vector fields; a field with one value per
+    # sample is rejected before any computation
+    curve_path = tmp_path / "curve.json"
+    save_curve(circle(64, n=3), str(curve_path))
+    vals = np.sin(2.0 * np.pi * np.arange(64) / 64)
+    if layout == "csv-one-column":
+        field_path = tmp_path / "phi.csv"
+        field_path.write_text("".join("%r\n" % float(v) for v in vals))
+    else:
+        field_path = tmp_path / "phi.json"
+        field_path.write_text(json.dumps({"values": vals.tolist()}))
+    argv = FIELD_JOBS[job] + ["--curve", str(curve_path), "--phi", str(field_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "(M, n) = (64, 3)" in err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+COMMAND_RUNS = {
+    "energy": (["energy"], {"E", "estimate", "alpha", "p", "M", "band", "L"}),
+    "gradient": (["gradient"], {"delta_E", "phi", "seed", "M"}),
+    "hessian-form": (["hessian-form"], {"delta2_E", "phi", "psi", "seed", "M"}),
+    "density": (["density"], None),
+    "density-g": (["density", "--which", "g"], None),
+    "density-h": (["density", "--which", "h"], None),
+    "limits": (["limits"], {"reports"}),
+    "norms": (["norms"], {"sigma", "q", "beta", "tau", "phi_deriv", "product_check"}),
+    "flow": (["flow"], {
+        "steps_accepted", "energy_initial", "energy_final", "halted",
+        "diagnostic", "circle_distance", "trace",
+    }),
+    "verify-limits": (["verify", "--suite", "limits", "--M", "96"], {"limits"}),
+    "verify-circle": (["verify", "--suite", "circle", "--M", "96"], {"circle"}),
+    "verify-norms": (["verify", "--suite", "norms", "--M", "96"], {"norms"}),
+}
+GRID_KEYS = {
+    "label", "sup", "l1", "flagged_pairs", "M", "band", "beta", "csv",
+}
+
+
+def test_command_runs_cover_every_subcommand():
+    assert {argv[0] for argv, _ in COMMAND_RUNS.values()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("run", sorted(COMMAND_RUNS))
+def test_every_subcommand_runs(capsys, circle_file, run):
+    argv, keys = COMMAND_RUNS[run]
+    if argv[0] != "verify":
+        argv = argv + ["--curve", circle_file]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert err == ""
+    doc = json.loads(out)
+    assert set(doc) == (GRID_KEYS if keys is None else keys)
+    if argv[0] == "verify":
+        assert doc[argv[2]]["pass"] is True
 
 
 @pytest.mark.parametrize("job", ["energy", "gradient", "density"])

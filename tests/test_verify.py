@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ohara.curve import Field, circle, ellipse, random_field
+from ohara.curve import Field, circle, ellipse, random_curve, random_field
+from ohara.diagonal import density_limit, g_limit, h_limit, term_limits
 from ohara.errors import ValidationError
 from ohara.kernels import EnergyParams
 from ohara.quadrature import first_variation, second_variation
@@ -33,6 +34,37 @@ def test_limit_kind_registry():
     assert LIMIT_KINDS["density"] == "gh"
     assert LIMIT_KINDS["chord_ratio"] == "plain"
     assert LIMIT_KINDS["s3"] == "n"
+
+
+# the kinds that need a phi field, and those that need phi and psi
+NEEDS_PHI = {"chord_ratio", "r1", "r2", "delta_n", "delta_m", "g"}
+NEEDS_PSI = {
+    "k_ratio", "s1", "s2", "s3", "s4", "s5", "delta2_n", "delta2_m", "h",
+}
+
+
+@pytest.mark.parametrize("which", ALL_KINDS)
+def test_missing_fields_rejected_by_kind(circle128, params21, which):
+    phi = random_field(circle128, 61)
+    for given_phi, needed in ((None, NEEDS_PHI | NEEDS_PSI), (phi, NEEDS_PSI)):
+        if which in needed:
+            with pytest.raises(ValidationError):
+                diagonal_limit(circle128, given_phi, None, params21, 0.0, which)
+        else:
+            diagonal_limit(circle128, given_phi, None, params21, 0.0, which)
+
+
+def test_term_limits_cover_every_kind():
+    cv = random_curve(3, M=128)
+    phi, psi = random_field(cv, 62), random_field(cv, 63)
+    for a, p in [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)]:
+        pr = EnergyParams(a, p)
+        table = term_limits(cv, pr, phi=phi, psi=psi)
+        assert set(table) == set(LIMIT_KINDS)
+        # the limit functions of the quadrature are lookups into the table
+        assert np.array_equal(density_limit(cv, pr), table["density"])
+        assert np.array_equal(g_limit(cv, pr, phi), table["g"])
+        assert np.array_equal(h_limit(cv, pr, phi, psi), table["h"])
 
 
 # ----------------------------------------------------- diagonal extrapolation

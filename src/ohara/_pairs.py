@@ -33,9 +33,10 @@ import numpy as np
 CHUNK_CELLS = 1 << 15
 
 
-def row_chunks(M):
-    """``(j0, j1)`` row ranges covering ``0:M``, about ``CHUNK_CELLS / M`` rows each."""
-    rows = max(1, CHUNK_CELLS // M)
+def row_chunks(M, width=None):
+    """``(j0, j1)`` row ranges covering ``0:M``, about ``CHUNK_CELLS / width``
+    rows each for rows ``width`` cells wide (``M`` by default)."""
+    rows = max(1, CHUNK_CELLS // (width or M))
     return [(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
 
 

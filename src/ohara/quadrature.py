@@ -21,12 +21,26 @@ composite midpoint rule with three refinements:
 The reported error estimate combines the band-halving difference with the
 magnitudes of the h^4 corrections and a rounding floor.
 
+Every integrand is symmetric under swapping the two points of a pair, so
+only the columns ``k = 0..M/2`` of the grid are evaluated and stored; a
+column past ``M/2`` is read off its mirror, ``V[j, k] = V[(j + k) % M,
+M - k]`` (:func:`_unfold`).  The swap changes the sign of the separation,
+of the prefix differences and of the chord vector exactly and leaves the
+squared chord as it is, so every block obeys the mirror bit for bit (the
+H5 term of H is grouped so that the swap only reorders the operands of
+additions).  The antipodal column ``k = M/2`` is the exception: both pairs
+of a swap there take the forward short arc, so the signs do not flip.  It
+lies in the evaluated half and is computed directly.
+
 The rule reads each row only through its off-band sum and a few columns
-(:class:`_Rows`), so the energy density and the variation integrands G and
-H are evaluated on row chunks of the grid and reduced at once: their memory
-is O(rows x M) per live block, not O(M^2).  The geometry blocks that
-:class:`GridOperator` keeps are built on the same row chunks.  Rows reduce
-independently, so the result does not depend on the chunking, bit for bit.
+(:class:`_Rows`).  So the energy density and the variation integrands G and
+H are evaluated on row chunks of the half grid, and the whole grid is
+unfolded and reduced one row chunk at a time: besides the half grid of the
+integrand, their memory is O(rows x M) per live block, not O(M^2).  The
+geometry blocks that :class:`GridOperator` keeps are half grids built on
+the same row chunks.  Rows reduce independently, and the unfolded rows are
+those of the whole grid, so the result depends neither on the chunking nor
+on the folding, bit for bit.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -118,16 +132,39 @@ class _Rows:
         )
 
 
-def _grid_pairs(curve, j0=0, j1=None):
-    """Rows ``j0:j1`` of the offset grid, all of them by default: row ``j``,
-    column ``k`` is the pair ``(s_{j+k}, s_j)``."""
-    c2 = curve.chord2_grid()
-    if j1 is None:
-        j1 = curve.M
-    else:
-        c2 = c2[j0:j1]
+def _grid_pairs(curve, j0=0, j1=None, width=None):
+    """Rows ``j0:j1`` of the offset grid, all of them by default, on its first
+    ``width`` columns (all ``M`` by default): row ``j``, column ``k`` is the
+    pair ``(s_{j+k}, s_j)``."""
+    M = curve.M
+    j1 = M if j1 is None else j1
+    width = M if width is None else width
     j = np.arange(j0, j1)[:, None]
-    return PairSet(curve, j + np.arange(curve.M), j, chord2=c2)
+    return PairSet(curve, j + np.arange(width), j,
+                   chord2=curve.chord2_grid()[j0:j1, :width])
+
+
+def _half_width(M):
+    """Columns ``0..M/2`` of the offset grid: the half that :class:`GridOperator`
+    evaluates."""
+    return M // 2 + 1
+
+
+def _unfold(V, j0=0, j1=None):
+    """Rows ``j0:j1`` (all by default) of a whole offset grid from its half.
+
+    ``V`` holds columns ``0..M/2`` of the grid in its last two axes.  Every
+    grid here is pair-swap symmetric, and the swap of the pair at ``(j, k)``
+    sits at ``((j + k) % M, M - k)``; so each column past ``M/2`` is read off
+    its mirror, ``V[j, k] = V[(j + k) % M, M - k]``.
+    """
+    M, w = V.shape[-2:]
+    j1 = M if j1 is None else j1
+    out = np.empty(V.shape[:-2] + (j1 - j0, M), V.dtype)
+    out[..., :w] = V[..., j0:j1, :]
+    k = np.arange(w, M)
+    out[..., w:] = V[..., (np.arange(j0, j1)[:, None] + k) % M, M - k]
+    return out
 
 
 def _quartic_coeffs(W_m2, W_m1, W0, W_p1, W_p2, band):
@@ -299,23 +336,27 @@ class FirstVariationDual:
 
 
 def _g_grid(b):
-    """G = G1 + G2 on the pairs of ``b``."""
+    """``[G]``, G = G1 + G2 on the pairs of ``b``."""
     t = b.g_terms("phi")
-    return t["G1"] + t["G2"]
+    return [t["G1"] + t["G2"]]
 
 
 class GridOperator:
     """Shared grid geometry for repeated quadrature on one curve.
 
-    Keeps the geometry-only blocks of the offset grid as whole ``(M, M)``
+    Keeps the geometry-only blocks on the evaluated half of the offset grid
+    (columns ``0..M/2``, see the module docstring) as ``(M, M/2 + 1)``
     arrays: ``ntt`` = N(tau, tau), ``calpha`` = |df|^alpha, ``malpha`` =
-    M_alpha and the three ``phis`` of phi_alpha (one ``(3, M, M)`` array).
-    One evaluator, :meth:`_rows`, works on row chunks of the grid (about
-    ``_pairs.CHUNK_CELLS`` cells each): the build writes each chunk's
-    geometry blocks into those arrays, and the energy and the variations
-    start each chunk from row views of them and reduce it at once
-    (:meth:`_reduce`).  So N(tau,tau), M_alpha etc. are computed once, and
-    G and H never exist as whole grids unless a caller asks for one.
+    M_alpha and the three ``phis`` of phi_alpha (one ``(3, M, M/2 + 1)``
+    array).  The antipodal column ``M/2`` is kept as computed, since the
+    mirror does not hold on it.  One evaluator, :meth:`_rows`, works on row
+    chunks of the half grid, about ``_pairs.CHUNK_CELLS`` cells each: the
+    build writes each chunk's geometry blocks into those arrays, and the
+    energy and the variations start each chunk from row views of them
+    (:meth:`_half`), then unfold the integrand and reduce it by row chunks
+    of the whole grid, of about as many cells (:meth:`_reduce`).  So
+    N(tau,tau), M_alpha etc. are computed once, on half the pairs, and
+    whole grids exist only where a caller asks for one.
     """
 
     def __init__(self, curve, params, band=DEFAULT_BAND):
@@ -325,13 +366,13 @@ class GridOperator:
         self.params = params
         self.band = band
         self.gamma = (params.alpha - 2.0) * params.p
-        M = curve.M
-        self.ntt, self.calpha, self.malpha = (np.empty((M, M)) for _ in range(3))
-        self.phis = np.empty((3, M, M))
-        offdiag = _offband_cols(M, 0)[None, :]
+        M, w = curve.M, _half_width(curve.M)
+        self.ntt, self.calpha, self.malpha = (np.empty((M, w)) for _ in range(3))
+        self.phis = np.empty((3, M, w))
+        offdiag = _offband_cols(M, 0)[None, :w]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j0, j1 in row_chunks(M):
-                b = Blocks(_grid_pairs(curve, j0, j1), curve, params=params)
+            for j0, j1 in row_chunks(M, w):
+                b = Blocks(_grid_pairs(curve, j0, j1, w), curve, params=params)
                 n_tau_checked(b.ntt_raw(), where=offdiag)
                 rows = self._geometry(j0, j1)
                 for name, block in b.geometry().items():
@@ -342,35 +383,51 @@ class GridOperator:
         return {k: getattr(self, k)[..., j0:j1, :] for k in Blocks.GEOMETRY}
 
     def _rows(self, j0, j1, phi=None, psi=None):
-        """``Blocks`` on rows ``j0:j1`` of the offset grid, its geometry blocks
+        """``Blocks`` on rows ``j0:j1`` of the half grid, its geometry blocks
         row views of the operator's."""
-        return Blocks(_grid_pairs(self.curve, j0, j1), self.curve, params=self.params,
-                      phi=phi, psi=psi, geometry=self._geometry(j0, j1))
+        return Blocks(_grid_pairs(self.curve, j0, j1, _half_width(self.curve.M)),
+                      self.curve, params=self.params, phi=phi, psi=psi,
+                      geometry=self._geometry(j0, j1))
 
-    def _chunks(self, phi, psi=None):
-        """``Blocks`` on successive row chunks of the offset grid."""
-        for j0, j1 in row_chunks(self.curve.M):
-            yield self._rows(j0, j1, phi, psi)
+    def _half(self, integrand, phi, psi=None):
+        """The blocks that ``integrand(b)`` lists, each on the whole half grid,
+        evaluated on ``Blocks`` of one row chunk at a time."""
+        M, grids = self.curve.M, None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j0, j1 in row_chunks(M, _half_width(M)):
+                blocks = integrand(self._rows(j0, j1, phi, psi))
+                if grids is None:
+                    grids = [np.empty((M,) + B.shape[1:], B.dtype) for B in blocks]
+                for V, B in zip(grids, blocks):
+                    V[j0:j1] = B
+        return grids
 
-    def _reduce(self, grids, band=None):
-        """The :class:`_Rows` of the row chunks in ``grids``, in order."""
+    def _reduce(self, half, band=None):
+        """The :class:`_Rows` of the whole grid whose half is ``half``,
+        unfolded one row chunk at a time."""
         band = self.band if band is None else band
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _Rows.concat([_Rows.of(F, band) for F in grids])
+            return _Rows.concat([_Rows.of(_unfold(half, j0, j1), band)
+                                 for j0, j1 in row_chunks(self.curve.M)])
 
     def _h_grid(self, b):
-        """H = H1 + ... + H6 on the rows of ``b`` and its off-diagonal H2 flags."""
+        """``[H, flags]``: H = H1 + ... + H6 on the pairs of ``b`` and its
+        off-diagonal H2 flags."""
         terms, flagged = b.h_terms()
-        return sum(terms.values()), flagged & _offband_cols(self.curve.M, 0)[None, :]
+        offdiag = _offband_cols(self.curve.M, 0)[None, :flagged.shape[1]]
+        return [sum(terms.values()), flagged & offdiag]
 
-    def density_values(self):
+    def _density_half(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.malpha ** self.params.p
 
+    def density_values(self):
+        """The whole M_alpha^p grid."""
+        return _unfold(self._density_half())
+
     def energy(self, band=None):
         band = self.band if band is None else band
-        rows = self._reduce((self.malpha[j0:j1] ** self.params.p
-                             for j0, j1 in row_chunks(self.curve.M)), band)
+        rows = self._reduce(self._density_half(), band)
         W0 = density_limit(self.curve, self.params)
         return self._assemble(rows, band, W0)
 
@@ -391,11 +448,10 @@ class GridOperator:
 
     def g_values(self, phi):
         """The whole G grid."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _g_grid(self._rows(0, self.curve.M, phi=phi))
+        return _unfold(self._half(_g_grid, phi)[0])
 
     def first_variation(self, phi):
-        rows = self._reduce(_g_grid(b) for b in self._chunks(phi))
+        rows = self._reduce(self._half(_g_grid, phi)[0])
         W0 = g_limit(self.curve, self.params, phi)
         value, _ = self._assemble(rows, self.band, W0)
         return value
@@ -439,10 +495,10 @@ class GridOperator:
             # the row sum keeps that cancellation exact
             return (at_i(a) - a).sum(axis=1)
 
-        m = self.malpha[:, k]
+        m = _unfold(self.malpha)[:, k]
         hmp1 = h * w[k] * np.power(m, p - 1.0)
-        p1_ca = self.phis[1][:, k] / self.calpha[:, k]
-        cK = -p * hmp1 * (2.0 * p1_ca * self.ntt[:, k] + pr.alpha * m)
+        p1_ca = _unfold(self.phis[1])[:, k] / _unfold(self.calpha)[:, k]
+        cK = -p * hmp1 * (2.0 * p1_ca * _unfold(self.ntt)[:, k] + pr.alpha * m)
         cN = 2.0 * p * hmp1 * p1_ca
         cT = hmp1 * m
         # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2, and
@@ -465,23 +521,16 @@ class GridOperator:
 
     def h_values(self, phi, psi):
         """The whole H grid and the mask of its flagged H2 pairs."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._h_grid(self._rows(0, self.curve.M, phi, psi))
+        return tuple(_unfold(V) for V in self._half(self._h_grid, phi, psi))
 
     def second_variation(self, phi, psi):
-        flagged = []
-
-        def h_grid(b):
-            F, mask = self._h_grid(b)
-            flagged.append(int(np.count_nonzero(mask)))
-            return F
-
-        rows = self._reduce(h_grid(b) for b in self._chunks(phi, psi))
-        if sum(flagged):
+        H, flagged = self._half(self._h_grid, phi, psi)
+        if flagged.any():
             warnings.warn(
                 "H2 singular policy fired at %d grid pairs; excluded from "
-                "quadrature" % sum(flagged)
+                "quadrature" % np.count_nonzero(_unfold(flagged))
             )
+        rows = self._reduce(H)
         W0 = h_limit(self.curve, self.params, phi, psi)
         value, _ = self._assemble(rows, self.band, W0)
         return value + antipodal_motion_term(self.curve, phi, psi, self.params)
@@ -686,7 +735,9 @@ def holder_chain_check(curve, phi, psi, params, band=DEFAULT_BAND):
     cols = _offband_cols(curve.M, band)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = op._rows(0, curve.M, phi, psi)
+        geometry = {k: _unfold(V) for k, V in op._geometry(0, curve.M).items()}
+        b = Blocks(_grid_pairs(curve), curve, params=params, phi=phi, psi=psi,
+                   geometry=geometry)
         m = b.malpha()[:, cols]
         dmp = b.dm("phi")[:, cols]
         dmq = b.dm("psi")[:, cols]

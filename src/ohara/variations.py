@@ -306,13 +306,11 @@ class Blocks:
             "H2": h2,
             "H3": g1p * tq,
             "H4": g1q * tp,
-            "H5": mp
-            * (
-                pp1
-                + pp2
-                - 2.0 * self.t1("phi") * self.t1("psi")
-                - 2.0 * self.t2("phi") * self.t2("psi")
-            ),
+            # grouped so that swapping s1 and s2 swaps operands of + only:
+            # the pair-swap symmetry then holds bit for bit
+            "H5": mp * ((pp1 + pp2) - 2.0 * (
+                self.t1("phi") * self.t1("psi") + self.t2("phi") * self.t2("psi")
+            )),
             "H6": mp * tp * tq,
         }
         return terms, flagged

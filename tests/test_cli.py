@@ -260,6 +260,8 @@ COMMAND_RUNS = {
         "diagnostic", "circle_distance", "trace",
     }),
     "verify-limits": (["verify", "--suite", "limits", "--M", "96"], {"limits"}),
+    # below 96 samples the suite still builds its ellipse on 96
+    "verify-limits-m64": (["verify", "--suite", "limits", "--M", "64"], {"limits"}),
     "verify-circle": (["verify", "--suite", "circle", "--M", "96"], {"circle"}),
     "verify-norms": (["verify", "--suite", "norms", "--M", "96"], {"norms"}),
 }

@@ -324,7 +324,8 @@ def test_grid_operator_shares_the_curve_chords():
     op = GridOperator(cv, EnergyParams(2.0, 1.0))
     b = op._rows(5, 12)
     assert np.shares_memory(b.ev.chord2, cv.chord2_grid())
-    assert np.array_equal(b.ev.chord2, cv.chord2_grid()[5:12])
+    # the operator evaluates the offset columns 0..M/2 only
+    assert np.array_equal(b.ev.chord2, cv.chord2_grid()[5:12, :33])
     assert b.ev.j.shape == (7, 1)
 
 

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ohara.curve import ClosedCurve, Field, circle, random_curve, random_field
+from ohara.curve import (
+    ClosedCurve, Field, circle, from_samples, random_curve, random_field,
+)
 from ohara.errors import ValidationError
 from ohara.kernels import EnergyParams
 from ohara.quadrature import (
@@ -177,6 +179,40 @@ def test_circle_hessian_of_tangential_modes(alpha, p):
     for k in (1, 2, 5):
         phi = Field(cv, np.cos(k * cv.s)[:, None] * cv.tau)
         assert abs(op.second_variation(phi, phi) - exact) <= 1.0e-5 * E
+
+
+def test_moebius_circle_hessian_of_normal_modes(params21):
+    # on the unit circle the Moebius energy has
+    # delta^2 E(cos(k s) N, cos(k s) N) = (2 pi^2 / 3) k (k^2 - 1), modes
+    # k != l are orthogonal, and k = 0 (dilation) and k = 1 (translation plus
+    # a tangential field) are null; measured gaps at M = 256 are 1.1e-11 and
+    # 1.2e-10 relative for k = 2 and 4 and below 3e-11 for the null values
+    cv = circle(256)
+    op = GridOperator(cv, params21)
+
+    def mode(k):
+        return Field(cv, np.cos(k * cv.s)[:, None] * cv.positions)
+
+    def exact(k):
+        return 2.0 * np.pi ** 2 / 3.0 * k * (k * k - 1)
+
+    for k in (2, 4):
+        assert rel(op.second_variation(mode(k), mode(k)), exact(k)) <= 1.0e-9
+    for k in (0, 1):
+        assert abs(op.second_variation(mode(k), mode(k))) <= 1.0e-10
+    assert abs(op.second_variation(mode(3), mode(5))) <= 1.0e-10
+
+    # the closed form, independently: a Richardson-extrapolated second
+    # difference of the energy along circle + eps cos(2 s) N (gap 2e-9)
+    def bent(eps):
+        pts = cv.positions + eps * mode(2).values
+        return energy(from_samples(pts), params21)
+
+    def second_difference(eps):
+        return (bent(eps) - 2.0 * bent(0.0) + bent(-eps)) / eps ** 2
+
+    fd = (4.0 * second_difference(2.0e-3) - second_difference(4.0e-3)) / 3.0
+    assert rel(fd, exact(2)) <= 1.0e-6
 
 
 # ------------------------------------------------------------------- grids
@@ -362,6 +398,31 @@ def test_streamed_h2_warning_counts_the_full_grid(uneven_chunks, monkeypatch):
     assert [str(w.message) for w in caught] == [
         "H2 singular policy fired at %d grid pairs; excluded from quadrature" % count
     ]
+
+
+@pytest.mark.parametrize("M", [64, 96])
+@pytest.mark.parametrize("alpha,p", STREAM_PARAMS)
+def test_whole_grids_are_pair_swap_symmetric(monkeypatch, M, alpha, p):
+    # the operator evaluates the offsets k = 0..M/2 and reads the others off
+    # the swapped pair, V[j, k] = V[(j + k) % M, M - k]; that must hold bit for
+    # bit on every whole grid, away from the diagonal and the antipodal column
+    cv = random_curve(3, M=M, n=3)
+    op = GridOperator(cv, EnergyParams(alpha, p))
+    phi, psi = random_field(cv, 40), random_field(cv, 41)
+    # a high threshold makes the H2 flags fire at p = 1.5
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 0.1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = _full_grid_blocks(op, phi, psi)
+        t = b.g_terms("phi")
+        h_terms, flagged = b.h_terms()
+        grids = dict(b.geometry(), G=t["G1"] + t["G2"], H=sum(h_terms.values()),
+                     flagged=flagged)
+    assert np.any(flagged) == (1.0 < p < 2.0)
+    j = np.arange(M)[:, None]
+    k = np.array([c for c in range(1, M) if c != M // 2])
+    for name, V in grids.items():
+        V = np.asarray(V)  # phis is a tuple of three grids
+        assert np.array_equal(V[..., j, k], V[..., (j + k) % M, M - k]), name
 
 
 def test_second_variation_memory_is_row_chunked():

@@ -9,7 +9,7 @@ interface so the formulas are written exactly once:
 * :class:`PairSet` -- pairs of grid samples, from a single pair up to the full
   M x M offset grid (vectorized; ``curve.pair_frame`` returns one pair and
   the quadrature module builds the grid and row chunks of it, see
-  :func:`row_chunks`);
+  :func:`map_chunks`);
 * :class:`OffGridPair` -- pairs of arbitrary parameter values, evaluated
   through the trigonometric interpolants (used by the diagonal-limit probes).
 
@@ -24,20 +24,103 @@ integral: the first correction unwraps the forward arc across s = 0, the
 second switches to the (negatively oriented) complementary arc when the
 backward arc is shorter.  Off the grid the prefix formula ``mean*s +
 periodic(s)`` is globally valid, so a plain difference suffices.
+
+Row-chunk passes.  Every pass over the rows of the offset grid (the
+``GridOperator`` build, its ``_half`` and ``_reduce`` passes,
+:func:`offset_sq_diffs`, ``curve.bilipschitz_constant``) and the cos/sin
+table of ``spectral.Interpolant`` call :func:`map_chunks`, which calls
+``fn(j0, j1)`` once per row chunk.  Each row is computed on its own, so the
+result is the same, bit for bit, whatever the chunking and whichever thread
+runs a chunk.  The policy, with no flag and no environment variable:
+
+* one module-level ``ThreadPoolExecutor`` of ``WORKERS`` threads, the CPUs
+  this process may run on (``os.sched_getaffinity``, else
+  ``os.cpu_count()``).  Its threads start on the first task, not at import;
+* a pass of fewer than ``PARALLEL_CELLS`` cells runs serially, in chunks of
+  about ``CHUNK_CELLS`` cells.  On a 2-CPU box the pool gained nothing on
+  the M = 512 grid passes and 1.4-1.8x on the M = 1024 ones, and each pool
+  thread that runs costs the process its own malloc arena;
+* a larger pass runs in chunks of about ``CHUNK_CELLS / WORKERS`` cells, so
+  the chunks in flight together hold about as many cells per live block as
+  one serial chunk.  Its first chunk runs in the calling thread and fills
+  every lazy cache the chunks share (a field's prefix table, a curve's chord
+  grid), so the pool threads only read shared state; and ``fn`` may reach
+  ``map_chunks`` again only through such a cache, since a pool thread that
+  waited on the pool could deadlock it.  The other chunks run on the pool,
+  in ``_BATCHES`` tasks per worker, each of consecutive chunks: one task
+  per chunk cost up to a fifth of the M = 1024 table's time in hand-offs;
+* a pool task runs under the caller's ``np.geterr()``, which numpy does not
+  pass on to other threads.  Results come back in chunk order, and an
+  exception surfaces from the first chunk that raised it, as in a serial
+  loop;
+* a forked child process gets a new pool, since it inherits the pool but
+  not its threads;
+* a pool task calls none of the functions that the benchmark's layer
+  tracer (``perfbench/spans.py``) wraps, since the tracer keeps one span
+  stack for the calling thread.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-#: cell budget of one row chunk: passes over the M x M offset grid hold about
-#: this many cells per live block instead of the whole grid
+#: cell budget of the row chunks in flight: passes over the M x M offset grid
+#: hold about this many cells per live block instead of the whole grid
 CHUNK_CELLS = 1 << 15
 
+#: passes over fewer cells run serially; the M = 1024 half grid (1024 x 513
+#: cells) is just above it, the M = 512 grids are below it
+PARALLEL_CELLS = 1 << 19
 
-def row_chunks(M, width=None):
-    """``(j0, j1)`` row ranges covering ``0:M``, about ``CHUNK_CELLS / width``
-    rows each for rows ``width`` cells wide (``M`` by default)."""
-    rows = max(1, CHUNK_CELLS // (width or M))
-    return [(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: threads of the row-chunk pool: the CPUs this process may run on
+WORKERS = _cpu_count()
+
+#: pool tasks per worker in one pass; a task runs consecutive chunks
+_BATCHES = 4
+
+
+def _start_pool():
+    """A new pool; its threads start on the first submitted task."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="ohara-rows")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but not its threads, which would
+    # leave every task it submits waiting
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def map_chunks(fn, M, width=None):
+    """``[fn(j0, j1) for j0, j1 in chunks]`` over row chunks ``j0:j1`` of
+    ``0:M``, for rows ``width`` cells wide (``M`` by default); large passes
+    run on the pool, see the module docstring."""
+    width = width or M
+    tasks = WORKERS if M * width >= PARALLEL_CELLS else 1
+    rows = max(1, CHUNK_CELLS // (tasks * width))
+    chunks = [(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
+    if tasks < 2 or len(chunks) < 2:
+        return [fn(j0, j1) for j0, j1 in chunks]
+    first = fn(*chunks[0])
+    err = np.geterr()
+
+    def task(batch):
+        with np.errstate(**err):
+            return [fn(j0, j1) for j0, j1 in batch]
+
+    size = -(-(len(chunks) - 1) // (_BATCHES * WORKERS))
+    batches = [chunks[i:i + size] for i in range(1, len(chunks), size)]
+    return [first] + [out for batch in _POOL.map(task, batches) for out in batch]
 
 
 class PairSet:
@@ -137,9 +220,12 @@ def offset_sq_diffs(values):
     out = np.empty((M, M))
     # row j of the windows is v(s_{j+k}) over k, as an (n, M) view
     win = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals]), M, axis=0)
-    for j0, j1 in row_chunks(M):
+
+    def rows(j0, j1):
         d = win[j0:j1] - vals[j0:j1, :, None]
         out[j0:j1] = np.einsum("jik,jik->jk", d, d)
+
+    map_chunks(rows, M)
     return out
 
 

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .curve import (
@@ -146,12 +147,20 @@ def _writing(path):
 
 
 def _emit(doc, out):
-    """Write ``--out`` first, so a bad path prints nothing to stdout."""
+    """Write ``--out`` first, so a bad path prints nothing to stdout.
+
+    A reader that closes stdout early (``ohara verify ... | head``) ends the
+    output quietly: the rest of it goes to the null device.
+    """
     text = json.dumps(doc, sort_keys=True, indent=2)
     if out is not None:
         with _writing(out), open(out, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # -- subcommand bodies: each takes the parsed arguments and their params -----

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from ._pairs import PairSet, offset_sq_diffs, row_chunks
+from ._pairs import PairSet, map_chunks, offset_sq_diffs
 from .errors import NumericalError, ValidationError
 from .spectral import Interpolant, prefix_integral, short_arc_offsets, spectral_derivative
 
@@ -379,7 +379,7 @@ def bilipschitz_constant(curve):
     if curve._bilip is None:
         c2 = curve.chord2_grid()
         D = np.abs(short_arc_offsets(curve.M, curve.L))[None, 1:]
-        peaks = [np.max(D / np.sqrt(c2[j0:j1, 1:])) for j0, j1 in row_chunks(curve.M)]
+        peaks = map_chunks(lambda j0, j1: np.max(D / np.sqrt(c2[j0:j1, 1:])), curve.M)
         curve._bilip = max(1.0, float(np.max(peaks)))
     if curve._bilip > BILIPSCHITZ_CAP:
         raise NumericalError(

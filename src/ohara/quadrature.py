@@ -35,12 +35,13 @@ lies in the evaluated half and is computed directly.
 The rule reads each row only through its off-band sum and a few columns
 (:class:`_Rows`).  So the energy density and the variation integrands G and
 H are evaluated on row chunks of the half grid, and the whole grid is
-unfolded and reduced one row chunk at a time: besides the half grid of the
+unfolded and reduced by row chunks: besides the half grid of the
 integrand, their memory is O(rows x M) per live block, not O(M^2).  The
 geometry blocks that :class:`GridOperator` keeps are half grids built on
 the same row chunks.  Rows reduce independently, and the unfolded rows are
 those of the whole grid, so the result depends neither on the chunking nor
-on the folding, bit for bit.
+on the folding, bit for bit; nor on the thread that runs a chunk, since
+large passes run on the row-chunk pool of ``_pairs.map_chunks``.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._pairs import PairSet, row_chunks
+from ._pairs import PairSet, map_chunks
 from .curve import bilipschitz_constant
 from .diagonal import density_limit, g_limit, g_limit_weights, h_limit
 from .errors import NumericalError, ValidationError
@@ -350,13 +351,14 @@ class GridOperator:
     M_alpha and the three ``phis`` of phi_alpha (one ``(3, M, M/2 + 1)``
     array).  The antipodal column ``M/2`` is kept as computed, since the
     mirror does not hold on it.  One evaluator, :meth:`_rows`, works on row
-    chunks of the half grid, about ``_pairs.CHUNK_CELLS`` cells each: the
-    build writes each chunk's geometry blocks into those arrays, and the
-    energy and the variations start each chunk from row views of them
+    chunks of the half grid, handed out by ``_pairs.map_chunks``: the build
+    writes each chunk's geometry blocks into those arrays, and the energy
+    and the variations start each chunk from row views of them
     (:meth:`_half`), then unfold the integrand and reduce it by row chunks
-    of the whole grid, of about as many cells (:meth:`_reduce`).  So
-    N(tau,tau), M_alpha etc. are computed once, on half the pairs, and
-    whole grids exist only where a caller asks for one.
+    of the whole grid (:meth:`_reduce`).  Large passes run on its thread
+    pool, with the same bits as serially.  So N(tau,tau),
+    M_alpha etc. are computed once, on half the pairs, and whole grids exist
+    only where a caller asks for one.
     """
 
     def __init__(self, curve, params, band=DEFAULT_BAND):
@@ -370,13 +372,16 @@ class GridOperator:
         self.ntt, self.calpha, self.malpha = (np.empty((M, w)) for _ in range(3))
         self.phis = np.empty((3, M, w))
         offdiag = _offband_cols(M, 0)[None, :w]
+
+        def build(j0, j1):
+            b = Blocks(_grid_pairs(curve, j0, j1, w), curve, params=params)
+            n_tau_checked(b.ntt_raw(), where=offdiag)
+            rows = self._geometry(j0, j1)
+            for name, block in b.geometry().items():
+                rows[name][...] = block
+
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j0, j1 in row_chunks(M, w):
-                b = Blocks(_grid_pairs(curve, j0, j1, w), curve, params=params)
-                n_tau_checked(b.ntt_raw(), where=offdiag)
-                rows = self._geometry(j0, j1)
-                for name, block in b.geometry().items():
-                    rows[name][...] = block
+            map_chunks(build, M, w)
 
     def _geometry(self, j0, j1):
         """Rows ``j0:j1`` of the geometry blocks, keyed as :meth:`Blocks.geometry`."""
@@ -391,24 +396,26 @@ class GridOperator:
 
     def _half(self, integrand, phi, psi=None):
         """The blocks that ``integrand(b)`` lists, each on the whole half grid,
-        evaluated on ``Blocks`` of one row chunk at a time."""
-        M, grids = self.curve.M, None
+        evaluated on ``Blocks`` of one row chunk each."""
+        M = self.curve.M
+
+        def blocks(j0, j1):
+            return integrand(self._rows(j0, j1, phi, psi))
+
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j0, j1 in row_chunks(M, _half_width(M)):
-                blocks = integrand(self._rows(j0, j1, phi, psi))
-                if grids is None:
-                    grids = [np.empty((M,) + B.shape[1:], B.dtype) for B in blocks]
-                for V, B in zip(grids, blocks):
-                    V[j0:j1] = B
-        return grids
+            parts = map_chunks(blocks, M, _half_width(M))
+        return [np.concatenate(B) for B in zip(*parts)]
 
     def _reduce(self, half, band=None):
         """The :class:`_Rows` of the whole grid whose half is ``half``,
-        unfolded one row chunk at a time."""
+        unfolded and reduced by row chunks."""
         band = self.band if band is None else band
+
+        def rows(j0, j1):
+            return _Rows.of(_unfold(half, j0, j1), band)
+
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _Rows.concat([_Rows.of(_unfold(half, j0, j1), band)
-                                 for j0, j1 in row_chunks(self.curve.M)])
+            return _Rows.concat(map_chunks(rows, self.curve.M))
 
     def _h_grid(self, b):
         """``[H, flags]``: H = H1 + ... + H6 on the pairs of ``b`` and its

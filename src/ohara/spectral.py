@@ -14,6 +14,8 @@ matches ``numpy.fft.irfft`` at the grid points.
 
 import numpy as np
 
+from ._pairs import map_chunks
+
 __all__ = [
     "spectral_derivative",
     "prefix_integral",
@@ -90,11 +92,17 @@ class Interpolant:
     oversampled evaluations and Newton steps of the arclength
     reparametrization, where it is most of the cost of ``from_samples``.
 
-    Each point's value is its own row of the table product, so evaluating a
-    subset of points gives the same bits as those rows of a full evaluation.
-    The Newton solve relies on this to evaluate only its unconverged rows.
-    The exception is a single point: numpy computes a one-row product by
-    its dot path, whose bits can differ, so that caller never passes one.
+    The cos/sin table is built in row chunks through ``_pairs.map_chunks``,
+    on its thread pool for large tables; each entry is its own elementwise
+    value, so the bits do not depend on the chunks.  The product of the
+    table with the coefficients runs once on the whole table: a chunk of a
+    BLAS matrix product need not give the bits of the same rows of the whole
+    product (with OpenBLAS's own threads on, ``(31, 513) @ (513, 3)`` chunks
+    did not).  For a scalar interpolant the product is a matrix-vector
+    product, whose rows do keep their bits on a subset of points, and the
+    Newton solve relies on this to evaluate only its unconverged rows.  The
+    exception is a single point: numpy computes a one-row product by its
+    dot path, whose bits can differ, so that caller never passes one.
     """
 
     def __init__(self, values, L):
@@ -125,10 +133,14 @@ class Interpolant:
         phase, so this equals ``np.exp(1j * np.outer(sv, mu))`` bit for bit
         while skipping the complex temporary and the ``exp(0)`` scaling.
         """
-        x = np.multiply.outer(sv, self._mu)
-        E = np.empty(x.shape, dtype=complex)
-        np.cos(x, out=E.real)
-        np.sin(x, out=E.imag)
+        E = np.empty(sv.shape + self._mu.shape, dtype=complex)
+
+        def rows(j0, j1):
+            x = np.multiply.outer(sv[j0:j1], self._mu)
+            np.cos(x, out=E.real[j0:j1])
+            np.sin(x, out=E.imag[j0:j1])
+
+        map_chunks(rows, sv.shape[0], self._mu.size)
         return E
 
     def _value_from(self, E, order):

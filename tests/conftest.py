@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from ohara import _pairs
 from ohara.curve import circle, ellipse, random_curve, random_field
 from ohara.kernels import EnergyParams
 
@@ -18,6 +21,39 @@ def circle256():
 @pytest.fixture(scope="session")
 def ellipse128():
     return ellipse(2.0, 1.0, 128)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A two-thread pool that counts the tasks submitted to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.tasks = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks += 1  # map_chunks submits from the calling thread only
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Every row-chunk pass on a two-thread pool, whatever its size and the
+    CPU count; the pool counts the tasks it gets."""
+    counting = _CountingPool()
+    monkeypatch.setattr(_pairs, "WORKERS", 2)
+    monkeypatch.setattr(_pairs, "PARALLEL_CELLS", 0)
+    monkeypatch.setattr(_pairs, "_POOL", counting)
+    yield counting
+    counting.shutdown()
+
+
+@pytest.fixture(params=[64, 96])
+def uneven_chunks(request, monkeypatch):
+    """A curve whose grid streams in 7-row chunks with a shorter last one."""
+    M = request.param
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * M)
+    assert M % 7 != 0
+    return random_curve(3, M=M, n=3)
 
 
 @pytest.fixture

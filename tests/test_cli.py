@@ -358,6 +358,20 @@ def test_console_script_installed(circle_file):
     assert abs(doc["E"] - 4.0) < 1.0e-8
 
 
+def test_closed_stdout_ends_quietly(circle_file):
+    # ``ohara verify ... | head``: the reader has gone before the JSON is
+    # written, which must not end in a BrokenPipeError traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ohara.cli", "energy", "--curve", circle_file],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
 def test_console_script_entry_point(circle_file, tmp_path):
     # the [project.scripts] entry, run in a fresh interpreter the way the
     # generated wrapper runs it, with the package importable from its source

@@ -23,7 +23,7 @@ from ohara.quadrature import (
     save_grid_json,
     second_variation,
 )
-from ohara import _pairs, variations
+from ohara import variations
 from ohara.diagonal import g_limit, h_limit
 from ohara.quadrature import _band_pieces, _grid_pairs, _integrate, _Rows
 from ohara.variations import Blocks
@@ -345,15 +345,6 @@ def _full_grid_integral(op, F, W0):
     rows = _Rows(np.where(keep[None, :], F, 0.0).sum(axis=1), cols)
     pieces = _band_pieces(cols, cv, band, op.gamma, W0)
     return _integrate(rows, cv, band, pieces)[0]
-
-
-@pytest.fixture(params=[64, 96])
-def uneven_chunks(request, monkeypatch):
-    """A curve whose grid streams in 7-row chunks with a shorter last one."""
-    M = request.param
-    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * M)
-    assert M % 7 != 0
-    return random_curve(3, M=M, n=3)
 
 
 @pytest.mark.parametrize("alpha,p", STREAM_PARAMS)

@@ -26,9 +26,12 @@ backward arc is shorter.  Off the grid the prefix formula ``mean*s +
 periodic(s)`` is globally valid, so a plain difference suffices.
 
 Row-chunk passes.  Every pass over the rows of the offset grid (the
-``GridOperator`` build, its ``_half`` and ``_reduce`` passes,
-:func:`offset_sq_diffs`, ``curve.bilipschitz_constant``) and the cos/sin
-table of ``spectral.Interpolant`` call :func:`map_chunks`, which calls
+``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
+``first_variation_dual`` with the row weights it reads off the assembler,
+``curve.chord2_grid`` from rows of :func:`offset_sq_diffs`,
+``curve.bilipschitz_constant``, and the Gagliardo and Hölder seminorms of
+``norms``) and the cos/sin table of ``spectral.Interpolant`` call
+:func:`map_chunks`, which calls
 ``fn(j0, j1)`` once per row chunk.  Each row is computed on its own, so the
 result is the same, bit for bit, whatever the chunking and whichever thread
 runs a chunk.  The policy, with no flag and no environment variable:
@@ -210,23 +213,20 @@ class OffGridPair:
         return field.at(self.s2)
 
 
-def offset_sq_diffs(values):
-    """``out[j, k] = |v(s_{j+k}) - v(s_j)|^2`` over all cyclic offsets ``k``.
+def offset_sq_diffs(values, j0=0, j1=None):
+    """Rows ``j0:j1`` (all by default) of ``out[j, k] = |v(s_{j+k}) - v(s_j)|^2``
+    over all cyclic offsets ``k``.
 
-    ``values`` holds the ``(M,)`` or ``(M, n)`` samples of ``v``.
+    ``values`` holds the ``(M,)`` or ``(M, n)`` samples of ``v``.  Each row is
+    computed on its own, so row chunks give the rows of the whole grid.
     """
     vals = values if values.ndim == 2 else values[:, None]
     M = vals.shape[0]
-    out = np.empty((M, M))
+    j1 = M if j1 is None else j1
     # row j of the windows is v(s_{j+k}) over k, as an (n, M) view
     win = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals]), M, axis=0)
-
-    def rows(j0, j1):
-        d = win[j0:j1] - vals[j0:j1, :, None]
-        out[j0:j1] = np.einsum("jik,jik->jk", d, d)
-
-    map_chunks(rows, M)
-    return out
+    d = win[j0:j1] - vals[j0:j1, :, None]
+    return np.einsum("jik,jik->jk", d, d)
 
 
 def n_raw(ev, u, v, uv):

@@ -218,7 +218,13 @@ class ClosedCurve:
     def chord2_grid(self):
         """Offset-major squared chords: ``out[j, k] = |f(s_{j+k}) - f(s_j)|^2``."""
         if self._chord2 is None:
-            self._chord2 = offset_sq_diffs(self.positions)
+            out = np.empty((self.M, self.M))
+
+            def rows(j0, j1):
+                out[j0:j1] = offset_sq_diffs(self.positions, j0, j1)
+
+            map_chunks(rows, self.M)
+            self._chord2 = out
         return self._chord2
 
     def kappa_sq(self):

@@ -1,22 +1,28 @@
 """Function-space seminorms on periodic fields: Gagliardo, Hölder, products.
 
-The Gagliardo double integral reuses the row-wise machinery of the
-quadrature module.  Cells with |Δs| below 2L/M are handled with the analytic
-bound ``|Δu| <= sup|u'| |Δs|``, which turns the cell integrand into
-``|Δs|^(q-1-σq)`` and is integrated in closed form (σ < 1 keeps it
-integrable); everything else is a plain midpoint sum with the usual corner
-and cut corrections.
+The Gagliardo and Hölder seminorms read the offset grid of
+``|u(s_{j+k}) - u(s_j)|`` (``_pairs.offset_sq_diffs``) on the row chunks of
+``_pairs.map_chunks``, never as a whole ``(M, M)`` grid, and give the same
+bits whatever the chunking.
 
-Hölder-type quantities are suprema over grid pairs; the near-diagonal part
-(separations under one cell, which the grid cannot see) is refined with the
-derivative bound ``sup|u'| * min(R, h)^(1-β)``.
+The Gagliardo double integral reduces each chunk to the quadrature module's
+``_Rows`` and assembles them like the energy.  Cells with |Δs| below 2L/M
+are handled with the analytic bound ``|Δu| <= sup|u'| |Δs|``, which turns
+the cell integrand into ``|Δs|^(q-1-σq)`` and is integrated in closed form
+(σ < 1 keeps it integrable); everything else is a plain midpoint sum with
+the usual corner and cut corrections.
+
+Hölder-type quantities are suprema over grid pairs, the maximum of the
+chunk maxima; the near-diagonal part (separations under one cell, which the
+grid cannot see) is refined with the derivative bound
+``sup|u'| * min(R, h)^(1-β)``.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._pairs import offset_sq_diffs
+from ._pairs import map_chunks, offset_sq_diffs
 from .errors import ValidationError
 from .quadrature import _integrate, _Rows
 from .spectral import short_arc_offsets
@@ -55,11 +61,6 @@ class SeminormReport:
         return out
 
 
-def _diff_norms(u):
-    """|u(s_{j+k}) - u(s_j)| on the offset grid, shape (M, M)."""
-    return np.sqrt(offset_sq_diffs(u.values))
-
-
 def _deriv_sup(u):
     return float(u.deriv.sup_norm())
 
@@ -78,18 +79,19 @@ def lq_norm(u, q):
     return float((u.curve.h * np.sum(mags**q)) ** (1.0 / q))
 
 
-def _bound_band_pieces(F, curve, band, bound, expo):
+def _bound_band_pieces(cols, curve, band, bound, expo):
     """Gagliardo band model for :func:`~ohara.quadrature._integrate`.
 
     ``bound * |u|^expo`` dominates the integrand inside the band (the bound
     comes from sup |u'|), so the band integral is its closed form; the cut
     corrections fall back to one-sided sample differences and carry no h^4
-    term.
+    term.  ``cols`` maps a column index to that column of the grid
+    (``_Rows.cols``).
     """
     M, h = curve.M, curve.h
     b = band
-    d1p = (-2.0 * F[:, b + 1] + 3.0 * F[:, b + 2] - F[:, b + 3]) / h
-    d1m = (2.0 * F[:, M - b - 1] - 3.0 * F[:, M - b - 2] + F[:, M - b - 3]) / h
+    d1p = (-2.0 * cols[b + 1] + 3.0 * cols[b + 2] - cols[b + 3]) / h
+    d1m = (2.0 * cols[M - b - 1] - 3.0 * cols[M - b - 2] + cols[M - b - 3]) / h
     cut_em2 = (h ** 2 / 24.0) * (d1m - d1p)
     c1 = (band + 0.5) * h
     band_int = np.full(M, bound * 2.0 * c1 ** (expo + 1.0) / (expo + 1.0))
@@ -109,15 +111,19 @@ def gagliardo_seminorm(u, sigma, q, report=False):
     curve = u.curve
     M = curve.M
     offs = np.abs(short_arc_offsets(M, curve.L))
-    diffs = _diff_norms(u)
+    # offset 0 lies in the band, which the assembler does not read
+    denom = np.where(offs > 0.0, offs, 1.0) ** (1.0 + sigma * q)
+    band = _GAGLIARDO_BAND
+
+    def reduce(j0, j1):
+        return _Rows.of(np.sqrt(offset_sq_diffs(u.values, j0, j1))**q / denom, band)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = diffs**q / np.where(offs > 0.0, offs, 1.0) ** (1.0 + sigma * q)
-    F[:, 0] = 0.0
+        rows = _Rows.concat(map_chunks(reduce, M))
     expo = q - 1.0 - sigma * q
     bound = _deriv_sup(u) ** q
-    band = _GAGLIARDO_BAND
-    pieces = _bound_band_pieces(F, curve, band, bound, expo)
-    total, _ = _integrate(_Rows.of(F, band), curve, band, pieces)
+    pieces = _bound_band_pieces(rows.cols, curve, band, bound, expo)
+    total, _ = _integrate(rows, curve, band, pieces)
     value = float(max(total, 0.0) ** (1.0 / q))
     if report:
         return SeminormReport(
@@ -142,8 +148,9 @@ def local_modulus(u, beta, R, report=False):
     sel = (offs > 0.0) & (offs <= R)
     value = 0.0
     if np.any(sel):
-        diffs = _diff_norms(u)[:, sel]
-        value = float(np.max(diffs / offs[sel] ** beta))
+        scale = offs[sel] ** beta
+        value = float(np.max(map_chunks(lambda j0, j1: np.max(
+            np.sqrt(offset_sq_diffs(u.values, j0, j1)[:, sel]) / scale), curve.M)))
     near = _deriv_sup(u) * min(R, curve.h) ** (1.0 - beta)
     value = max(value, near)
     if report:

@@ -41,7 +41,10 @@ geometry blocks that :class:`GridOperator` keeps are half grids built on
 the same row chunks.  Rows reduce independently, and the unfolded rows are
 those of the whole grid, so the result depends neither on the chunking nor
 on the folding, bit for bit; nor on the thread that runs a chunk, since
-large passes run on the row-chunk pool of ``_pairs.map_chunks``.
+large passes run on the row-chunk pool of ``_pairs.map_chunks``.  The
+transpose of the first variation (:meth:`GridOperator.first_variation_dual`)
+runs on row chunks of the whole grid too: the pair at ``(j - k, k)`` that
+row ``j`` needs is the swap of the pair at ``(j, M - k)`` in its own row.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -96,10 +99,10 @@ def _offband_cols(M, band):
 
 
 def _assembler_cols(M, band):
-    """The columns the assembler reads one by one: the two cut columns on
+    """The columns the assembler reads one by one: the three cut columns on
     each side of the band and the corner columns ``M/2 -+ 3``."""
     kc = M // 2
-    cut = {band + 1, band + 2, M - band - 2, M - band - 1}
+    cut = {band + d for d in (1, 2, 3)} | {M - band - d for d in (1, 2, 3)}
     return sorted(cut | {(kc + d) % M for d in range(-3, 4)})
 
 
@@ -133,16 +136,15 @@ class _Rows:
         )
 
 
-def _grid_pairs(curve, j0=0, j1=None, width=None):
-    """Rows ``j0:j1`` of the offset grid, all of them by default, on its first
-    ``width`` columns (all ``M`` by default): row ``j``, column ``k`` is the
-    pair ``(s_{j+k}, s_j)``."""
+def _grid_pairs(curve, j0=0, j1=None, cols=slice(None)):
+    """Rows ``j0:j1`` of the offset grid, all of them by default, on its
+    columns ``cols`` (a slice, all ``M`` by default): row ``j``, column ``k``
+    is the pair ``(s_{j+k}, s_j)``."""
     M = curve.M
     j1 = M if j1 is None else j1
-    width = M if width is None else width
     j = np.arange(j0, j1)[:, None]
-    return PairSet(curve, j + np.arange(width), j,
-                   chord2=curve.chord2_grid()[j0:j1, :width])
+    return PairSet(curve, j + np.arange(M)[cols], j,
+                   chord2=curve.chord2_grid()[j0:j1, cols])
 
 
 def _half_width(M):
@@ -301,6 +303,11 @@ class FirstVariationDual:
     spectrum stops below the Nyquist mode (the spectral derivative drops the
     Nyquist term); for those it matches that method to rounding.  A
     constant field has ``phi' = 0`` and gives exactly 0.
+
+    :meth:`GridOperator.first_variation_dual` builds the vectors in one pass
+    over row chunks of the offset grid, O(rows x M) memory beyond the
+    operator's kept grids; they are the same bits whatever the chunking and
+    the thread that runs a chunk.
     """
 
     curve: object
@@ -374,7 +381,7 @@ class GridOperator:
         offdiag = _offband_cols(M, 0)[None, :w]
 
         def build(j0, j1):
-            b = Blocks(_grid_pairs(curve, j0, j1, w), curve, params=params)
+            b = Blocks(_grid_pairs(curve, j0, j1, slice(w)), curve, params=params)
             n_tau_checked(b.ntt_raw(), where=offdiag)
             rows = self._geometry(j0, j1)
             for name, block in b.geometry().items():
@@ -390,7 +397,7 @@ class GridOperator:
     def _rows(self, j0, j1, phi=None, psi=None):
         """``Blocks`` on rows ``j0:j1`` of the half grid, its geometry blocks
         row views of the operator's."""
-        return Blocks(_grid_pairs(self.curve, j0, j1, _half_width(self.curve.M)),
+        return Blocks(_grid_pairs(self.curve, j0, j1, slice(_half_width(self.curve.M))),
                       self.curve, params=self.params, phi=phi, psi=psi,
                       geometry=self._geometry(j0, j1))
 
@@ -465,65 +472,74 @@ class GridOperator:
 
     def _row_weights(self):
         """``(w, w0)``: row ``j`` of the assembled integral is
-        ``sum_k w[k] F[j, k] + w0 W0[j]``, read off the assembler."""
-        M = self.curve.M
+        ``sum_k w[k] F[j, k] + w0 W0[j]``, read off the assembler by row
+        chunks of the identity."""
 
         def totals(F, W0):
             rows = _Rows.of(F, self.band)
             pieces = _band_pieces(rows.cols, self.curve, self.band, self.gamma, W0)
             return _row_totals(rows, self.curve, self.band, pieces)[0]
 
-        return totals(np.eye(M), np.zeros(M)), totals(np.zeros((M, M)), np.ones(M))[0]
+        M = self.curve.M
+        w = map_chunks(lambda j0, j1: totals(np.eye(j1 - j0, M, j0), np.zeros(j1 - j0)), M)
+        return np.concatenate(w), totals(np.zeros((1, M)), np.ones(1))[0]
 
     def first_variation_dual(self):
         """The first variation as a linear form: see :class:`FirstVariationDual`.
 
         Applies the transpose of the quadrature to the geometry-only
         coefficient grids of ``G = cK K(f, phi) + cN N(tau, phi') +
-        cT (tau.phi'(s1) + tau.phi'(s2))``, in one pass over the offset grid.
+        cT (tau.phi'(s1) + tau.phi'(s2))``, in one pass over row chunks of
+        the whole offset grid.
         """
         cv, pr = self.curve, self.params
-        M, h, p = cv.M, cv.h, pr.p
+        M, n, h, p = cv.M, cv.n, cv.h, pr.p
         w, w0 = self._row_weights()
         # the band columns have weight 0, and there the blocks are singular
         k = slice(self.band + 1, M - self.band)
-        j = np.arange(M)[:, None]
-        ps = PairSet(cv, j + np.arange(M)[k], j, chord2=cv.chord2_grid()[:, k])
-        i, wrap, chord2, ds = ps.i, ps.wrap, ps.chord2, ps.ds
-        back = (j - np.arange(M)[k]) % M
-
-        def at_i(a):
-            # row l, column k: a[l - k, k], the pair whose first point is s_l
-            return np.take_along_axis(a, back, axis=0)
-
-        def dual(a):
-            # sum_{j,k} a[j, k] (x[i] - x[j]) = x . dual(a).  Near the diagonal
-            # a[l - k, k] and a[l, k] almost cancel; subtracting them before
-            # the row sum keeps that cancellation exact
-            return (at_i(a) - a).sum(axis=1)
-
-        m = _unfold(self.malpha)[:, k]
-        hmp1 = h * w[k] * np.power(m, p - 1.0)
-        p1_ca = _unfold(self.phis[1])[:, k] / _unfold(self.calpha)[:, k]
-        cK = -p * hmp1 * (2.0 * p1_ca * _unfold(self.ntt)[:, k] + pr.alpha * m)
-        cN = 2.0 * p * hmp1 * p1_ca
-        cT = hmp1 * m
-        # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2, and
-        # K(f, phi) = (f(s1) - f(s2)) . I(phi') / |df|^2
-        b = cN * ds / chord2
-        tp = (at_i(cT) + cT).sum(axis=1)
+        kc = M // 2 - self.band - 1  # the antipodal column of the slice
         Ptau, Ttau = cv.tau_field.prefix()
-        prefix, total = np.empty((M, cv.n)), np.empty(cv.n)
-        for c in range(cv.n):  # one coordinate at a time: (M, M) temporaries
-            dvec = cv.positions[i, c] - cv.positions[:, c, None]
-            itau = Ptau[i, c] - Ptau[:, c, None] + wrap * Ttau[c]
-            a = (cK * dvec - cN * itau) / chord2
-            prefix[:, c] = dual(a)
-            total[c] = np.sum(a * wrap)
+
+        def rows(j0, j1):
+            ps = _grid_pairs(cv, j0, j1, k)
+            m = _unfold(self.malpha, j0, j1)[:, k]
+            hmp1 = h * w[k] * np.power(m, p - 1.0)
+            p1_ca = _unfold(self.phis[1], j0, j1)[:, k] / _unfold(self.calpha, j0, j1)[:, k]
+            cK = -p * hmp1 * (2.0 * p1_ca * _unfold(self.ntt, j0, j1)[:, k] + pr.alpha * m)
+            cN = 2.0 * p * hmp1 * p1_ca
+            # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2 and
+            # K(f, phi) = (f(s1) - f(s2)) . I(phi') / |df|^2, so the grid x[c]
+            # multiplies I(phi'_c), x[n] I(tau.phi') and x[n + 1], which is
+            # cT, tau.phi'(s1) + tau.phi'(s2)
+            x = np.empty((n + 2,) + m.shape)
+            for c in range(n):
+                dvec = cv.positions[ps.i, c] - cv.positions[j0:j1, c, None]
+                itau = Ptau[ps.i, c] - Ptau[j0:j1, c, None] + ps.wrap * Ttau[c]
+                x[c] = (cK * dvec - cN * itau) / ps.chord2
+            x[n] = cN * ps.ds / ps.chord2
+            x[n + 1] = hmp1 * m
+            # Row l of the transpose pairs x[l, k] with x[l - k, k], the pair
+            # whose first point is s_l.  That pair is the swap of the pair at
+            # (l, M - k), so it is read off the row backwards: x[:n + 1]
+            # changes sign under the swap and x[n + 1] does not.  Near the
+            # diagonal the two terms almost cancel; adding x[l, k] and
+            # x[l, M - k] before the row sum keeps that cancellation exact.
+            # The antipodal column is its own mirror: its partner
+            # x[l - M/2, M/2] lies in another row and is added after the
+            # pass, from a copy that keeps no chunk grid alive
+            both = x + x[..., ::-1]
+            both[..., kc] = x[..., kc]
+            return both.sum(axis=-1), (x[:n + 1] * ps.wrap).sum(axis=-1), x[..., kc].copy()
+
+        both, total, anti = (np.concatenate(v, axis=-1) for v in zip(*map_chunks(rows, M)))
+        # sum_{j,k} x[c, j, k] (y[j + k] -+ y[j]) = y . dual[c], with - for
+        # c <= n and + for c = n + 1
+        sign = np.append(-np.ones(n + 1), 1.0)[:, None]
+        dual = sign * both + np.roll(anti, M // 2, axis=-1)
         wt, wk = g_limit_weights(cv, pr)
         return FirstVariationDual(
-            cv, prefix, total, dual(b), float(np.sum(b * wrap)),
-            tp + (h * w0) * wt, (h * w0) * wk,
+            cv, dual[:n].T, total[:n].sum(axis=-1), dual[n], float(total[n].sum()),
+            dual[n + 1] + (h * w0) * wt, (h * w0) * wk,
         )
 
     def h_values(self, phi, psi):

@@ -195,17 +195,24 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS) + ["negative-seed"])
+#: verify suites build their own curves at --M samples; --M 0 is a bad
+#: sample count, not a missing option
+ZERO_M_SUITES = ["verify-M-0-" + suite for suite in ("fd", "limits", "circle", "norms")]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS) + ["negative-seed"] + ZERO_M_SUITES)
 def test_bad_input_is_one_error_line(capsys, tmp_path, circle_file, case):
-    opts = {"--curve": circle_file}
+    command, opts = "gradient", {"--curve": circle_file}
     if case == "negative-seed":
         opts["--seed"] = "-1"
+    elif case in ZERO_M_SUITES:
+        command, opts = "verify", {"--suite": case.rsplit("-", 1)[1], "--M": "0"}
     else:
         name, text, role = BAD_INPUTS[case]
         path = tmp_path / name
         path.write_text(text)
         opts["--" + role] = str(path)
-    code, out, err = run_cli(capsys, "gradient", *(t for kv in opts.items() for t in kv))
+    code, out, err = run_cli(capsys, command, *(t for kv in opts.items() for t in kv))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

@@ -22,8 +22,12 @@ from ohara.flow import (
     l2_gradient,
     run_flow,
 )
+from ohara._pairs import PairSet
+from ohara.diagonal import g_limit_weights
 from ohara.kernels import EnergyParams
-from ohara.quadrature import GridOperator, energy
+from ohara.quadrature import (
+    FirstVariationDual, GridOperator, _band_pieces, _row_totals, _Rows, _unfold, energy,
+)
 from ohara.verify import fd_energy_gradient
 
 from conftest import perturbed_circle, rel
@@ -98,6 +102,62 @@ def test_first_variation_dual_matches_first_variation(alpha, p):
     assert np.abs(got - ref).max() <= 1.0e-12 * np.abs(ref).max()
     const = Field(cv, np.tile([0.7, -1.3, 2.1], (cv.M, 1)))
     assert dual(const) == 0.0
+
+
+def _whole_grid_dual(op):
+    """The dual on whole (M, M) grids: row l gathers the pair at row l - k,
+    column k of every coefficient grid, the pair whose first point is s_l."""
+    cv, pr = op.curve, op.params
+    M, h, p = cv.M, cv.h, pr.p
+
+    def totals(F, W0):
+        rows = _Rows.of(F, op.band)
+        pieces = _band_pieces(rows.cols, cv, op.band, op.gamma, W0)
+        return _row_totals(rows, cv, op.band, pieces)[0]
+
+    w, w0 = totals(np.eye(M), np.zeros(M)), totals(np.zeros((M, M)), np.ones(M))[0]
+    k = slice(op.band + 1, M - op.band)
+    j = np.arange(M)[:, None]
+    ps = PairSet(cv, j + np.arange(M)[k], j, chord2=cv.chord2_grid()[:, k])
+    back = (j - np.arange(M)[k]) % M
+
+    def at_i(a):
+        return np.take_along_axis(a, back, axis=0)
+
+    def dual(a):
+        return (at_i(a) - a).sum(axis=1)
+
+    m = _unfold(op.malpha)[:, k]
+    hmp1 = h * w[k] * np.power(m, p - 1.0)
+    p1_ca = _unfold(op.phis[1])[:, k] / _unfold(op.calpha)[:, k]
+    cK = -p * hmp1 * (2.0 * p1_ca * _unfold(op.ntt)[:, k] + pr.alpha * m)
+    cN = 2.0 * p * hmp1 * p1_ca
+    cT = hmp1 * m
+    b = cN * ps.ds / ps.chord2
+    Ptau, Ttau = cv.tau_field.prefix()
+    prefix, total = np.empty((M, cv.n)), np.empty(cv.n)
+    for c in range(cv.n):
+        dvec = cv.positions[ps.i, c] - cv.positions[:, c, None]
+        itau = Ptau[ps.i, c] - Ptau[:, c, None] + ps.wrap * Ttau[c]
+        a = (cK * dvec - cN * itau) / ps.chord2
+        prefix[:, c] = dual(a)
+        total[c] = np.sum(a * ps.wrap)
+    wt, wk = g_limit_weights(cv, pr)
+    return FirstVariationDual(
+        cv, prefix, total, dual(b), float(np.sum(b * ps.wrap)),
+        (at_i(cT) + cT).sum(axis=1) + (h * w0) * wt, (h * w0) * wk,
+    )
+
+
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)])
+def test_row_chunk_dual_matches_the_whole_grid_dual(alpha, p):
+    cv = random_curve(0, M=256, n=3)
+    op = GridOperator(cv, EnergyParams(alpha, p))
+    _, got = l2_gradient(cv, op.params, K=8, op=op, with_coefficients=True)
+    whole = _whole_grid_dual(op)
+    op.first_variation_dual = lambda: whole
+    _, ref = l2_gradient(cv, op.params, K=8, op=op, with_coefficients=True)
+    assert np.abs(got - ref).max() <= 5.0e-13 * np.abs(ref).max()
 
 
 def test_basis_matrix_needs_fewer_modes_than_half_the_grid():

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ohara._pairs import offset_sq_diffs
 from ohara.curve import Field, circle, random_curve, random_field
 from ohara.errors import ValidationError
 from ohara.norms import (
+    _GAGLIARDO_BAND,
     SeminormReport,
+    _bound_band_pieces,
     gagliardo_seminorm,
     holder_seminorm,
     little_holder_flag,
@@ -17,6 +20,8 @@ from ohara.norms import (
     sobolev_linf_norm,
     sup_norm,
 )
+from ohara.quadrature import _integrate, _Rows
+from ohara.spectral import short_arc_offsets
 from ohara.verify import cusp_field
 
 from conftest import rel
@@ -178,3 +183,33 @@ def test_product_bound_many_seeds():
     for seed in range(20):
         out = product_seminorm_check(cv, random_field(cv, seed))
         assert out["margin"] >= -1.0e-10, seed
+
+
+# ------------------------------------------------------------- row chunks
+
+
+def _whole_grid_norms(u, sigma, q, beta, R):
+    """The Gagliardo seminorm and the local modulus from the whole |du| grid."""
+    cv = u.curve
+    offs = np.abs(short_arc_offsets(cv.M, cv.L))
+    diffs = np.sqrt(offset_sq_diffs(u.values))
+    F = diffs**q / np.where(offs > 0.0, offs, 1.0) ** (1.0 + sigma * q)
+    F[:, 0] = 0.0
+    rows = _Rows.of(F, _GAGLIARDO_BAND)
+    bound = float(u.deriv.sup_norm()) ** q
+    pieces = _bound_band_pieces(rows.cols, cv, _GAGLIARDO_BAND, bound, q - 1.0 - sigma * q)
+    total, _ = _integrate(rows, cv, _GAGLIARDO_BAND, pieces)
+    sel = (offs > 0.0) & (offs <= R)
+    modulus = float(np.max(diffs[:, sel] / offs[sel] ** beta))
+    near = float(u.deriv.sup_norm()) * min(R, cv.h) ** (1.0 - beta)
+    return float(max(total, 0.0) ** (1.0 / q)), max(modulus, near)
+
+
+def test_norms_by_row_chunks_give_the_whole_grid_bits(uneven_chunks):
+    cv = uneven_chunks
+    phi = random_field(cv, 5)
+    for u in (cv.tau_field, phi.deriv, cv.tau_field.dot(phi.deriv)):
+        for sigma, q, beta, R in ((0.5, 2.0, 0.5, cv.L / 2.0), (0.3, 3.0, 1.0, 5.0 * cv.h)):
+            gag, modulus = _whole_grid_norms(u, sigma, q, beta, R)
+            assert gagliardo_seminorm(u, sigma, q) == gag
+            assert local_modulus(u, beta, R) == modulus

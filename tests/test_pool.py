@@ -16,6 +16,7 @@ from ohara import _pairs
 from ohara.curve import bilipschitz_constant, from_samples, random_curve, random_field
 from ohara.errors import NumericalError
 from ohara.kernels import EnergyParams
+from ohara.norms import gagliardo_seminorm, holder_seminorm
 from ohara.quadrature import GridOperator
 
 
@@ -77,6 +78,8 @@ def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch
             *op.h_values(phi, psi), op.first_variation(phi),
             op.second_variation(phi, psi),
             dual.prefix, dual.total, dual.tp_prefix, dual.tp, dual.kpp,
+            gagliardo_seminorm(phi.deriv, 0.5, 3.0), holder_seminorm(phi.deriv, 0.5),
+            gagliardo_seminorm(cv.tau_field, 0.5, 3.0), holder_seminorm(cv.tau_field, 0.5),
         ]
 
     pooled = outputs()

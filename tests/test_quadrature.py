@@ -441,3 +441,16 @@ def test_grid_operator_build_memory_is_row_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_first_variation_dual_memory_is_row_chunked():
+    # the dual on whole (M, M) coefficient grids peaked at 31.8 MiB at this size
+    cv = random_curve(0, M=512, n=3)
+    op = GridOperator(cv, EnergyParams(2.5, 1.5))
+    tracemalloc.start()
+    try:
+        op.first_variation_dual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -52,12 +52,12 @@ from .variations import (
     second_variation_density,
 )
 from .norms import (
-    SeminormReport,
     gagliardo_seminorm,
     holder_seminorm,
     little_holder_flag,
     local_modulus,
     product_seminorm_check,
+    seminorms,
     sobolev_linf_norm,
 )
 from .verify import (

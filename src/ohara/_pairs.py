@@ -29,8 +29,8 @@ Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
 ``first_variation_dual`` with the row weights it reads off the assembler,
 ``curve.chord2_grid`` from rows of :func:`offset_sq_diffs`,
-``curve.bilipschitz_constant``, and the Gagliardo and Hölder seminorms of
-``norms``) and the cos/sin table of ``spectral.Interpolant`` call
+``curve.bilipschitz_constant``, and the one pass per field of ``norms``)
+and the cos/sin table of ``spectral.Interpolant`` call
 :func:`map_chunks`, which calls
 ``fn(j0, j1)`` once per row chunk.  Each row is computed on its own, so the
 result is the same, bit for bit, whatever the chunking and whichever thread

@@ -8,7 +8,10 @@ gradient      first variation against a provided or synthetic field
 hessian-form  second variation against two fields
 density       pair-grid export of the density / G / H, optional beta weight
 limits        diagonal-limit extrapolation reports
-norms         seminorm reports for the tangent and the test field
+norms         seminorm reports for the tangent and the test field; its
+              product_check runs at the fixed (beta, sigma, q) = (1, 1/2, 2)
+              of norms.product_seminorm_check, whatever --alpha, --p and
+              --beta say
 flow          projected gradient descent with trace output
 verify        oracle suites (finite differences, limits, circle forms, norms)
 
@@ -39,12 +42,9 @@ from .curve import (
 from .errors import NumericalError, ValidationError
 from .flow import circle_distance, run_flow
 from .kernels import EnergyParams
-from .norms import (
-    gagliardo_seminorm,
-    holder_seminorm,
-    product_seminorm_check,
-    sobolev_linf_norm,
-)
+from .norms import product_seminorm_check, seminorms
+# not called here: perfbench/spans.py wraps these names on this module
+from .norms import gagliardo_seminorm, holder_seminorm, sobolev_linf_norm
 from .quadrature import (
     density_grid,
     energy,
@@ -253,22 +253,12 @@ def _cmd_norms(args, params):
     cv = _need_curve(args)
     phi = _load_field(cv, args.phi, args.seed)
     q = 2.0 * params.p
-    tau = cv.tau_field
-    dphi = phi.deriv
     doc = {
         "sigma": params.sigma,
         "q": q,
         "beta": params.beta,
-        "tau": {
-            "gagliardo": gagliardo_seminorm(tau, params.sigma, q),
-            "holder": holder_seminorm(tau, params.beta),
-            "sobolev_linf": sobolev_linf_norm(tau, params.sigma, q),
-        },
-        "phi_deriv": {
-            "gagliardo": gagliardo_seminorm(dphi, params.sigma, q),
-            "holder": holder_seminorm(dphi, params.beta),
-            "sobolev_linf": sobolev_linf_norm(dphi, params.sigma, q),
-        },
+        "tau": seminorms(cv.tau_field, params.sigma, q, params.beta),
+        "phi_deriv": seminorms(phi.deriv, params.sigma, q, params.beta),
         "product_check": product_seminorm_check(cv, phi),
     }
     _emit(doc, args.out)

@@ -1,9 +1,12 @@
 """Function-space seminorms on periodic fields: Gagliardo, Hölder, products.
 
-The Gagliardo and Hölder seminorms read the offset grid of
-``|u(s_{j+k}) - u(s_j)|`` (``_pairs.offset_sq_diffs``) on the row chunks of
-``_pairs.map_chunks``, never as a whole ``(M, M)`` grid, and give the same
-bits whatever the chunking.
+Every seminorm of a field reads the offset grid of
+``|u(s_{j+k}) - u(s_j)|`` (``_pairs.offset_sq_diffs``) in one pass over the
+row chunks of ``_pairs.map_chunks``, never as a whole ``(M, M)`` grid:
+``_one_pass`` hands each chunk to one reducer per seminorm, so
+:func:`seminorms` gives the Gagliardo, Hölder and Sobolev-L^∞ values of a
+field from a single pass, with the same bits as the one-seminorm functions
+and whatever the chunking.
 
 The Gagliardo double integral reduces each chunk to the quadrature module's
 ``_Rows`` and assembles them like the energy.  Cells with |Δs| below 2L/M
@@ -18,8 +21,6 @@ grid cannot see) is refined with the derivative bound
 ``sup|u'| * min(R, h)^(1-β)``.
 """
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from ._pairs import map_chunks, offset_sq_diffs
@@ -28,13 +29,13 @@ from .quadrature import _integrate, _Rows
 from .spectral import short_arc_offsets
 
 __all__ = [
-    "SeminormReport",
     "gagliardo_seminorm",
     "holder_seminorm",
     "little_holder_flag",
     "local_modulus",
     "lq_norm",
     "product_seminorm_check",
+    "seminorms",
     "sobolev_linf_norm",
     "sup_norm",
 ]
@@ -43,22 +44,10 @@ __all__ = [
 #: a field as little-Hölder at the working resolution
 LITTLE_HOLDER_TOL = 0.5
 
+#: the fixed (β, σ, q) of :func:`product_seminorm_check`
+PRODUCT_BETA, PRODUCT_SIGMA, PRODUCT_Q = 1.0, 0.5, 2.0
+
 _GAGLIARDO_BAND = 1
-
-
-@dataclass
-class SeminormReport:
-    """A computed seminorm value with the parameters that define it."""
-
-    value: float
-    kind: str
-    M: int
-    parameters: dict = dc_field(default_factory=dict)
-
-    def as_dict(self):
-        out = {"value": self.value, "kind": self.kind, "M": self.M}
-        out.update(self.parameters)
-        return out
 
 
 def _deriv_sup(u):
@@ -98,47 +87,30 @@ def _bound_band_pieces(cols, curve, band, bound, expo):
     return band_int, cut_em2, np.zeros(M)
 
 
-def gagliardo_seminorm(u, sigma, q, report=False):
-    """Fractional seminorm [u]_{W^{σ,q}} of a field on its curve.
-
-    The q-th power is the double integral of ``|Δu|^q / |Δs|^(1+σq)`` over
-    the pair torus with short-arc separations.
-    """
+def _gagliardo(u, sigma, q):
+    """Reducer of the Gagliardo seminorm [u]_{W^{σ,q}} for :func:`_one_pass`."""
     if not 0.0 < sigma < 1.0:
         raise ValidationError("sigma must lie in (0, 1)")
     if q < 1:
         raise ValidationError("q must be >= 1")
     curve = u.curve
-    M = curve.M
-    offs = np.abs(short_arc_offsets(M, curve.L))
+    offs = np.abs(short_arc_offsets(curve.M, curve.L))
     # offset 0 lies in the band, which the assembler does not read
     denom = np.where(offs > 0.0, offs, 1.0) ** (1.0 + sigma * q)
     band = _GAGLIARDO_BAND
 
-    def reduce(j0, j1):
-        return _Rows.of(np.sqrt(offset_sq_diffs(u.values, j0, j1))**q / denom, band)
+    def finish(chunks):
+        rows = _Rows.concat(chunks)
+        bound = _deriv_sup(u) ** q
+        pieces = _bound_band_pieces(rows.cols, curve, band, bound, q - 1.0 - sigma * q)
+        total, _ = _integrate(rows, curve, band, pieces)
+        return float(max(total, 0.0) ** (1.0 / q))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = _Rows.concat(map_chunks(reduce, M))
-    expo = q - 1.0 - sigma * q
-    bound = _deriv_sup(u) ** q
-    pieces = _bound_band_pieces(rows.cols, curve, band, bound, expo)
-    total, _ = _integrate(rows, curve, band, pieces)
-    value = float(max(total, 0.0) ** (1.0 / q))
-    if report:
-        return SeminormReport(
-            value, "gagliardo", M, {"sigma": sigma, "q": q}
-        )
-    return value
+    return (lambda d: _Rows.of(d**q / denom, band)), finish
 
 
-def local_modulus(u, beta, R, report=False):
-    """Restricted Hölder modulus: sup of |Δu| / |Δs|^β over 0 < |Δs| <= R.
-
-    Separations under one grid cell are invisible to the sample pairs; they
-    are covered by the derivative bound ``sup|u'| min(R, h)^(1-β)``, which
-    also supplies the diagonal limit for β = 1.
-    """
+def _modulus(u, beta, R):
+    """Reducer of the local modulus (see :func:`local_modulus`) for :func:`_one_pass`."""
     if not 0.0 < beta <= 1.0:
         raise ValidationError("beta must lie in (0, 1]")
     curve = u.curve
@@ -146,61 +118,101 @@ def local_modulus(u, beta, R, report=False):
         raise ValidationError("R must lie in (0, L/2]")
     offs = np.abs(short_arc_offsets(curve.M, curve.L))
     sel = (offs > 0.0) & (offs <= R)
-    value = 0.0
-    if np.any(sel):
-        scale = offs[sel] ** beta
-        value = float(np.max(map_chunks(lambda j0, j1: np.max(
-            np.sqrt(offset_sq_diffs(u.values, j0, j1)[:, sel]) / scale), curve.M)))
+    scale = offs[sel] ** beta
     near = _deriv_sup(u) * min(R, curve.h) ** (1.0 - beta)
-    value = max(value, near)
-    if report:
-        return SeminormReport(
-            value, "local-holder", curve.M, {"beta": beta, "R": R}
-        )
-    return value
+    # |Δu| >= 0, so the initial 0 changes no maximum; it covers R < h
+    return (lambda d: np.max(d[:, sel] / scale, initial=0.0)), (
+        lambda chunks: max(float(np.max(chunks)), near)
+    )
 
 
-def holder_seminorm(u, beta, report=False):
+def _one_pass(u, *reducers):
+    """Every seminorm of ``reducers`` from one row-chunk pass over ``|Δu|``.
+
+    A reducer is a pair ``(chunk, finish)``: ``chunk(d)`` reduces rows ``d``
+    of the ``|u(s_{j+k}) - u(s_j)|`` grid, and ``finish`` takes the list of
+    its chunk results, in row order, to the seminorm's value.
+    """
+
+    def chunk(j0, j1):
+        d = np.sqrt(offset_sq_diffs(u.values, j0, j1))
+        return [reduce(d) for reduce, _ in reducers]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts = map_chunks(chunk, u.curve.M)
+    return [finish(list(res)) for (_, finish), res in zip(reducers, zip(*parts))]
+
+
+def _sobolev_linf(u, gag, q):
+    return max((lq_norm(u, q) ** q + gag**q) ** (1.0 / q), sup_norm(u))
+
+
+def gagliardo_seminorm(u, sigma, q):
+    """Fractional seminorm [u]_{W^{σ,q}} of a field on its curve.
+
+    The q-th power is the double integral of ``|Δu|^q / |Δs|^(1+σq)`` over
+    the pair torus with short-arc separations.
+    """
+    return _one_pass(u, _gagliardo(u, sigma, q))[0]
+
+
+def local_modulus(u, beta, R):
+    """Restricted Hölder modulus: sup of |Δu| / |Δs|^β over 0 < |Δs| <= R.
+
+    Separations under one grid cell are invisible to the sample pairs; they
+    are covered by the derivative bound ``sup|u'| min(R, h)^(1-β)``, which
+    also supplies the diagonal limit for β = 1.
+    """
+    return _one_pass(u, _modulus(u, beta, R))[0]
+
+
+def holder_seminorm(u, beta):
     """Hölder seminorm [u]_{C^{0,β}}: the local modulus over all pairs."""
-    out = local_modulus(u, beta, u.curve.L / 2.0, report=report)
-    if report:
-        out.kind = "holder"
-        del out.parameters["R"]
-    return out
+    return local_modulus(u, beta, u.curve.L / 2.0)
 
 
-def little_holder_flag(u, beta, tol=LITTLE_HOLDER_TOL):
+def little_holder_flag(u, beta):
     """Whether u looks little-Hölder at this resolution.
 
     True when the local modulus at R = 8L/M has already decayed below
-    ``tol`` times the full seminorm.  A resolution-limited proxy: smooth
-    fields flag True for β < 1, genuinely C^{0,β}-rough ones do not.
+    ``LITTLE_HOLDER_TOL`` times the full seminorm.  A resolution-limited
+    proxy: smooth fields flag True for β < 1, genuinely C^{0,β}-rough ones
+    do not.
     """
     curve = u.curve
-    R = 8.0 * curve.L / curve.M
-    full = holder_seminorm(u, beta)
-    if full == 0.0:
-        return True
-    return bool(local_modulus(u, beta, R) < tol * full)
+    full, local = _one_pass(
+        u, _modulus(u, beta, curve.L / 2.0), _modulus(u, beta, 8.0 * curve.L / curve.M)
+    )
+    return full == 0.0 or bool(local < LITTLE_HOLDER_TOL * full)
 
 
-def sobolev_linf_norm(u, sigma, q, report=False):
+def sobolev_linf_norm(u, sigma, q):
     """The combined norm max(‖u‖_{W^{σ,q}}, ‖u‖_∞).
 
     The Sobolev part is ``(‖u‖_q^q + [u]_{W^{σ,q}}^q)^(1/q)``.
     """
-    gag = gagliardo_seminorm(u, sigma, q)
-    lq = lq_norm(u, q)
-    value = max((lq**q + gag**q) ** (1.0 / q), sup_norm(u))
-    if report:
-        return SeminormReport(
-            value, "sobolev-linf", u.curve.M, {"sigma": sigma, "q": q}
-        )
-    return value
+    return _sobolev_linf(u, gagliardo_seminorm(u, sigma, q), q)
 
 
-def product_seminorm_check(curve, phi, beta=1.0, sigma=0.5, q=2.0):
+def seminorms(u, sigma, q, beta):
+    """``gagliardo``, ``holder`` and ``sobolev_linf`` of u from one pass.
+
+    Each value equals that of :func:`gagliardo_seminorm`,
+    :func:`holder_seminorm` and :func:`sobolev_linf_norm`, bit for bit.
+    """
+    gag, holder = _one_pass(
+        u, _gagliardo(u, sigma, q), _modulus(u, beta, u.curve.L / 2.0)
+    )
+    return {"gagliardo": gag, "holder": holder, "sobolev_linf": _sobolev_linf(u, gag, q)}
+
+
+def product_seminorm_check(curve, phi):
     """Product estimates for the scalar field tau . phi'.
+
+    The parameters are fixed, (β, σ, q) = (``PRODUCT_BETA``,
+    ``PRODUCT_SIGMA``, ``PRODUCT_Q``) = (1, 1/2, 2), and reported in the
+    output: ``ohara norms`` prints its ``product_check`` at these values
+    whatever ``--alpha``, ``--p`` and ``--beta`` say.
 
     Hölder side: [tau.phi']_{C^{0,β}} <= ‖tau‖_∞ [phi']_{C^{0,β}}
     + [tau]_{C^{0,β}} ‖phi'‖_∞ with constant exactly 1; the margin
@@ -211,26 +223,24 @@ def product_seminorm_check(curve, phi, beta=1.0, sigma=0.5, q=2.0):
     """
     tau = curve.tau_field
     dphi = phi.deriv
-    w = tau.dot(dphi)
-
-    lhs = holder_seminorm(w, beta)
-    rhs = sup_norm(tau) * holder_seminorm(dphi, beta) + holder_seminorm(
-        tau, beta
-    ) * sup_norm(dphi)
+    of_w, of_dphi, of_tau = (
+        seminorms(f, PRODUCT_SIGMA, PRODUCT_Q, PRODUCT_BETA)
+        for f in (tau.dot(dphi), dphi, tau)
+    )
+    lhs = of_w["holder"]
+    rhs = sup_norm(tau) * of_dphi["holder"] + of_tau["holder"] * sup_norm(dphi)
     scale = max(rhs, 1e-300)
 
-    gag_lhs = gagliardo_seminorm(w, sigma, q)
-    gag_rhs = sup_norm(tau) * gagliardo_seminorm(dphi, sigma, q) + gagliardo_seminorm(
-        tau, sigma, q
-    ) * sup_norm(dphi)
+    gag_lhs = of_w["gagliardo"]
+    gag_rhs = sup_norm(tau) * of_dphi["gagliardo"] + of_tau["gagliardo"] * sup_norm(dphi)
 
     return {
-        "beta": beta,
+        "beta": PRODUCT_BETA,
         "holder_lhs": lhs,
         "holder_rhs": rhs,
         "margin": (rhs - lhs) / scale,
-        "sigma": sigma,
-        "q": q,
+        "sigma": PRODUCT_SIGMA,
+        "q": PRODUCT_Q,
         "gagliardo_lhs": gag_lhs,
         "gagliardo_rhs": gag_rhs,
         "fitted_constant": gag_lhs / max(gag_rhs, 1e-300),

@@ -13,7 +13,14 @@ import pytest
 import ohara
 from ohara import cli
 from ohara.cli import main
-from ohara.curve import circle, save_curve
+from ohara.curve import circle, load_curve, random_curve, random_field, save_curve
+from ohara.kernels import EnergyParams
+from ohara.norms import (
+    gagliardo_seminorm,
+    holder_seminorm,
+    product_seminorm_check,
+    sobolev_linf_norm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,11 +150,31 @@ def test_limits_command(capsys, circle_file):
     assert set(rep) == {"which", "s", "samples", "extrapolated", "reference", "gap"}
 
 
-def test_norms_command(capsys, circle_file):
+def test_norms_command(capsys, circle_file, tmp_path):
     code, out, _ = run_cli(capsys, "norms", "--curve", circle_file)
     assert code == 0
     doc = json.loads(out)
     assert "tau" in doc and "phi_deriv" in doc and "product_check" in doc
+    # the one-pass report holds the bits of the one-seminorm functions
+    path = tmp_path / "curve.json"
+    save_curve(random_curve(3, M=64, n=3), str(path))
+    cv = load_curve(str(path))
+    phi = random_field(cv, seed=0, modes=6)
+    for alpha, p in ((2.0, 1.0), (2.5, 1.5)):
+        code, out, _ = run_cli(
+            capsys, "norms", "--curve", str(path), "--alpha", str(alpha), "--p", str(p)
+        )
+        assert code == 0
+        doc = json.loads(out)
+        params = EnergyParams(alpha, p)
+        sigma, q, beta = params.sigma, 2.0 * p, params.beta
+        for key, u in (("tau", cv.tau_field), ("phi_deriv", phi.deriv)):
+            assert doc[key] == {
+                "gagliardo": gagliardo_seminorm(u, sigma, q),
+                "holder": holder_seminorm(u, beta),
+                "sobolev_linf": sobolev_linf_norm(u, sigma, q),
+            }
+        assert doc["product_check"] == product_seminorm_check(cv, phi)
 
 
 def test_field_file_round_trip(capsys, tmp_path, circle_file):

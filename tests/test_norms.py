@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ohara import cli, norms
 from ohara._pairs import offset_sq_diffs
-from ohara.curve import Field, circle, random_curve, random_field
+from ohara.curve import Field, circle, random_curve, random_field, save_curve
 from ohara.errors import ValidationError
 from ohara.norms import (
     _GAGLIARDO_BAND,
-    SeminormReport,
     _bound_band_pieces,
     gagliardo_seminorm,
     holder_seminorm,
@@ -17,6 +17,7 @@ from ohara.norms import (
     local_modulus,
     lq_norm,
     product_seminorm_check,
+    seminorms,
     sobolev_linf_norm,
     sup_norm,
 )
@@ -82,17 +83,6 @@ def test_gagliardo_validation(bumpy256):
         gagliardo_seminorm(u, 1.0, 2.0)
     with pytest.raises(ValidationError):
         gagliardo_seminorm(u, 0.5, 0.5)
-
-
-def test_gagliardo_report(bumpy256):
-    u = random_field(bumpy256, 42)
-    rep = gagliardo_seminorm(u, 0.3, 2.0, report=True)
-    assert isinstance(rep, SeminormReport)
-    assert rep.kind == "gagliardo"
-    assert rep.M == bumpy256.M
-    d = rep.as_dict()
-    assert d["sigma"] == 0.3 and d["q"] == 2.0
-    assert d["value"] == rep.value > 0.0
 
 
 # ----------------------------------------------------------- Hölder moduli
@@ -213,3 +203,32 @@ def test_norms_by_row_chunks_give_the_whole_grid_bits(uneven_chunks):
             gag, modulus = _whole_grid_norms(u, sigma, q, beta, R)
             assert gagliardo_seminorm(u, sigma, q) == gag
             assert local_modulus(u, beta, R) == modulus
+            _, holder = _whole_grid_norms(u, sigma, q, beta, cv.L / 2.0)
+            one_pass = seminorms(u, sigma, q, beta)
+            assert one_pass["gagliardo"] == gag
+            assert one_pass["holder"] == holder
+
+
+def test_each_field_is_one_pass_over_its_grid(monkeypatch, tmp_path, capsys):
+    # a pass over the |du| grid reads its row 0 once, whatever the chunking
+    passes = []
+
+    def counted(values, j0=0, j1=None):
+        if j0 == 0:
+            passes.append(j1)
+        return offset_sq_diffs(values, j0, j1)
+
+    monkeypatch.setattr(norms, "offset_sq_diffs", counted)
+    cv = random_curve(2, M=64, n=3)
+    path = tmp_path / "curve.json"
+    save_curve(cv, str(path))
+    # tau and phi', then tau . phi', phi' and tau for the product check
+    assert cli.main(["norms", "--curve", str(path)]) == 0
+    capsys.readouterr()
+    assert len(passes) == 5
+    passes.clear()
+    product_seminorm_check(cv, random_field(cv, 6))
+    assert len(passes) == 3
+    passes.clear()
+    little_holder_flag(random_field(cv, 7), 0.5)
+    assert len(passes) == 1

@@ -16,7 +16,7 @@ from ohara import _pairs
 from ohara.curve import bilipschitz_constant, from_samples, random_curve, random_field
 from ohara.errors import NumericalError
 from ohara.kernels import EnergyParams
-from ohara.norms import gagliardo_seminorm, holder_seminorm
+from ohara.norms import gagliardo_seminorm, holder_seminorm, seminorms
 from ohara.quadrature import GridOperator
 
 
@@ -80,6 +80,8 @@ def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch
             dual.prefix, dual.total, dual.tp_prefix, dual.tp, dual.kpp,
             gagliardo_seminorm(phi.deriv, 0.5, 3.0), holder_seminorm(phi.deriv, 0.5),
             gagliardo_seminorm(cv.tau_field, 0.5, 3.0), holder_seminorm(cv.tau_field, 0.5),
+            *seminorms(phi.deriv, 0.5, 3.0, 0.5).values(),
+            *seminorms(cv.tau_field, 0.5, 3.0, 0.5).values(),
         ]
 
     pooled = outputs()

@@ -15,6 +15,11 @@ norms         seminorm reports for the tangent and the test field; its
 flow          projected gradient descent with trace output
 verify        oracle suites (finite differences, limits, circle forms, norms)
 
+Every subcommand takes --curve, --alpha, --p, --M and --out; the other flags
+(--beta, --band, --phi, --psi, --seed, --which, --suite) go only to the
+subcommands that read them (see ``_COMMANDS``), so a flag that a subcommand
+would ignore is an error: ``unrecognized arguments``, exit 1.
+
 All results are printed as sorted JSON on stdout (float repr is
 shortest-roundtrip, so identical configurations and seeds reproduce
 bit-identical bytes at a fixed BLAS thread count: threaded OpenBLAS matrix
@@ -31,8 +36,7 @@ import sys
 
 from .curve import (
     Field,
-    _float_array,
-    _read_rows,
+    _read_samples,
     circle,
     ellipse,
     load_curve,
@@ -69,27 +73,20 @@ def _parser():
         description="O'Hara-type (alpha, p) knot energies on closed curves",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, helptext) in _COMMANDS.items():
+    for name, (_, helptext, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--curve", metavar="PATH", default=None)
         sp.add_argument("--alpha", type=float, default=2.0)
         sp.add_argument("--p", type=float, default=1.0)
-        sp.add_argument("--beta", type=float, default=None)
         sp.add_argument(
             "--M", type=int, default=None,
             help="resample the curve to M points; for verify, the sample count "
                  "of its test curves (default 256; the limits suite builds its "
                  "2:1 ellipse on at least %d)" % _ELLIPSE_MIN_M,
         )
-        sp.add_argument("--band", type=int, default=2)
-        sp.add_argument("--phi", metavar="PATH|synthetic:K", default="synthetic:6")
-        sp.add_argument("--psi", metavar="PATH|synthetic:K", default="synthetic:7")
         sp.add_argument("--out", metavar="PATH", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        if name == "density":
-            sp.add_argument("--which", choices=("density", "g", "h"), default="density")
-        if name == "verify":
-            sp.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return ap
 
 
@@ -114,22 +111,8 @@ def _load_field(curve, spec, seed):
         if modes < 1:
             raise ValidationError("synthetic field needs K >= 1 modes")
         return random_field(curve, seed=seed, modes=modes)
-    try:
-        with open(spec) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError("cannot read field file %s: %s" % (spec, exc))
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("malformed field JSON: %s" % exc)
-        key = "values" if "values" in doc else "points"
-        if key not in doc:
-            raise ValidationError("field JSON must contain 'values' (or 'points')")
-        vals = _float_array(doc[key], "field " + key)
-    else:
-        vals = _read_rows(text, "field file")
+    vals = _read_samples(spec, "field", ("values", "points"),
+                         "field JSON must contain 'values' (or 'points')")[0]
     if vals.ndim in (1, 2) and vals.shape != (curve.M, curve.n):
         # Field rejects the other ranks itself
         raise ValidationError(
@@ -269,14 +252,7 @@ def _cmd_flow(args, params):
     cv = _need_curve(args)
     snap = args.out + ".steps" if args.out is not None else None
     with _writing(args.out):
-        state = run_flow(
-            cv,
-            params,
-            steps=60,
-            K=8,
-            trace_path=args.out,
-            snapshot_dir=snap,
-        )
+        state = run_flow(cv, params, trace_path=args.out, snapshot_dir=snap)
     _emit(
         {
             "steps_accepted": state.step,
@@ -390,16 +366,35 @@ def _cmd_verify(args, params):
     return 0
 
 
-#: subcommand -> (function, help text), in the order ``--help`` lists them
+#: the flags that only some subcommands read: flag -> ``add_argument`` keywords
+_FLAGS = {
+    "--beta": {"type": float, "default": None},
+    "--band": {"type": int, "default": 2},
+    "--phi": {"metavar": "PATH|synthetic:K", "default": "synthetic:6"},
+    "--psi": {"metavar": "PATH|synthetic:K", "default": "synthetic:7"},
+    "--seed": {"type": int, "default": 0},
+    "--which": {"choices": ("density", "g", "h"), "default": "density"},
+    "--suite": {"choices": (*_SUITES, "all"), "default": "all"},
+}
+
+#: subcommand -> (function, help text, flags of ``_FLAGS`` it reads), in the
+#: order ``--help`` lists them; every subcommand reads --curve, --alpha, --p,
+#: --M and --out.  energy reads no seed: it keeps --seed so that one argv
+#: serves the energy, gradient, hessian-form and norms jobs
 _COMMANDS = {
-    "energy": (_cmd_energy, "energy value with error estimate"),
-    "gradient": (_cmd_gradient, "first variation along a field"),
-    "hessian-form": (_cmd_hessian, "second variation along two fields"),
-    "density": (_cmd_density, "pair-grid export of density/G/H"),
-    "limits": (_cmd_limits, "diagonal-limit reports"),
-    "norms": (_cmd_norms, "seminorm reports"),
-    "flow": (_cmd_flow, "projected gradient descent"),
-    "verify": (_cmd_verify, "oracle suites"),
+    "energy": (_cmd_energy, "energy value with error estimate", ("--band", "--seed")),
+    "gradient": (_cmd_gradient, "first variation along a field",
+                 ("--band", "--phi", "--seed")),
+    "hessian-form": (_cmd_hessian, "second variation along two fields",
+                     ("--band", "--phi", "--psi", "--seed")),
+    "density": (_cmd_density, "pair-grid export of density/G/H",
+                ("--beta", "--band", "--phi", "--psi", "--seed", "--which")),
+    "limits": (_cmd_limits, "diagonal-limit reports",
+               ("--beta", "--phi", "--psi", "--seed")),
+    "norms": (_cmd_norms, "seminorm reports", ("--beta", "--phi", "--seed")),
+    "flow": (_cmd_flow, "projected gradient descent", ()),
+    "verify": (_cmd_verify, "oracle suites",
+               ("--beta", "--band", "--phi", "--psi", "--seed", "--suite")),
 }
 
 
@@ -410,10 +405,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        params = EnergyParams(args.alpha, args.p, beta=args.beta)
-        if args.seed < 0:
+        params = EnergyParams(args.alpha, args.p, beta=getattr(args, "beta", None))
+        if getattr(args, "seed", 0) < 0:
             raise ValidationError("seed must be >= 0")
-        command, _ = _COMMANDS[args.command]
+        command = _COMMANDS[args.command][0]
         return command(args, params)
     except ValidationError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -99,8 +99,8 @@ class Field:
             self._interp = Interpolant(self.values, self.curve.L)
         return self._interp
 
-    def at(self, s, order=0):
-        return self.interpolant()(s, order=order)
+    def at(self, s):
+        return self.interpolant()(s)
 
     def dot(self, other):
         """Pointwise inner product with another field -> scalar Field."""
@@ -242,7 +242,7 @@ class ClosedCurve:
 # -- public constructors -----------------------------------------------------
 
 
-def from_samples(points, closed=True):
+def from_samples(points):
     """Build a :class:`ClosedCurve` from ordered point samples.
 
     The points are interpreted as uniform samples of *some* periodic
@@ -253,11 +253,7 @@ def from_samples(points, closed=True):
     ----------
     points : array-like (M, n)
         Ordered samples, first point not repeated at the end.
-    closed : bool
-        Must be True; open curves are out of scope.
     """
-    if not closed:
-        raise ValidationError("only closed curves are supported")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValidationError("points must be an (M, n) array")
@@ -440,6 +436,32 @@ def _read_rows(text, what):
     return _float_array(rows, what + " rows")
 
 
+def _read_samples(path, what, keys, missing):
+    """``(array, doc)`` from a curve or field file, JSON or CSV.
+
+    A file whose text starts with ``{`` is JSON: ``array`` is the entry of
+    the first of ``keys`` it holds (``missing`` is the error message when it
+    holds none) and ``doc`` the whole document.  Any other file is a table
+    of rows (:func:`_read_rows`), and ``doc`` is ``{}``.  ``what`` names the
+    file in error messages.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError("cannot read %s file %s: %s" % (what, path, exc))
+    if not text.lstrip().startswith("{"):
+        return _read_rows(text, what + " file"), {}
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError("malformed %s JSON: %s" % (what, exc))
+    key = next((k for k in keys if k in doc), None)
+    if key is None:
+        raise ValidationError(missing)
+    return _float_array(doc[key], "%s %s" % (what, key)), doc
+
+
 def load_curve(path, M=None):
     """Read point samples from JSON or CSV and build a curve.
 
@@ -448,26 +470,12 @@ def load_curve(path, M=None):
     to that grid size.
     """
     path = str(path)
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError("cannot read curve file %s: %s" % (path, exc))
-    text_stripped = text.lstrip()
-    if text_stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("malformed curve JSON: %s" % exc)
-        if not isinstance(doc, dict) or "points" not in doc:
-            raise ValidationError("curve JSON must contain a 'points' array")
-        if not doc.get("closed", True):
-            raise ValidationError("only closed curves are supported")
-        pts = _float_array(doc["points"], "curve points")
-        if "dimension" in doc and pts.ndim == 2 and pts.shape[1] != doc["dimension"]:
-            raise ValidationError("curve JSON dimension does not match point data")
-    else:
-        pts = _read_rows(text, "curve file")
+    pts, doc = _read_samples(path, "curve", ("points",),
+                             "curve JSON must contain a 'points' array")
+    if not doc.get("closed", True):
+        raise ValidationError("only closed curves are supported")
+    if "dimension" in doc and pts.ndim == 2 and pts.shape[1] != doc["dimension"]:
+        raise ValidationError("curve JSON dimension does not match point data")
     crv = from_samples(pts)
     if M is not None and M != crv.M:
         crv = resampled(crv, M)

@@ -11,10 +11,11 @@ curve passes through the full arclength reparametrization and bi-Lipschitz
 validation, so a step that destroys embeddedness is rejected the same way as
 one that increases energy.
 
-With ``fixed_length=True`` (the default) the dilation component of the
-gradient is projected out and each accepted curve is rescaled to the initial
-length, which pins down the scaling degree of freedom for parameter ranges
-where the energy is not scale-invariant.
+With ``fixed_length=True`` (the default of :func:`flow_step`, and always
+so in :func:`run_flow`) the dilation component of the gradient is projected
+out and each accepted curve is rescaled to the initial length, which pins
+down the scaling degree of freedom for parameter ranges where the energy is
+not scale-invariant.
 """
 
 import csv
@@ -36,6 +37,8 @@ __all__ = [
     "run_flow",
 ]
 
+#: initial step size of :func:`run_flow`
+DT0 = 0.05
 DT_MIN = 1.0e-12
 DT_MAX = 1.0
 
@@ -113,11 +116,11 @@ def _project_out_dilation(curve, gvals):
     return gvals - (_l2_inner(curve, gvals, d) / dd) * d
 
 
-def flow_step(state, params, K=8, fixed_length=True, dt_min=DT_MIN):
+def flow_step(state, params, K=8, fixed_length=True):
     """One backtracking descent step; mutates and returns ``state``.
 
     Halves dt until the candidate curve is admissible (embedded,
-    bi-Lipschitz) and strictly decreases the energy; below ``dt_min`` the
+    bi-Lipschitz) and strictly decreases the energy; below ``DT_MIN`` the
     state is marked halted with a diagnostic instead.  dt = 0 leaves the
     curve unchanged.  The accepted candidate's grid operator is kept for the
     next step's gradient.
@@ -145,7 +148,7 @@ def flow_step(state, params, K=8, fixed_length=True, dt_min=DT_MIN):
         return state
 
     dt = state.dt
-    while dt >= dt_min:
+    while dt >= DT_MIN:
         try:
             cand = from_samples(cv.positions - dt * gvals)
             if fixed_length and cand.L != L0:
@@ -168,26 +171,18 @@ def flow_step(state, params, K=8, fixed_length=True, dt_min=DT_MIN):
 
     state.halted = True
     state.diagnostic = (
-        "no descent direction at dt >= %g (gradient norm %.3g)" % (dt_min, gnorm)
+        "no descent direction at dt >= %g (gradient norm %.3g)" % (DT_MIN, gnorm)
     )
     return state
 
 
-def run_flow(
-    curve,
-    params,
-    steps=60,
-    K=8,
-    dt0=0.05,
-    fixed_length=True,
-    trace_path=None,
-    snapshot_dir=None,
-):
+def run_flow(curve, params, steps=60, trace_path=None, snapshot_dir=None):
     """Run up to ``steps`` accepted descent steps; returns the FlowState.
 
-    Stops early when backtracking bottoms out.  ``trace_path`` writes a CSV
-    with one row per accepted step (step, energy, grad_norm, dt);
-    ``snapshot_dir`` saves each accepted curve in the standard JSON format.
+    Each step is :func:`flow_step` at its defaults (K = 8 modes, fixed
+    length), starting from dt = ``DT0``.  Stops early when backtracking
+    bottoms out.  ``trace_path`` writes a CSV with one row per accepted step
+    (step, energy, grad_norm, dt); ``snapshot_dir`` saves each accepted curve in the standard JSON format.
     Both destinations are created before the first step, so a path that
     cannot be written raises ``OSError`` before any descent work.
     """
@@ -196,13 +191,13 @@ def run_flow(
     if trace_path is not None:
         with open(trace_path, "w"):
             pass
-    state = FlowState(curve=curve, dt=dt0)
+    state = FlowState(curve=curve, dt=DT0)
     state.energies.append(energy(curve, params))
-    rows = [(0, state.energies[0], float("nan"), dt0)]
+    rows = [(0, state.energies[0], float("nan"), DT0)]
     if snapshot_dir is not None:
         save_curve(curve, os.path.join(snapshot_dir, "step_0000.json"))
     for _ in range(steps):
-        flow_step(state, params, K=K, fixed_length=fixed_length)
+        flow_step(state, params)
         if state.halted:
             break
         rows.append((state.step, state.energies[-1], state.grad_norms[-1], state.dt))

@@ -77,7 +77,6 @@ __all__ = [
     "holder_chain_check",
     "GridOperator",
     "save_grid_csv",
-    "save_grid_json",
 ]
 
 DEFAULT_BAND = 2
@@ -694,29 +693,32 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     needs ``phi`` and ``psi``.  When ``beta`` is given, values carry the
     weight ``D^((alpha - 2 beta) p)`` that renders them bounded (for beta at
     the Hoelder regularity of the curve).  Returns a :class:`PairGrid`.
+    ``which``, the fields it needs and ``beta`` are checked before any grid
+    work.
     """
+    if which not in ("density", "g", "h"):
+        raise ValidationError("unknown grid quantity %r" % (which,))
+    if which == "g" and phi is None:
+        raise ValidationError("which='g' requires phi")
+    if which == "h" and (phi is None or psi is None):
+        raise ValidationError("which='h' requires phi and psi")
+    if beta is not None and not (0.0 < beta <= 1.0):
+        raise ValidationError("beta must lie in (0, 1]")
+
     op = GridOperator(curve, params, band)
     flagged = []
     if which == "density":
         V, label, W0 = op.density_values(), "M_alpha^p", density_limit(curve, params)
     elif which == "g":
-        if phi is None:
-            raise ValidationError("which='g' requires phi")
         V, label, W0 = op.g_values(phi), "G", g_limit(curve, params, phi)
-    elif which == "h":
-        if phi is None or psi is None:
-            raise ValidationError("which='h' requires phi and psi")
+    else:
         V, fmask = op.h_values(phi, psi)
         # row j, column k is the pair (s_{j+k}, s_j)
         flagged = [(int((j + k) % curve.M), int(j)) for j, k in zip(*np.nonzero(fmask))]
         label, W0 = "H", h_limit(curve, params, phi, psi)
-    else:
-        raise ValidationError("unknown grid quantity %r" % (which,))
 
     gamma_w = 0.0
     if beta is not None:
-        if not (0.0 < beta <= 1.0):
-            raise ValidationError("beta must lie in (0, 1]")
         gamma_w = (params.alpha - 2.0 * beta) * params.p
         Dk = np.abs(short_arc_offsets(curve.M, curve.L))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -741,21 +743,21 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     )
 
 
-def holder_chain_check(curve, phi, psi, params, band=DEFAULT_BAND):
+def holder_chain_check(curve, phi, psi, params):
     """The eight term-by-term integral bounds behind the variation estimates.
 
-    All norms are taken over the off-band discrete pair measure (cell area
-    h^2), so each bound is an exact discrete Hoelder/sup inequality and the
-    margins are nonnegative up to rounding.  Requires p > 1 (the H2 bound
+    All norms are taken over the discrete pair measure (cell area h^2) off
+    the ``DEFAULT_BAND`` band, so each bound is an exact discrete Hoelder/sup
+    inequality and the margins are nonnegative up to rounding.  Requires p > 1 (the H2 bound
     involves ``p - 1``).  Returns ``{name: {lhs, rhs, margin}}`` where
     ``margin = (rhs - lhs) / max(rhs, tiny)``.
     """
     if not (params.p > 1):
         raise ValidationError("holder_chain_check requires p > 1")
-    op = GridOperator(curve, params, band)
+    op = GridOperator(curve, params)
     p = params.p
     h2cell = curve.h ** 2
-    cols = _offband_cols(curve.M, band)
+    cols = _offband_cols(curve.M, DEFAULT_BAND)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         geometry = {k: _unfold(V) for k, V in op._geometry(0, curve.M).items()}
@@ -817,11 +819,3 @@ def save_grid_csv(grid, path):
         for row in vals:
             fh.write(",".join("nan" if not np.isfinite(x) else repr(float(x)) for x in row))
             fh.write("\n")
-
-
-def save_grid_json(grid, path):
-    import json
-
-    with open(str(path), "w") as fh:
-        json.dump(grid.summary(), fh)
-        fh.write("\n")

@@ -28,8 +28,11 @@ def _wavenumbers(M, L):
     return 2.0 * np.pi / L * np.arange(M // 2 + 1)
 
 
-def spectral_derivative(values, L, order=1):
+def spectral_derivative(values, L):
     """Differentiate uniform periodic samples via the trig interpolant.
+
+    The Nyquist cosine has no derivative representable on the grid, so its
+    coefficient is dropped.
 
     Parameters
     ----------
@@ -37,8 +40,6 @@ def spectral_derivative(values, L, order=1):
         Samples along axis 0; the sample axis is periodic with period ``L``.
     L : float
         Period.
-    order : int
-        Derivative order (>= 1).
 
     Returns
     -------
@@ -47,10 +48,8 @@ def spectral_derivative(values, L, order=1):
     values = np.asarray(values, dtype=float)
     M = values.shape[0]
     c = np.fft.rfft(values, axis=0)
-    fac = (1j * _wavenumbers(M, L)) ** order
-    if order % 2 == 1:
-        # the Nyquist cosine has no odd derivative representable on the grid
-        fac[-1] = 0.0
+    fac = 1j * _wavenumbers(M, L)
+    fac[-1] = 0.0
     if values.ndim > 1:
         fac = fac.reshape((-1,) + (1,) * (values.ndim - 1))
     return np.fft.irfft(c * fac, n=M, axis=0)

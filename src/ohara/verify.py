@@ -38,7 +38,7 @@ __all__ = [
     "neville_h2",
 ]
 
-#: number of path levels h0 / 2^k used by the diagonal extrapolation
+#: number of path levels L / 16 / 2^k used by the diagonal extrapolation
 _LEVELS = 6
 
 
@@ -119,8 +119,10 @@ _KINDS = {
 LIMIT_KINDS = {which: row[0] for which, row in _KINDS.items()}
 
 
-def diagonal_limit(curve, phi, psi, params, s, which, h0=None):
+def diagonal_limit(curve, phi, psi, params, s, which):
     """Extrapolate a weighted kernel quantity along ``(s + h/2, s - h/2)``.
+
+    The path levels are ``h = L / 16 / 2^k`` for ``k < _LEVELS``.
 
     ``which`` selects the quantity (see :data:`LIMIT_KINDS`).  Kinds of
     the first variation need ``phi``, kinds of the second need ``phi`` and
@@ -142,9 +144,7 @@ def diagonal_limit(curve, phi, psi, params, s, which, h0=None):
     if abs(s - round(s / curve.h) * curve.h) > 1.0e-9 * curve.L:
         raise ValidationError("s must be a grid point")
 
-    if h0 is None:
-        h0 = curve.L / 16.0
-    hs = h0 / 2.0 ** np.arange(_LEVELS)
+    hs = curve.L / 16.0 / 2.0 ** np.arange(_LEVELS)
     ev = OffGridPair(curve, s + hs / 2.0, s - hs / 2.0)
     b = Blocks(ev, curve, params=params, phi=phi, psi=psi)
     n_tau_checked(b.ntt_raw())
@@ -214,17 +214,17 @@ def fd_energy_gradient(curve, phi, params, eps=None):
     return d1, (4.0 * d2 - d1) / 3.0
 
 
-def fd_energy_hessian(curve, phi, psi, params, eps=None):
+def fd_energy_hessian(curve, phi, psi, params):
     """Mixed central difference of ``E(f + e1 phi + e2 psi)`` at the origin.
 
-    Uses the four-corner quotient on the 3x3 stencil at ``eps`` and again at
-    ``eps/2``, returning the Richardson combination.
+    Uses the four-corner quotient on the 3x3 stencil at ``eps = 3e-4 L /
+    max(sup |phi|, sup |psi|)`` and again at ``eps/2``, returning the
+    Richardson combination.
     """
     if phi.values.ndim != 2 or psi.values.ndim != 2:
         raise ValidationError("perturbation fields must be vector fields")
-    if eps is None:
-        sup = max(phi.sup_norm(), psi.sup_norm(), 1.0e-12)
-        eps = 3.0e-4 * curve.L / sup
+    sup = max(phi.sup_norm(), psi.sup_norm(), 1.0e-12)
+    eps = 3.0e-4 * curve.L / sup
     vp = phi.values
     vq = psi.values
 

@@ -278,7 +278,7 @@ def test_gradient_flow_descends_to_rounder_curve():
     t0 = time.time()
     cv = perturbed_circle(256, amp=0.05, mode=3)
     d_init = circle_distance(cv)
-    state = run_flow(cv, EnergyParams(2.0, 1.0), steps=52, dt0=0.05)
+    state = run_flow(cv, EnergyParams(2.0, 1.0), steps=52)
     assert not state.halted
     assert state.step >= 50
     e = state.energies

@@ -99,7 +99,36 @@ def test_unknown_flag_exit_one(capsys):
 
 def test_help_exit_zero(capsys):
     assert main(["--help"]) == 0
-    assert main(["energy", "--help"]) == 0
+    for name in cli._COMMANDS:
+        assert main([name, "--help"]) == 0
+
+
+#: (subcommand, flag, value) for each flag that the subcommand does not read
+IGNORED_FLAGS = [
+    ("energy", "--beta", "0.5"),
+    ("energy", "--phi", "synthetic:3"),
+    ("energy", "--psi", "synthetic:3"),
+    ("gradient", "--beta", "0.5"),
+    ("gradient", "--psi", "/no/such/file"),
+    ("hessian-form", "--beta", "0.5"),
+    ("limits", "--band", "3"),
+    ("norms", "--band", "3"),
+    ("norms", "--psi", "synthetic:3"),
+    ("flow", "--beta", "0.5"),
+    ("flow", "--band", "5"),
+    ("flow", "--phi", "/nope"),
+    ("flow", "--psi", "synthetic:3"),
+    ("flow", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", IGNORED_FLAGS)
+def test_unread_flag_is_rejected(capsys, circle_file, command, flag, value):
+    # a flag that the subcommand would ignore fails like any unknown flag
+    code, out, err = run_cli(capsys, command, "--curve", circle_file, flag, value)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: %s" % flag in err
 
 
 def test_gradient_command(capsys, circle_file):

@@ -216,7 +216,7 @@ def test_run_flow_trace_and_snapshots(tmp_path, params21):
     trace = tmp_path / "trace.csv"
     snaps = tmp_path / "steps"
     state = run_flow(
-        cv, params21, steps=3, dt0=0.05,
+        cv, params21, steps=3,
         trace_path=str(trace), snapshot_dir=str(snaps),
     )
     assert state.step == 3

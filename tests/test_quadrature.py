@@ -1,6 +1,5 @@
 """Assembled double integrals: values, error estimates, and invariances."""
 
-import json
 import tracemalloc
 import warnings
 
@@ -20,10 +19,9 @@ from ohara.quadrature import (
     first_variation,
     holder_chain_check,
     save_grid_csv,
-    save_grid_json,
     second_variation,
 )
-from ohara import variations
+from ohara import quadrature, variations
 from ohara.diagonal import g_limit, h_limit
 from ohara.quadrature import _band_pieces, _grid_pairs, _integrate, _Rows
 from ohara.variations import Blocks
@@ -265,13 +263,38 @@ def test_density_grid_g_and_h(params21, bumpy256):
     assert gg.sup > 0.0 and hh.sup > 0.0
 
 
+@pytest.mark.parametrize("bad", ["which-nope", "g-no-phi", "h-no-psi", "beta-1.5"])
+def test_density_grid_rejects_before_grid_work(monkeypatch, params21, bad):
+    # a bad which, a missing field or a bad beta raises before any
+    # GridOperator is built
+    cv = circle(32)
+    phi = random_field(cv, 26)
+    kwargs = {
+        "which-nope": {"which": "nope"},
+        "g-no-phi": {"which": "g"},
+        "h-no-psi": {"which": "h", "phi": phi},
+        "beta-1.5": {"beta": 1.5},
+    }[bad]
+    built = []
+    build = quadrature.GridOperator
+
+    def counting(*args, **kw):
+        built.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(quadrature, "GridOperator", counting)
+    with pytest.raises(ValidationError):
+        density_grid(cv, params21, **kwargs)
+    assert built == []
+    density_grid(cv, params21)
+    assert len(built) == 1
+
+
 def test_grid_export_roundtrip(tmp_path, params21):
     cv = circle(64)
     g = density_grid(cv, params21)
     csv_path = tmp_path / "grid.csv"
-    json_path = tmp_path / "grid.json"
     save_grid_csv(g, csv_path)
-    save_grid_json(g, json_path)
 
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0].startswith("# M=64")
@@ -283,10 +306,6 @@ def test_grid_export_roundtrip(tmp_path, params21):
     back = np.array([float(x) for x in lines[1 + 32].split(",")])
     keep = np.isfinite(back)
     assert np.allclose(back[keep], np.where(g.band_mask(), np.nan, g.values)[32][keep])
-
-    doc = json.loads(json_path.read_text())
-    assert doc["label"] == "M_alpha^p"
-    assert doc["sup"] == pytest.approx(g.sup)
 
 
 # ------------------------------------------------------------ chain bounds

@@ -25,6 +25,17 @@ second switches to the (negatively oriented) complementary arc when the
 backward arc is shorter.  Off the grid the prefix formula ``mean*s +
 periodic(s)`` is globally valid, so a plain difference suffices.
 
+Layout.  Vector pair quantities (integrals and endpoint values of vector
+fields, the chord vector) are component major, shaped ``(n,) + pairs``, so
+every ufunc on them runs over whole rows of pairs, not over a length-n
+inner axis; :func:`_dot` contracts the leading axis in the order that
+``einsum`` sums a component-last one, so the kernels keep their bits.  On
+the offset grid row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``, so a
+:class:`PairSet` built with a ``window`` (``quadrature._grid_pairs``) reads
+the first points of its pairs, ``table[j + k]``, through a sliding-window
+view of the doubled sample or prefix table instead of an index gather; the
+second points are one column per row.
+
 Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
 ``first_variation_dual`` with the row weights it reads off the assembler,
@@ -133,23 +144,44 @@ class PairSet:
     pairs and rows of the offset grid (``j`` a column) share this class.
     ``chord2`` may be passed in when the caller already holds the squared
     chords; ``D``, ``dvec`` and ``chord`` are computed on demand.
+
+    ``window = (j0, j1, cols)`` states that the pairs are rows ``j0:j1`` and
+    columns ``cols`` (a slice) of the offset grid, ``i = j + k``: the first
+    points are then read through a window view of the doubled sample table
+    instead of gathered through ``i``.  Vector quantities are component
+    major, ``(n,) + shape``; see the module docstring.
     """
 
-    def __init__(self, curve, i_idx, j_idx, chord2=None):
+    def __init__(self, curve, i_idx, j_idx, chord2=None, window=None):
         M = curve.M
         i = np.asarray(i_idx, dtype=np.intp) % M
         j = np.asarray(j_idx, dtype=np.intp) % M
         self.curve = curve
         self.i = i
         self.j = j
+        self.window = window
         k = (i - j) % M
         # signed short-arc separation s_i - s_j in (-L/2, L/2]
         self.ds = np.where(k <= M // 2, k, k - M) * curve.h
         self.wrap = (i < j).astype(float) - (k > M // 2)
         if chord2 is None:
             dvec = self.dvec
-            chord2 = np.einsum("...i,...i->...", dvec, dvec)
+            chord2 = _dot(dvec, dvec)
         self.chord2 = chord2
+
+    def _first(self, samples):
+        """``(M,)`` or ``(M, n)`` samples at the first points, component major."""
+        table = np.ascontiguousarray(samples.T)
+        if self.window is None:
+            return table[..., self.i]
+        j0, j1, cols = self.window
+        doubled = np.concatenate([table, table], axis=-1)
+        win = np.lib.stride_tricks.sliding_window_view(doubled, self.curve.M, axis=-1)
+        return win[..., j0:j1, cols]
+
+    def _second(self, samples):
+        """``(M,)`` or ``(M, n)`` samples at the second points, component major."""
+        return np.ascontiguousarray(samples.T)[..., self.j]
 
     @property
     def D(self):
@@ -159,7 +191,8 @@ class PairSet:
     @property
     def dvec(self):
         """Chord vector ``f(s_i) - f(s_j)``."""
-        return self.curve.positions[self.i] - self.curve.positions[self.j]
+        pos = self.curve.positions
+        return self._first(pos) - self._second(pos)
 
     @property
     def chord(self):
@@ -169,18 +202,15 @@ class PairSet:
     def integral(self, field):
         """Signed short-arc integral of a field between the pair endpoints."""
         P, T = field.prefix()
-        out = P[self.i] - P[self.j]
-        if P.ndim == 2:
-            out = out + self.wrap[..., None] * T
-        else:
-            out = out + self.wrap * T
+        out = self._first(P) - self._second(P)
+        out += self.wrap * np.reshape(T, np.shape(T) + (1,) * self.wrap.ndim)
         return out
 
     def value1(self, field):
-        return field.values[self.i]
+        return self._first(field.values)
 
     def value2(self, field):
-        return field.values[self.j]
+        return self._second(field.values)
 
 
 class OffGridPair:
@@ -188,7 +218,8 @@ class OffGridPair:
 
     The chord is taken as the short-arc integral of the tangent rather than a
     difference of interpolated positions; the two agree to machine precision
-    and the former keeps the kernel cancellations exact.
+    and the former keeps the kernel cancellations exact.  Vector quantities
+    are component major, as on :class:`PairSet`.
     """
 
     def __init__(self, curve, s1, s2):
@@ -200,17 +231,20 @@ class OffGridPair:
             raise ValueError("off-grid pairs must be given in short-arc form")
         self.D = np.abs(self.ds)
         self.dvec = self.integral(curve.tau_field)
-        self.chord2 = np.einsum("...i,...i->...", self.dvec, self.dvec)
+        self.chord2 = _dot(self.dvec, self.dvec)
+
+    def _vector(self, field, out):
+        return np.moveaxis(out, -1, 0) if field.values.ndim == 2 else out
 
     def integral(self, field):
         interp = field.interpolant()
-        return interp.prefix(self.s1) - interp.prefix(self.s2)
+        return self._vector(field, interp.prefix(self.s1) - interp.prefix(self.s2))
 
     def value1(self, field):
-        return field.at(self.s1)
+        return self._vector(field, field.at(self.s1))
 
     def value2(self, field):
-        return field.at(self.s2)
+        return self._vector(field, field.at(self.s2))
 
 
 def offset_sq_diffs(values, j0=0, j1=None):
@@ -229,11 +263,32 @@ def offset_sq_diffs(values, j0=0, j1=None):
     return np.einsum("jik,jik->jk", d, d)
 
 
+def _dot(a, b):
+    """``sum_c a[c] * b[c]`` over the leading (component) axis.
+
+    Summed in the order of numpy's ``einsum("...i,...i->...")`` over a
+    contiguous component axis of length n < 8: two partial sums of
+    alternate components, ``(a0 b0 + a2 b2) + a1 b1`` for n = 3, so the bits
+    are those of the component-last contraction.  Adding ``+0.0`` at the
+    end gives an all-zero product the sign einsum gives it.
+    """
+    even = a[0] * b[0]
+    for c in range(2, len(a), 2):
+        even += a[c] * b[c]
+    if len(a) > 1:
+        odd = a[1] * b[1]
+        for c in range(3, len(a), 2):
+            odd += a[c] * b[c]
+        even += odd
+    even += 0.0
+    return even
+
+
 def n_raw(ev, u, v, uv):
     """Bilinear kernel N(u, v) on an evaluator, given the product field uv."""
     Iu = ev.integral(u)
     Iv = ev.integral(v)
-    return (ev.ds * ev.integral(uv) - np.einsum("...i,...i->...", Iu, Iv)) / ev.chord2
+    return (ev.ds * ev.integral(uv) - _dot(Iu, Iv)) / ev.chord2
 
 
 def n_raw_scalar(ev, u, v, uv):
@@ -245,4 +300,4 @@ def k_raw(ev, u, v):
     """Chord-difference kernel K(u, v) = <du, dv> / |df|^2."""
     du = ev.value1(u) - ev.value2(u)
     dv = ev.value1(v) - ev.value2(v)
-    return np.einsum("...i,...i->...", du, dv) / ev.chord2
+    return _dot(du, dv) / ev.chord2

@@ -515,7 +515,15 @@ def random_curve(seed, M=256, n=3, modes=5, amplitude=0.1):
 
 
 def random_field(curve, seed, modes=6, amplitude=1.0):
-    """Seeded random smooth vector field along a curve (trig polynomial)."""
+    """Seeded random smooth vector field along a curve (trig polynomial).
+
+    Needs ``0 <= 2 modes < M``: on the grid a higher mode folds onto a lower
+    one.
+    """
+    if modes < 0 or 2 * modes >= curve.M:
+        raise ValidationError(
+            "random field needs 0 <= 2 modes < M (M = %d, modes = %d)" % (curve.M, modes)
+        )
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * curve.s / curve.L
     vals = np.zeros((curve.M, curve.n))

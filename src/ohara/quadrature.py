@@ -138,12 +138,12 @@ class _Rows:
 def _grid_pairs(curve, j0=0, j1=None, cols=slice(None)):
     """Rows ``j0:j1`` of the offset grid, all of them by default, on its
     columns ``cols`` (a slice, all ``M`` by default): row ``j``, column ``k``
-    is the pair ``(s_{j+k}, s_j)``."""
+    is the pair ``(s_{j+k}, s_j)``, read through windows (``_pairs``)."""
     M = curve.M
     j1 = M if j1 is None else j1
     j = np.arange(j0, j1)[:, None]
     return PairSet(curve, j + np.arange(M)[cols], j,
-                   chord2=curve.chord2_grid()[j0:j1, cols])
+                   chord2=curve.chord2_grid()[j0:j1, cols], window=(j0, j1, cols))
 
 
 def _half_width(M):
@@ -497,7 +497,6 @@ class GridOperator:
         # the band columns have weight 0, and there the blocks are singular
         k = slice(self.band + 1, M - self.band)
         kc = M // 2 - self.band - 1  # the antipodal column of the slice
-        Ptau, Ttau = cv.tau_field.prefix()
 
         def rows(j0, j1):
             ps = _grid_pairs(cv, j0, j1, k)
@@ -511,10 +510,7 @@ class GridOperator:
             # multiplies I(phi'_c), x[n] I(tau.phi') and x[n + 1], which is
             # cT, tau.phi'(s1) + tau.phi'(s2)
             x = np.empty((n + 2,) + m.shape)
-            for c in range(n):
-                dvec = cv.positions[ps.i, c] - cv.positions[j0:j1, c, None]
-                itau = Ptau[ps.i, c] - Ptau[j0:j1, c, None] + ps.wrap * Ttau[c]
-                x[c] = (cK * dvec - cN * itau) / ps.chord2
+            x[:n] = (cK * ps.dvec - cN * ps.integral(cv.tau_field)) / ps.chord2
             x[n] = cN * ps.ds / ps.chord2
             x[n + 1] = hmp1 * m
             # Row l of the transpose pairs x[l, k] with x[l - k, k], the pair

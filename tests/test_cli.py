@@ -248,6 +248,9 @@ BAD_INPUTS = {
     "field-json-array": ("phi.json", "[[0.0, 1.0], [1.0, 0.0]]", "phi"),
     "field-json-non-numeric": ("phi.json", '{"values": [["a", "b"]]}', "phi"),
     "field-json-scalar": ("phi.json", '{"values": 3.0}', "phi"),
+    # a file name of None passes the text itself: on the M = 128 circle,
+    # modes 64 and up would fold onto lower ones
+    "synthetic-modes-fold": (None, "synthetic:64", "phi"),
 }
 
 
@@ -265,9 +268,11 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, circle_file, case):
         command, opts = "verify", {"--suite": case.rsplit("-", 1)[1], "--M": "0"}
     else:
         name, text, role = BAD_INPUTS[case]
-        path = tmp_path / name
-        path.write_text(text)
-        opts["--" + role] = str(path)
+        if name is not None:
+            path = tmp_path / name
+            path.write_text(text)
+            text = str(path)
+        opts["--" + role] = text
     code, out, err = run_cli(capsys, command, *(t for kv in opts.items() for t in kv))
     assert code == 1
     assert out == ""
@@ -421,12 +426,21 @@ def test_console_script_installed(circle_file):
     assert abs(doc["E"] - 4.0) < 1.0e-8
 
 
+def _source_env():
+    """This process's environment with the imported package's source
+    directory put first on ``PYTHONPATH``, for child interpreters."""
+    env = dict(os.environ)
+    src = str(Path(ohara.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_closed_stdout_ends_quietly(circle_file):
     # ``ohara verify ... | head``: the reader has gone before the JSON is
     # written, which must not end in a BrokenPipeError traceback
     proc = subprocess.Popen(
         [sys.executable, "-m", "ohara.cli", "energy", "--curve", circle_file],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -444,9 +458,7 @@ def test_console_script_entry_point(circle_file, tmp_path):
         target = tomllib.load(fh)["project"]["scripts"]["ohara"]
     assert target == "ohara.cli:main"
     wrapper = "import sys; from ohara.cli import main; sys.exit(main())"
-    env = dict(os.environ)
-    src = str(Path(ohara.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _source_env()
 
     def run(*argv):
         return subprocess.run(

@@ -415,3 +415,13 @@ def test_offset_sq_diffs_matches_the_roll_loop(rows):
             got = np.concatenate([_pairs.offset_sq_diffs(values, j0, min(j0 + rows, cv.M))
                                   for j0 in range(0, cv.M, rows)])
         assert np.array_equal(got, roll_loop(values))
+
+
+def test_random_field_modes_must_stay_below_nyquist():
+    # on M samples mode m and mode M - m agree, so 2 modes >= M would fold
+    cv = circle(16)
+    assert np.all(random_field(cv, 0, modes=0).values == random_field(cv, 0, modes=0).values[0])
+    assert random_field(cv, 0, modes=7).values.shape == (16, 2)
+    for modes in (8, 99, -1):
+        with pytest.raises(ValidationError, match="2 modes < M"):
+            random_field(cv, 0, modes=modes)

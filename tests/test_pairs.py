@@ -1,0 +1,120 @@
+"""Pair evaluators: window reads of the offset grid against index gathers."""
+
+import numpy as np
+import pytest
+
+from ohara._pairs import OffGridPair, PairSet, _dot
+from ohara.curve import random_curve, random_field
+from ohara.quadrature import DEFAULT_BAND, _grid_pairs, _half_width
+
+M = 48
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4])
+def curve(request):
+    return random_curve(5, M=M, n=request.param)
+
+
+def _fields(cv):
+    phi = random_field(cv, 6)
+    return {
+        "tau": cv.tau_field,
+        "phi": phi,
+        "phi'": phi.deriv,
+        "tau.phi'": cv.tau_field.dot(phi.deriv),
+        "position": cv.position_field,
+    }
+
+
+def _windows():
+    """``(j0, j1, cols)`` of every read the grid passes make."""
+    chunks = [(j0, min(j0 + 7, M)) for j0 in range(0, M, 7)]
+    col_sets = [slice(None), slice(_half_width(M)), slice(DEFAULT_BAND + 1, M - DEFAULT_BAND)]
+    return [(0, M, cols) for cols in col_sets] + [(j0, j1, cols) for j0, j1 in chunks
+                                                  for cols in col_sets]
+
+
+def _reference(cv, j0, j1, cols):
+    """The pairs of rows ``j0:j1``, columns ``cols`` by index gathers."""
+    j = np.arange(j0, j1)[:, None]
+    k = np.arange(M)[cols]
+    i = (j + k) % M
+    wrap = (i < j).astype(float) - (k > M // 2)
+
+    def gather(samples):
+        t = samples.T  # component major
+        return t[..., i], t[..., j]
+
+    def integral(field):
+        P, T = field.prefix()
+        P1, P2 = gather(P)
+        return P1 - P2 + wrap * np.reshape(T, np.shape(T) + (1, 1))
+
+    return i, j, gather, integral
+
+
+@pytest.mark.parametrize("window", _windows(), ids=lambda w: "%s-%s-%s" % (w[0], w[1], w[2]))
+def test_window_reads_equal_index_gathers(curve, window):
+    j0, j1, cols = window
+    ps = _grid_pairs(curve, j0, j1, cols)
+    i, j, gather, integral = _reference(curve, j0, j1, cols)
+    assert np.array_equal(ps.i, np.broadcast_to(i, ps.i.shape))
+    assert np.array_equal(ps.j, j)
+    # the same pairs read through the index gathers of a plain PairSet
+    plain = PairSet(curve, i, j, chord2=ps.chord2)
+    for name, field in _fields(curve).items():
+        v1, v2 = gather(field.values)
+        for got in (ps, plain):
+            assert np.array_equal(got.integral(field), integral(field)), name
+            assert np.array_equal(got.value1(field), v1), name
+            assert np.array_equal(got.value2(field), v2), name
+    p1, p2 = gather(curve.positions)
+    assert ps.dvec.shape == (curve.n,) + ps.wrap.shape
+    assert np.array_equal(ps.dvec, p1 - p2)
+    assert np.array_equal(plain.dvec, p1 - p2)
+    k = (i - j) % M
+    assert np.array_equal(ps.chord2, curve.chord2_grid()[j, k])
+
+
+@pytest.mark.parametrize("window", [(0, M, slice(None)), (7, 14, slice(_half_width(M)))])
+def test_window_chord2_is_the_dot_of_the_chord(curve, window):
+    ps = PairSet(curve, *_reference(curve, *window)[:2], window=window)
+    d = ps.dvec
+    assert np.array_equal(ps.chord2, _dot(d, d))
+    np.testing.assert_array_max_ulp(ps.chord2, np.einsum("i...,i...->...", d, d), maxulp=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dot_matches_einsum(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 5, 9)) * 10.0 ** rng.uniform(-6, 6, size=(n, 5, 9))
+    b = rng.normal(size=(n, 5, 9))
+    # the component-last contraction of the same numbers
+    ref = np.einsum("...i,...i->...", np.moveaxis(a, 0, -1).copy(), np.moveaxis(b, 0, -1).copy())
+    np.testing.assert_array_max_ulp(_dot(a, b), ref, maxulp=2)
+    np.testing.assert_array_max_ulp(_dot(a[:, 2, 3], b[:, 2, 3]), ref[2, 3], maxulp=2)
+    # products that are all -0.0 sum to +0.0, as in einsum
+    assert not np.signbit(_dot(np.zeros((n, 4)), -np.ones((n, 4)))).any()
+
+
+def test_single_pair_is_component_major(curve):
+    ps = PairSet(curve, 30, 4)
+    phi = random_field(curve, 6)
+    assert ps.dvec.shape == (curve.n,)
+    assert np.array_equal(ps.dvec, curve.positions[30] - curve.positions[4])
+    assert np.array_equal(ps.value1(phi), phi.values[30])
+    assert ps.integral(phi).shape == (curve.n,)
+    assert ps.integral(curve.tau_field.dot(phi)).shape == ()
+
+
+def test_off_grid_pairs_are_component_major(curve):
+    s1 = np.array([0.3, 1.1]) * curve.L / 4.0
+    s2 = s1 - curve.L / 8.0
+    ev = OffGridPair(curve, s1, s2)
+    phi = random_field(curve, 6)
+    interp = phi.interpolant()
+    assert np.array_equal(ev.integral(phi), (interp.prefix(s1) - interp.prefix(s2)).T)
+    assert np.array_equal(ev.value1(phi), phi.at(s1).T)
+    assert np.array_equal(ev.value2(phi), phi.at(s2).T)
+    assert ev.dvec.shape == (curve.n, 2)
+    np.testing.assert_array_max_ulp(ev.chord2, np.sum(ev.dvec ** 2, axis=0), maxulp=2)

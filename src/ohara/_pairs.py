@@ -41,100 +41,34 @@ Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``first_variation_dual`` with the row weights it reads off the assembler,
 ``curve.chord2_grid`` from rows of :func:`offset_sq_diffs`,
 ``curve.bilipschitz_constant``, and the one pass per field of ``norms``)
-and the cos/sin table of ``spectral.Interpolant`` call
-:func:`map_chunks`, which calls
-``fn(j0, j1)`` once per row chunk.  Each row is computed on its own, so the
-result is the same, bit for bit, whatever the chunking and whichever thread
-runs a chunk.  The policy, with no flag and no environment variable:
+calls :func:`map_chunks`, which calls ``fn(j0, j1)`` once per row chunk of
+about ``CHUNK_CELLS`` cells, in row order, on the calling thread.  Each row
+is computed on its own, so the result is the same, bit for bit, whatever
+the chunking.
 
-* one module-level ``ThreadPoolExecutor`` of ``WORKERS`` threads, the CPUs
-  this process may run on (``os.sched_getaffinity``, else
-  ``os.cpu_count()``).  Its threads start on the first task, not at import;
-* a pass of fewer than ``PARALLEL_CELLS`` cells runs serially, in chunks of
-  about ``CHUNK_CELLS`` cells.  On a 2-CPU box the pool gained nothing on
-  the M = 512 grid passes and 1.4-1.8x on the M = 1024 ones, and each pool
-  thread that runs costs the process its own malloc arena;
-* a larger pass runs in chunks of about ``CHUNK_CELLS / WORKERS`` cells, so
-  the chunks in flight together hold about as many cells per live block as
-  one serial chunk.  Its first chunk runs in the calling thread and fills
-  every lazy cache the chunks share (a field's prefix table, a curve's chord
-  grid), so the pool threads only read shared state; and ``fn`` may reach
-  ``map_chunks`` again only through such a cache, since a pool thread that
-  waited on the pool could deadlock it.  The other chunks run on the pool,
-  in ``_BATCHES`` tasks per worker, each of consecutive chunks: one task
-  per chunk cost up to a fifth of the M = 1024 table's time in hand-offs;
-* a pool task runs under the caller's ``np.geterr()``, which numpy does not
-  pass on to other threads.  Results come back in chunk order, and an
-  exception surfaces from the first chunk that raised it, as in a serial
-  loop;
-* a forked child process gets a new pool, since it inherits the pool but
-  not its threads;
-* a pool task calls none of the functions that the benchmark's layer
-  tracer (``perfbench/spans.py``) wraps, since the tracer keeps one span
-  stack for the calling thread.
+These passes run serially.  Since the window reads, each ufunc on a chunk
+is a short contiguous pass and the Python work between them holds the GIL,
+so a pool of threads made them slower.  On a 2-vCPU box at M = 1024, one
+worker against two took 52-55 ms against 63-87 ms for the ``GridOperator``
+build, 200-242 ms against 307-340 ms for ``second_variation`` and 154-163 ms
+against 194-307 ms for ``flow.l2_gradient``; and such a box caps any pool
+gain at 2x.  The one pool left builds the elementwise cos/sin table of
+``spectral.Interpolant``.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-#: cell budget of the row chunks in flight: passes over the M x M offset grid
-#: hold about this many cells per live block instead of the whole grid
+#: cell budget of a row chunk: passes over the M x M offset grid hold about
+#: this many cells per live block instead of the whole grid
 CHUNK_CELLS = 1 << 15
-
-#: passes over fewer cells run serially; the M = 1024 half grid (1024 x 513
-#: cells) is just above it, the M = 512 grids are below it
-PARALLEL_CELLS = 1 << 19
-
-
-def _cpu_count():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-#: threads of the row-chunk pool: the CPUs this process may run on
-WORKERS = _cpu_count()
-
-#: pool tasks per worker in one pass; a task runs consecutive chunks
-_BATCHES = 4
-
-
-def _start_pool():
-    """A new pool; its threads start on the first submitted task."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="ohara-rows")
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool but not its threads, which would
-    # leave every task it submits waiting
-    os.register_at_fork(after_in_child=_start_pool)
 
 
 def map_chunks(fn, M, width=None):
     """``[fn(j0, j1) for j0, j1 in chunks]`` over row chunks ``j0:j1`` of
-    ``0:M``, for rows ``width`` cells wide (``M`` by default); large passes
-    run on the pool, see the module docstring."""
-    width = width or M
-    tasks = WORKERS if M * width >= PARALLEL_CELLS else 1
-    rows = max(1, CHUNK_CELLS // (tasks * width))
-    chunks = [(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
-    if tasks < 2 or len(chunks) < 2:
-        return [fn(j0, j1) for j0, j1 in chunks]
-    first = fn(*chunks[0])
-    err = np.geterr()
-
-    def task(batch):
-        with np.errstate(**err):
-            return [fn(j0, j1) for j0, j1 in batch]
-
-    size = -(-(len(chunks) - 1) // (_BATCHES * WORKERS))
-    batches = [chunks[i:i + size] for i in range(1, len(chunks), size)]
-    return [first] + [out for batch in _POOL.map(task, batches) for out in batch]
+    ``0:M`` of about ``CHUNK_CELLS`` cells, for rows ``width`` cells wide
+    (``M`` by default)."""
+    rows = max(1, CHUNK_CELLS // (width or M))
+    return [fn(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
 
 
 class PairSet:
@@ -148,26 +82,36 @@ class PairSet:
     ``window = (j0, j1, cols)`` states that the pairs are rows ``j0:j1`` and
     columns ``cols`` (a slice) of the offset grid, ``i = j + k``: the first
     points are then read through a window view of the doubled sample table
-    instead of gathered through ``i``.  Vector quantities are component
-    major, ``(n,) + shape``; see the module docstring.
+    instead of gathered through ``i``, ``i_idx`` is not read (it may be
+    ``None``), and the separation ``ds`` is one row over the columns.  ``i``
+    is computed only when asked for.  Vector quantities are component major,
+    ``(n,) + shape``; see the module docstring.
     """
 
     def __init__(self, curve, i_idx, j_idx, chord2=None, window=None):
         M = curve.M
-        i = np.asarray(i_idx, dtype=np.intp) % M
-        j = np.asarray(j_idx, dtype=np.intp) % M
         self.curve = curve
-        self.i = i
-        self.j = j
+        self.j = np.asarray(j_idx, dtype=np.intp) % M
         self.window = window
-        k = (i - j) % M
+        # cyclic forward offset k = (i - j) mod M: on a window, its columns
+        if window is None:
+            k = (np.asarray(i_idx, dtype=np.intp) - self.j) % M
+        else:
+            k = np.arange(M)[window[2]]
+        self._k = k
         # signed short-arc separation s_i - s_j in (-L/2, L/2]
         self.ds = np.where(k <= M // 2, k, k - M) * curve.h
-        self.wrap = (i < j).astype(float) - (k > M // 2)
+        # i < j exactly when j + k >= M
+        self.wrap = (self.j + k >= M).astype(float) - (k > M // 2)
         if chord2 is None:
             dvec = self.dvec
             chord2 = _dot(dvec, dvec)
         self.chord2 = chord2
+
+    @property
+    def i(self):
+        """Sample index of the first points, ``(j + k) mod M``."""
+        return (self.j + self._k) % self.curve.M
 
     def _first(self, samples):
         """``(M,)`` or ``(M, n)`` samples at the first points, component major."""

@@ -40,11 +40,10 @@ integrand, their memory is O(rows x M) per live block, not O(M^2).  The
 geometry blocks that :class:`GridOperator` keeps are half grids built on
 the same row chunks.  Rows reduce independently, and the unfolded rows are
 those of the whole grid, so the result depends neither on the chunking nor
-on the folding, bit for bit; nor on the thread that runs a chunk, since
-large passes run on the row-chunk pool of ``_pairs.map_chunks``.  The
-transpose of the first variation (:meth:`GridOperator.first_variation_dual`)
-runs on row chunks of the whole grid too: the pair at ``(j - k, k)`` that
-row ``j`` needs is the swap of the pair at ``(j, M - k)`` in its own row.
+on the folding, bit for bit.  The transpose of the first variation
+(:meth:`GridOperator.first_variation_dual`) runs on row chunks of the whole
+grid too: the pair at ``(j - k, k)`` that row ``j`` needs is the swap of
+the pair at ``(j, M - k)`` in its own row.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -139,10 +138,8 @@ def _grid_pairs(curve, j0=0, j1=None, cols=slice(None)):
     """Rows ``j0:j1`` of the offset grid, all of them by default, on its
     columns ``cols`` (a slice, all ``M`` by default): row ``j``, column ``k``
     is the pair ``(s_{j+k}, s_j)``, read through windows (``_pairs``)."""
-    M = curve.M
-    j1 = M if j1 is None else j1
-    j = np.arange(j0, j1)[:, None]
-    return PairSet(curve, j + np.arange(M)[cols], j,
+    j1 = curve.M if j1 is None else j1
+    return PairSet(curve, None, np.arange(j0, j1)[:, None],
                    chord2=curve.chord2_grid()[j0:j1, cols], window=(j0, j1, cols))
 
 
@@ -305,8 +302,7 @@ class FirstVariationDual:
 
     :meth:`GridOperator.first_variation_dual` builds the vectors in one pass
     over row chunks of the offset grid, O(rows x M) memory beyond the
-    operator's kept grids; they are the same bits whatever the chunking and
-    the thread that runs a chunk.
+    operator's kept grids; they are the same bits whatever the chunking.
     """
 
     curve: object
@@ -361,8 +357,7 @@ class GridOperator:
     writes each chunk's geometry blocks into those arrays, and the energy
     and the variations start each chunk from row views of them
     (:meth:`_half`), then unfold the integrand and reduce it by row chunks
-    of the whole grid (:meth:`_reduce`).  Large passes run on its thread
-    pool, with the same bits as serially.  So N(tau,tau),
+    of the whole grid (:meth:`_reduce`).  So N(tau,tau),
     M_alpha etc. are computed once, on half the pairs, and whole grids exist
     only where a caller asks for one.
     """

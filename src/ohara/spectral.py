@@ -10,11 +10,30 @@ arbitrary parameter values.
 Conventions: samples live at ``s_k = k * L / M`` for ``k = 0..M-1`` with period
 ``L``; ``M`` must be even.  The Nyquist mode is treated as a pure cosine, which
 matches ``numpy.fft.irfft`` at the grid points.
+
+The cos/sin table of :class:`Interpolant` is the one computation of the
+package that runs on threads, since its work is elementwise.  It is filled
+in row chunks of about ``_pairs.CHUNK_CELLS`` cells.  With more than one
+CPU, a table of at least ``PARALLEL_CELLS`` cells is split into ``WORKERS``
+contiguous blocks of points, one task each on a module-level
+``ThreadPoolExecutor`` whose threads start on the first task (a forked
+child gets a new pool, since it inherits the pool but not its threads).  A
+task only writes ``cos`` and ``sin`` of the phases ``s * mu`` into its own
+rows of the table; the phases are finite, since the inputs are checked to
+be finite.  So it reads no lazy cache, never reaches ``_pairs.map_chunks``,
+calls none of the functions that the benchmark's layer tracer
+(``perfbench/spans.py``) wraps, and needs no ``np.errstate`` of the caller,
+which numpy does not pass on to other threads.  Each entry is its own
+elementwise value, so the table has the same bits whatever the blocks and
+the threads.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._pairs import map_chunks
+from . import _pairs
 
 __all__ = [
     "spectral_derivative",
@@ -22,6 +41,29 @@ __all__ = [
     "Interpolant",
     "short_arc_offsets",
 ]
+
+
+#: tables of fewer cells are built serially; the reparametrization's largest
+#: tables reach it from M = 512 on (2048 x 257 cells), not at M = 256
+PARALLEL_CELLS = 1 << 19
+
+
+#: threads of the table pool: the CPUs this process may run on
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
+def _start_pool():
+    """A new pool; its threads start on the first submitted task."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="ohara-table")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but not its threads, which would
+    # leave every task it submits waiting
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _wavenumbers(M, L):
@@ -91,17 +133,17 @@ class Interpolant:
     oversampled evaluations and Newton steps of the arclength
     reparametrization, where it is most of the cost of ``from_samples``.
 
-    The cos/sin table is built in row chunks through ``_pairs.map_chunks``,
-    on its thread pool for large tables; each entry is its own elementwise
-    value, so the bits do not depend on the chunks.  The product of the
-    table with the coefficients runs once on the whole table: a chunk of a
-    BLAS matrix product need not give the bits of the same rows of the whole
-    product (with OpenBLAS's own threads on, ``(31, 513) @ (513, 3)`` chunks
-    did not).  For a scalar interpolant the product is a matrix-vector
-    product, whose rows do keep their bits on a subset of points, and the
-    Newton solve relies on this to evaluate only its unconverged rows.  The
-    exception is a single point: numpy computes a one-row product by its
-    dot path, whose bits can differ, so that caller never passes one.
+    The cos/sin table is built in row chunks (see the module docstring);
+    each entry is its own elementwise value, so the bits do not depend on
+    the chunks.  The product of the table with the coefficients runs once on
+    the whole table: a chunk of a BLAS matrix product need not give the bits
+    of the same rows of the whole product (with OpenBLAS's own threads on,
+    ``(31, 513) @ (513, 3)`` chunks did not).  For a scalar interpolant the
+    product is a matrix-vector product, whose rows do keep their bits on a
+    subset of points, and the Newton solve relies on this to evaluate only
+    its unconverged rows.  The exception is a single point: numpy computes a
+    one-row product by its dot path, whose bits can differ, so that caller
+    never passes one.
     """
 
     def __init__(self, values, L):
@@ -132,14 +174,22 @@ class Interpolant:
         phase, so this equals ``np.exp(1j * np.outer(sv, mu))`` bit for bit
         while skipping the complex temporary and the ``exp(0)`` scaling.
         """
+        n, width = sv.shape[0], self._mu.size
         E = np.empty(sv.shape + self._mu.shape, dtype=complex)
+        rows = max(1, _pairs.CHUNK_CELLS // width)
 
-        def rows(j0, j1):
-            x = np.multiply.outer(sv[j0:j1], self._mu)
-            np.cos(x, out=E.real[j0:j1])
-            np.sin(x, out=E.imag[j0:j1])
+        def block(b0, b1):
+            for j0 in range(b0, b1, rows):
+                j1 = min(j0 + rows, b1)
+                x = np.multiply.outer(sv[j0:j1], self._mu)
+                np.cos(x, out=E.real[j0:j1])
+                np.sin(x, out=E.imag[j0:j1])
 
-        map_chunks(rows, sv.shape[0], self._mu.size)
+        if WORKERS < 2 or n * width < PARALLEL_CELLS:
+            block(0, n)
+        else:
+            edges = [n * b // WORKERS for b in range(WORKERS + 1)]
+            list(_POOL.map(block, edges[:-1], edges[1:]))
         return E
 
     def _value_from(self, E, order):

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ohara import _pairs
+from ohara import _pairs, spectral
 from ohara.curve import circle, ellipse, random_curve, random_field
 from ohara.kernels import EnergyParams
 
@@ -31,18 +31,18 @@ class _CountingPool(ThreadPoolExecutor):
         self.tasks = 0
 
     def submit(self, fn, /, *args, **kwargs):
-        self.tasks += 1  # map_chunks submits from the calling thread only
+        self.tasks += 1  # the table submits from the calling thread only
         return super().submit(fn, *args, **kwargs)
 
 
 @pytest.fixture
 def pool(monkeypatch):
-    """Every row-chunk pass on a two-thread pool, whatever its size and the
-    CPU count; the pool counts the tasks it gets."""
+    """Every ``spectral.Interpolant`` cos/sin table on a two-thread pool,
+    whatever its size and the CPU count; the pool counts the tasks it gets."""
     counting = _CountingPool()
-    monkeypatch.setattr(_pairs, "WORKERS", 2)
-    monkeypatch.setattr(_pairs, "PARALLEL_CELLS", 0)
-    monkeypatch.setattr(_pairs, "_POOL", counting)
+    monkeypatch.setattr(spectral, "WORKERS", 2)
+    monkeypatch.setattr(spectral, "PARALLEL_CELLS", 0)
+    monkeypatch.setattr(spectral, "_POOL", counting)
     yield counting
     counting.shutdown()
 

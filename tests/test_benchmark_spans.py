@@ -3,8 +3,8 @@
 ``perfbench/spans.py`` patches functions of ``ohara`` by name.  A rename in
 the package would otherwise only show as a crash of ``perfbench/run.py
 --trace 1``; here it fails the test suite.  Its tracer also assumes that
-every wrapped call runs on the calling thread, which the row-chunk pool
-must keep true.
+every wrapped call runs on the calling thread, which the cos/sin table's
+pool (``spectral``) must keep true.
 """
 
 import importlib.util
@@ -51,8 +51,8 @@ def test_span_install_targets_resolve():
 
 
 def test_traced_calls_stay_on_the_calling_thread(pool, monkeypatch, tmp_path, capsys):
-    # the tracer keeps one span stack per process, so no task of the row-chunk
-    # pool may call a function that it wraps; every pass goes on the pool here
+    # the tracer keeps one span stack per process, so no task of the table's
+    # pool may call a function that it wraps; every table goes on the pool here
     spans = _load_spans()
     threads = set()
 

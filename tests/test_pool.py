@@ -1,19 +1,21 @@
-"""The row-chunk pool of ``_pairs.map_chunks`` gives the bits of a serial run.
+"""The one thread pool, that of the ``spectral.Interpolant`` cos/sin table,
+gives the bits of a serial run, and the row-chunk passes of
+``_pairs.map_chunks`` give the same bits whatever the chunking.
 
-Each test puts every pass on a two-worker pool (the ``pool`` fixture), and
-compares against the same calls with one worker.
+The ``pool`` fixture puts every table on a two-worker pool that counts its
+tasks; the grid passes stay off it.
 """
 
 import multiprocessing
 import os
-import threading
-import warnings
 
 import numpy as np
 import pytest
 
-from ohara import _pairs
-from ohara.curve import bilipschitz_constant, from_samples, random_curve, random_field
+from ohara import _pairs, spectral
+from ohara.curve import (
+    ClosedCurve, bilipschitz_constant, from_samples, random_curve, random_field,
+)
 from ohara.errors import NumericalError
 from ohara.kernels import EnergyParams
 from ohara.norms import gagliardo_seminorm, holder_seminorm, seminorms
@@ -39,6 +41,11 @@ def _angle_samples(seed, M, n=3):
     return pts
 
 
+def _serial_tables(monkeypatch):
+    """Every table built in the calling thread from here on."""
+    monkeypatch.setattr(spectral, "PARALLEL_CELLS", 1 << 62)
+
+
 @pytest.mark.parametrize("M", [64, 120])
 def test_from_samples_pool_gives_the_serial_bits(pool, monkeypatch, M):
     # 7-row chunks of the position tables, so the final evaluation at the M
@@ -53,13 +60,17 @@ def test_from_samples_pool_gives_the_serial_bits(pool, monkeypatch, M):
         return [cv.positions, cv.L]
 
     pooled = outputs()
-    assert pool.tasks > 0
-    monkeypatch.setattr(_pairs, "WORKERS", 1)
+    tasks = pool.tasks
+    assert tasks > 0
+    _serial_tables(monkeypatch)
     _assert_same_bits(pooled, outputs())
+    assert pool.tasks == tasks
 
 
 @pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5)])
 def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch, alpha, p):
+    # the grid passes in 7-row chunks with a shorter last one, and the curve's
+    # tables on the pool, against one chunk per pass and serial tables
     params = EnergyParams(alpha, p)
 
     def outputs():
@@ -84,74 +95,70 @@ def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch
             *seminorms(cv.tau_field, 0.5, 3.0, 0.5).values(),
         ]
 
-    pooled = outputs()
+    chunked = outputs()
     assert pool.tasks > 0
-    monkeypatch.setattr(_pairs, "WORKERS", 1)
-    _assert_same_bits(pooled, outputs())
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", uneven_chunks.M ** 2)
+    _serial_tables(monkeypatch)
+    _assert_same_bits(chunked, outputs())
 
 
-@pytest.mark.parametrize("mode", ["raise", "ignore"])
-def test_pool_tasks_run_under_the_callers_errstate(pool, mode):
-    threads = set()
-
-    def chunk(j0, j1):
-        threads.add(threading.get_ident())
-        # only the chunks after the first, which run on the pool, divide by 0
-        return np.ones(j1 - j0) / (np.zeros(j1 - j0) if j0 else np.ones(j1 - j0))
-
-    # 16 chunks of 4 rows
-    M, width = 64, _pairs.CHUNK_CELLS // 8
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(divide=mode):
-            if mode == "raise":
-                with pytest.raises(FloatingPointError):
-                    _pairs.map_chunks(chunk, M, width)
-            else:
-                out = np.concatenate(_pairs.map_chunks(chunk, M, width))
-                assert np.isinf(out[4:]).all()
-    assert pool.tasks > 0
-    assert threads - {threading.get_ident()}
+def test_grid_passes_stay_off_the_pool(pool):
+    # M = 1024: the reparametrization's tables and the grid passes are above
+    # the table's PARALLEL_CELLS, though the fixture puts every table on the
+    # pool whatever its size
+    base = from_samples(_angle_samples(0, 1024))
+    assert pool.tasks >= 1
+    pool.tasks = 0
+    cv = ClosedCurve(base.positions, base.L)  # validation builds the chord grid
+    bilipschitz_constant(cv)
+    op = GridOperator(cv, EnergyParams(2.5, 1.5))
+    phi, psi = random_field(cv, 6), random_field(cv, 7)
+    op.energy()
+    op.first_variation(phi)
+    op.second_variation(phi, psi)
+    op.first_variation_dual()
+    seminorms(phi.deriv, 0.5, 3.0, 0.5)
+    assert pool.tasks == 0
 
 
 def test_numerical_error_in_a_later_chunk_surfaces_as_in_a_serial_run(
-    uneven_chunks, pool, monkeypatch
+    uneven_chunks, monkeypatch
 ):
     def message():
         cv = random_curve(3, M=uneven_chunks.M, n=3)
         bilipschitz_constant(cv)  # cached before the chord grid is spoiled
         # a negative squared chord near the end of the grid makes N(tau, tau)
-        # negative in a chunk that a pool thread evaluates
+        # negative in a chunk after the first
         cv.chord2_grid()[cv.M - 5, cv.M // 4] *= -1.0
         with pytest.raises(NumericalError) as exc:
             GridOperator(cv, EnergyParams(2.0, 1.0))
         return str(exc.value)
 
-    pooled = message()
-    assert pool.tasks > 0
-    assert "chord/arc tables are inconsistent" in pooled
-    monkeypatch.setattr(_pairs, "WORKERS", 1)
-    assert message() == pooled
+    chunked = message()
+    assert "chord/arc tables are inconsistent" in chunked
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", uneven_chunks.M ** 2)
+    assert message() == chunked
 
 
-def _sum_of_rows(queue):
-    queue.put(sum(_pairs.map_chunks(lambda j0, j1: j1 - j0, 64, _pairs.CHUNK_CELLS // 8)))
+def _table(queue):
+    s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    queue.put(spectral.Interpolant(np.cos(3.0 * s) + np.sin(s), 2.0 * np.pi)(s + 0.1))
 
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
 def test_forked_child_runs_pool_passes(monkeypatch):
-    # the parent's pass starts the pool's threads; the child inherits the
+    # the parent's table starts the pool's threads; the child inherits the
     # pool without them
-    monkeypatch.setattr(_pairs, "WORKERS", 2)
-    monkeypatch.setattr(_pairs, "PARALLEL_CELLS", 0)
+    monkeypatch.setattr(spectral, "WORKERS", 2)
+    monkeypatch.setattr(spectral, "PARALLEL_CELLS", 0)
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    _sum_of_rows(queue)
-    assert queue.get(timeout=10) == 64
-    child = ctx.Process(target=_sum_of_rows, args=(queue,))
+    _table(queue)
+    parent = queue.get(timeout=10)
+    child = ctx.Process(target=_table, args=(queue,))
     child.start()
     try:
-        assert queue.get(timeout=30) == 64
+        assert np.array_equal(queue.get(timeout=30), parent)
     finally:
         child.join(timeout=10)
         if child.is_alive():

@@ -271,30 +271,41 @@ def from_samples(points):
     if float(np.min(seg)) < 1.0e-12 * scale:
         raise ValidationError("consecutive samples coincide")
 
+    # every pass differentiates M samples of period 1 on this oversampled
+    # grid, so one cos/sin table serves them all
+    tf = np.arange(_OVERSAMPLE * M) / (_OVERSAMPLE * M)
+    table = Interpolant(pts, 1.0)._table(tf)
     uniform = pts
     for _ in range(4):
-        uniform, L, dev = _arclength_pass(uniform)
+        uniform, L, dev = _arclength_pass(uniform, tf, table)
         if dev < 1.0e-12:
             break
     return ClosedCurve(uniform, L)
 
 
-def _arclength_pass(pts):
+def _arclength_pass(pts, tf, table):
     """One spectral reparametrization sweep; returns (new_pts, L, speed_dev).
 
-    The Newton solve for the arclength targets runs each step only on the
-    rows whose iterate moved in the step before, and stops once none moves.
-    A row whose iterate did not change is a fixed point: its next step would
-    repeat the same arithmetic and give the same bits, so freezing it leaves
-    every output bit as six full steps give it.  That needs the rows of a
-    product over a subset to equal the same rows of the full product, which
-    holds for two rows or more but not for one (see the guard below).
+    ``table`` is the cos/sin table of M modes of period 1 at the oversampled
+    grid ``tf``; it is read, not changed.
+
+    The Newton solve for the arclength targets takes six steps, and runs
+    each only on the rows that may still move; every output bit stays as six
+    full steps give it.  That needs the rows of a product over a subset to
+    equal the same rows of the full product, which holds for two rows or
+    more but not for one (see the companion row below).  So a step maps
+    equal inputs of a row to equal bits, and two cases end a row early:
+
+    * a fixed point: the step returned the row's input.  Every later step
+      repeats the same arithmetic, so the row keeps that value.
+    * a 2-cycle: the step returned the value the row had one step before
+      its input.  Then each later step swaps the two values, so with ``k``
+      steps left the row ends on the step's result if ``k`` is even and on
+      its input if ``k`` is odd.  The row takes that value at once.
     """
     M = pts.shape[0]
     interp = Interpolant(pts, 1.0)
-    Mf = _OVERSAMPLE * M
-    tf = np.arange(Mf) / Mf
-    dv = interp(tf, order=1)
+    dv = interp._evaluate(tf, 1, False, table)[0]
     speed = np.linalg.norm(dv, axis=1)
     if float(np.min(speed)) <= 1.0e-12 * float(np.max(speed)):
         raise ValidationError("parametrization is degenerate (vanishing speed)")
@@ -305,18 +316,22 @@ def _arclength_pass(pts):
     sp_interp = Interpolant(speed, 1.0)
     # Newton solve A(t) = target, dA/dt = speed(t); A is strictly increasing
     t = np.interp(targets, np.concatenate([A, [L]]), np.concatenate([tf, [1.0]]))
+    before = np.full(M, np.nan)  # each row's value one step before t
     rows = np.arange(M)
-    for _ in range(6):
-        if rows.size == 1:
-            # numpy takes a one-row (1, K) @ (K, 1) product down its dot
-            # path, whose bits can differ from that row of a larger product;
-            # a frozen companion row keeps it a matrix product and stays put
-            rows = np.array([rows[0], (rows[0] + 1) % M])
-        t_rows = t[rows]
-        speed_t, A_t = sp_interp.value_and_prefix(t_rows)
-        step = t_rows - (A_t - targets[rows]) / speed_t
-        t[rows] = step
-        rows = rows[step != t_rows]
+    for left in range(5, -1, -1):
+        # numpy takes a one-row (1, K) @ (K, 1) product down its dot path,
+        # whose bits can differ from that row of a larger product; a lone
+        # row goes with a companion row, which has stopped, and the
+        # companion's result is dropped (it may be a 2-cycle's other value)
+        evaluated = rows if rows.size > 1 else np.array([rows[0], (rows[0] + 1) % M])
+        t_eval = t[evaluated]
+        speed_t, A_t = sp_interp.value_and_prefix(t_eval)
+        step = (t_eval - (A_t - targets[evaluated]) / speed_t)[:rows.size]
+        t_rows = t_eval[:rows.size]
+        cycled = step == before[rows]
+        before[rows] = t_rows
+        t[rows] = step if left % 2 == 0 else np.where(cycled, t_rows, step)
+        rows = rows[(step != t_rows) & ~cycled]
         if rows.size == 0:
             break
     t[0] = 0.0

@@ -13,19 +13,24 @@ matches ``numpy.fft.irfft`` at the grid points.
 
 The cos/sin table of :class:`Interpolant` is the one computation of the
 package that runs on threads, since its work is elementwise.  It is filled
-in row chunks of about ``_pairs.CHUNK_CELLS`` cells.  With more than one
-CPU, a table of at least ``PARALLEL_CELLS`` cells is split into ``WORKERS``
-contiguous blocks of points, one task each on a module-level
-``ThreadPoolExecutor`` whose threads start on the first task (a forked
-child gets a new pool, since it inherits the pool but not its threads).  A
-task only writes ``cos`` and ``sin`` of the phases ``s * mu`` into its own
-rows of the table; the phases are finite, since the inputs are checked to
-be finite.  So it reads no lazy cache, never reaches ``_pairs.map_chunks``,
+in row chunks of about ``_pairs.CHUNK_CELLS`` cells, and no chunk has one
+row unless the table has.  A scalar interpolant never holds its whole
+table: each chunk is reduced to its values and prefixes as soon as it is
+filled (see :class:`Interpolant`).  With more than one CPU, a table of at
+least ``PARALLEL_CELLS`` cells is split into ``WORKERS`` runs of
+consecutive chunks, one task each on a module-level ``ThreadPoolExecutor``
+whose threads start on the first task (a forked child gets a new pool,
+since it inherits the pool but not its threads).  A task fills the rows
+of its chunks with ``cos`` and ``sin`` of the phases ``s * mu`` and, for a
+scalar interpolant, multiplies each chunk by fixed coefficient columns
+into its own rows of the outputs; the phases and the coefficients are
+finite, since the inputs are checked to be finite.  So a task submits no
+task of its own, reads no lazy cache, never reaches ``_pairs.map_chunks``,
 calls none of the functions that the benchmark's layer tracer
-(``perfbench/spans.py``) wraps, and needs no ``np.errstate`` of the caller,
-which numpy does not pass on to other threads.  Each entry is its own
-elementwise value, so the table has the same bits whatever the blocks and
-the threads.
+(``perfbench/spans.py``) wraps, and needs no ``np.errstate`` of the
+caller, which numpy does not pass on to other threads.  Each table entry
+and each output row is its own value, so the outputs have the same bits
+whatever the chunks, the runs and the threads.
 """
 
 import os
@@ -43,9 +48,9 @@ __all__ = [
 ]
 
 
-#: tables of fewer cells are built serially; the reparametrization's largest
-#: tables reach it from M = 512 on (2048 x 257 cells), not at M = 256
-PARALLEL_CELLS = 1 << 19
+#: tables of fewer cells are built serially; the reparametrization's first
+#: tables reach it from M = 256 on (1024 x 129 and 256 x 513 cells)
+PARALLEL_CELLS = 1 << 17
 
 
 #: threads of the table pool: the CPUs this process may run on
@@ -135,15 +140,19 @@ class Interpolant:
 
     The cos/sin table is built in row chunks (see the module docstring);
     each entry is its own elementwise value, so the bits do not depend on
-    the chunks.  The product of the table with the coefficients runs once on
-    the whole table: a chunk of a BLAS matrix product need not give the bits
-    of the same rows of the whole product (with OpenBLAS's own threads on,
-    ``(31, 513) @ (513, 3)`` chunks did not).  For a scalar interpolant the
-    product is a matrix-vector product, whose rows do keep their bits on a
-    subset of points, and the Newton solve relies on this to evaluate only
-    its unconverged rows.  The exception is a single point: numpy computes a
-    one-row product by its dot path, whose bits can differ, so that caller
-    never passes one.
+    the chunks.  A vector interpolant multiplies its whole table by the
+    coefficients in one product: a chunk of a BLAS matrix product need not
+    give the bits of the same rows of the whole product (with OpenBLAS's
+    own threads on, ``(31, 513) @ (513, 3)`` chunks did not).  For a scalar
+    interpolant the product is a matrix-vector product, whose rows do keep
+    their bits on any subset of two or more points.  So a scalar
+    interpolant reduces each chunk of its table as soon as it is filled,
+    the value before the prefix, and never holds the whole table (32 MiB
+    for the first Newton step of ``from_samples`` at M = 1024); and the
+    Newton solve evaluates only its unconverged rows.  The exception is a
+    single point: numpy computes a one-row product by its dot path, whose
+    bits can differ, so no chunk has one row unless the table has, and the
+    Newton solve never passes one point.
     """
 
     def __init__(self, values, L):
@@ -167,45 +176,85 @@ class Interpolant:
         out = out[..., 0] if not self.shape else out
         return out[0] if scalar else out
 
-    def _table(self, sv):
-        """The (points, modes) table ``exp(i s mu)``, written as cos + i sin.
+    def _fill(self, s, E):
+        """Write the table ``exp(i s mu)`` at the points ``s`` into ``E``, as
+        cos + i sin.
 
         ``cexp`` of a zero real part reduces to ``cos + i sin`` of the same
-        phase, so this equals ``np.exp(1j * np.outer(sv, mu))`` bit for bit
+        phase, so this equals ``np.exp(1j * np.outer(s, mu))`` bit for bit
         while skipping the complex temporary and the ``exp(0)`` scaling.
         """
-        n, width = sv.shape[0], self._mu.size
-        E = np.empty(sv.shape + self._mu.shape, dtype=complex)
-        rows = max(1, _pairs.CHUNK_CELLS // width)
+        x = np.multiply.outer(s, self._mu)
+        np.cos(x, out=E.real)
+        np.sin(x, out=E.imag)
 
-        def block(b0, b1):
-            for j0 in range(b0, b1, rows):
-                j1 = min(j0 + rows, b1)
-                x = np.multiply.outer(sv[j0:j1], self._mu)
-                np.cos(x, out=E.real[j0:j1])
-                np.sin(x, out=E.imag[j0:j1])
+    def _chunked(self, n, task):
+        """Call ``task(j0, j1)`` once per row chunk ``j0:j1`` of an ``n``-point
+        table (see the module docstring): in row order on the calling thread,
+        or, for a table of at least ``PARALLEL_CELLS`` cells, in ``WORKERS``
+        runs of consecutive chunks, one pool task each."""
+        rows = max(2, _pairs.CHUNK_CELLS // self._mu.size)
+        edges = list(range(0, n, rows)) + [n]
+        if len(edges) > 2 and n - edges[-2] == 1:
+            del edges[-2]  # no one-row chunk, unless the table has one row
 
-        if WORKERS < 2 or n * width < PARALLEL_CELLS:
-            block(0, n)
+        def run(c0, c1):
+            for j0, j1 in zip(edges[c0:c1], edges[c0 + 1:c1 + 1]):
+                task(j0, j1)
+
+        chunks = len(edges) - 1
+        if WORKERS < 2 or n * self._mu.size < PARALLEL_CELLS:
+            run(0, chunks)
         else:
-            edges = [n * b // WORKERS for b in range(WORKERS + 1)]
-            list(_POOL.map(block, edges[:-1], edges[1:]))
+            cuts = [chunks * b // WORKERS for b in range(WORKERS + 1)]
+            list(_POOL.map(run, cuts[:-1], cuts[1:]))
+
+    def _table(self, sv):
+        """The whole (points, modes) table ``exp(i s mu)`` at the points ``sv``."""
+        E = np.empty(sv.shape + self._mu.shape, dtype=complex)
+        self._chunked(sv.shape[0], lambda j0, j1: self._fill(sv[j0:j1], E[j0:j1]))
         return E
 
-    def _value_from(self, E, order):
-        fac = (1j * self._mu) ** order if order else np.ones_like(self._mu, dtype=complex)
-        if order % 2 == 1:
-            fac = fac.copy()
-            fac[-1] = 0.0
-        return (E @ ((self._w * fac)[:, None] * self._c)).real / self.M
+    def _evaluate(self, s, order, prefix, table=None):
+        """``[value, pre]`` at ``s``, each only if asked for: the ``order``-th
+        derivative unless ``order`` is None, and the prefix if ``prefix``.
 
-    def _prefix_from(self, E, sv):
-        """Prefix values from the table ``E``, which is shifted in place."""
-        mean = self._c[0].real / self.M
-        cpre = np.zeros_like(self._c)
-        cpre[1:] = (self._w[1:, None] / (1j * self._mu[1:, None])) * self._c[1:]
-        E.real -= 1.0
-        return (E @ cpre).real / self.M + np.outer(sv, mean)
+        ``table``, if given, is the whole table at ``s``; the prefix shifts
+        it in place.
+        """
+        s = np.asarray(s, dtype=float)
+        sv = np.atleast_1d(s)
+        n, d = sv.shape[0], self._c.shape[1]
+        if order is not None:
+            fac = (1j * self._mu) ** order if order else np.ones_like(self._mu, dtype=complex)
+            if order % 2 == 1:
+                fac[-1] = 0.0
+            coef = (self._w * fac)[:, None] * self._c
+        if prefix:
+            cpre = np.zeros_like(self._c)
+            cpre[1:] = (self._w[1:, None] / (1j * self._mu[1:, None])) * self._c[1:]
+            mean = self._c[0].real / self.M
+        value, pre = np.empty((n, d)), np.empty((n, d))
+
+        def products(E, j0, j1):
+            # the value before the prefix, which shifts E in place
+            if order is not None:
+                value[j0:j1] = (E @ coef).real / self.M
+            if prefix:
+                E.real -= 1.0
+                pre[j0:j1] = (E @ cpre).real / self.M + np.outer(sv[j0:j1], mean)
+
+        if table is not None or self.shape:
+            products(self._table(sv) if table is None else table, 0, n)
+        else:
+            def fused(j0, j1):
+                E = np.empty((j1 - j0, self._mu.size), dtype=complex)
+                self._fill(sv[j0:j1], E)
+                products(E, j0, j1)
+
+            self._chunked(n, fused)
+        wanted = [(value, order is not None), (pre, prefix)]
+        return [self._reduce(out, s.ndim == 0) for out, want in wanted if want]
 
     def __call__(self, s, order=0):
         """Evaluate the interpolant (or its ``order``-th derivative) at ``s``.
@@ -213,24 +262,16 @@ class Interpolant:
         Odd derivatives drop the Nyquist term, as :func:`spectral_derivative`
         does on the grid.
         """
-        s = np.asarray(s, dtype=float)
-        sv = np.atleast_1d(s)
-        return self._reduce(self._value_from(self._table(sv), order), s.ndim == 0)
+        return self._evaluate(s, order, False)[0]
 
     def prefix(self, s):
         """Integral of the interpolant from 0 to ``s`` (s need not be in [0, L))."""
-        s = np.asarray(s, dtype=float)
-        sv = np.atleast_1d(s)
-        return self._reduce(self._prefix_from(self._table(sv), sv), s.ndim == 0)
+        return self._evaluate(s, None, True)[0]
 
     def value_and_prefix(self, s):
         """``(self(s), self.prefix(s))`` from one table, bit for bit."""
-        s = np.asarray(s, dtype=float)
-        sv = np.atleast_1d(s)
-        E = self._table(sv)
-        value = self._value_from(E, 0)  # before _prefix_from shifts E
-        pre = self._prefix_from(E, sv)
-        return self._reduce(value, s.ndim == 0), self._reduce(pre, s.ndim == 0)
+        value, pre = self._evaluate(s, 0, True)
+        return value, pre
 
 
 def short_arc_offsets(M, L):

@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,14 +25,21 @@ def ellipse128():
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """A two-thread pool that counts the tasks submitted to it."""
+    """A two-thread pool that counts the tasks submitted to it.
+
+    A task that submitted a task of its own could wait on it forever, with
+    both threads taken; here the submission fails in the task instead, and
+    the task's caller gets the error.
+    """
 
     def __init__(self):
         super().__init__(max_workers=2)
         self.tasks = 0
 
     def submit(self, fn, /, *args, **kwargs):
-        self.tasks += 1  # the table submits from the calling thread only
+        if threading.current_thread() in self._threads:
+            raise AssertionError("a pool task submitted a task to the pool")
+        self.tasks += 1  # only the calling thread gets here: no lock needed
         return super().submit(fn, *args, **kwargs)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ohara import _pairs
 from ohara.curve import (
     ClosedCurve,
     Field,
@@ -157,12 +158,23 @@ def _flow_trial_samples(M=256):
         _ellipse_samples,
         lambda: _angle_samples(0, 1024, modes=5, amplitude=0.1),
         _flow_trial_samples,
+        # Newton rows that enter a 2-cycle: in angle(8, 96) 16 of them with
+        # an odd number of steps left, in angle(29, 96) all 45 with an even
+        # number; in angle(4, 96) a step with one moving row has a 2-cycle
+        # row as its companion
+        lambda: _angle_samples(8, 96),
+        lambda: _angle_samples(29, 96),
+        lambda: _angle_samples(4, 96),
     ],
-    ids=["angle-m64", "angle-m128", "ellipse-m128", "cli-m1024", "flow-trial-m256"],
+    ids=[
+        "angle-m64", "angle-m128", "ellipse-m128", "cli-m1024", "flow-trial-m256",
+        "cycles-odd-left-m96", "cycles-even-left-m96", "lone-row-cycled-companion-m96",
+    ],
 )
 def test_from_samples_is_bit_identical_to_direct_tables(make_pts):
-    # the shared cos/sin table and the frozen Newton rows only remove work:
-    # every output bit stays as the reference's six full sweeps give it
+    # the shared cos/sin table, the chunk-fused Newton products and the
+    # frozen and resolved Newton rows only remove work: every output bit
+    # stays as the reference's six full sweeps give it
     pts = make_pts()
     positions, L = _direct_from_samples(pts)
     cv = from_samples(pts)
@@ -189,9 +201,9 @@ def test_newton_steps_skip_converged_rows(monkeypatch, make_pts):
         rows.append(np.size(s))
         return value_and_prefix(self, s)
 
-    def counted_pass(points):
+    def counted_pass(points, tf, table):
         passes.append(1)
-        return arclength_pass(points)
+        return arclength_pass(points, tf, table)
 
     monkeypatch.setattr(Interpolant, "value_and_prefix", counted_value_and_prefix)
     monkeypatch.setattr(curve, "_arclength_pass", counted_pass)
@@ -201,17 +213,46 @@ def test_newton_steps_skip_converged_rows(monkeypatch, make_pts):
 
 
 def test_value_and_prefix_is_bit_identical_to_separate_calls():
-    s = np.random.default_rng(5).uniform(0.0, 1.0, size=40)
-    for values in (np.linalg.norm(_angle_samples(3, 64), axis=1), _angle_samples(4, 64)):
-        interp = Interpolant(values, 1.0)
-        for at in (s, s[0]):
-            value, pre = interp.value_and_prefix(at)
-            assert np.array_equal(value, interp(at)) and np.shape(value) == np.shape(interp(at))
-            assert np.array_equal(pre, interp.prefix(at)) and np.shape(pre) == np.shape(interp.prefix(at))
-        value, pre = interp.value_and_prefix(s)
-        ref = _DirectInterpolant(values)
-        assert np.array_equal(value, ref(s))
-        assert np.array_equal(pre, ref.prefix(s))
+    # a table of 33 modes comes in chunks of CHUNK_CELLS // 33 rows: 40
+    # points are one chunk; three chunks and one more point, which joins
+    # the third.  In white noise every mode counts, so a row summed in
+    # another order (a one-row product) shows in its bits
+    rng = np.random.default_rng(5)
+    noise = np.random.default_rng(6).normal(size=64)
+    for n in (40, 3 * (_pairs.CHUNK_CELLS // 33) + 1):
+        s = rng.uniform(0.0, 1.0, size=n)
+        for values in (np.linalg.norm(_angle_samples(3, 64), axis=1), _angle_samples(4, 64), noise):
+            interp = Interpolant(values, 1.0)
+            for at in (s, s[0]):
+                value, pre = interp.value_and_prefix(at)
+                assert np.array_equal(value, interp(at)) and np.shape(value) == np.shape(interp(at))
+                assert np.array_equal(pre, interp.prefix(at)) and np.shape(pre) == np.shape(interp.prefix(at))
+            value, pre = interp.value_and_prefix(s)
+            ref = _DirectInterpolant(values)
+            assert np.array_equal(value, ref(s))
+            assert np.array_equal(pre, ref.prefix(s))
+
+
+@pytest.mark.parametrize(
+    "make_pts,earlier_cells",
+    [(lambda: _angle_samples(0, 1024), 14_897_763), (_flow_trial_samples, 997_140)],
+    ids=["angle-m1024", "flow-trial-m256"],
+)
+def test_from_samples_fills_fewer_table_cells(monkeypatch, make_pts, earlier_cells):
+    # earlier_cells: the cos/sin cells one call filled when each pass built
+    # its own oversampled table and 2-cycling Newton rows took all six
+    # steps, with two BLAS threads (with one: 14,877,273 and 976,107)
+    pts = make_pts()
+    cells = []
+    fill = Interpolant._fill
+
+    def counted_fill(self, s, E):
+        cells.append(E.size)  # list.append: pool threads may call this
+        return fill(self, s, E)
+
+    monkeypatch.setattr(Interpolant, "_fill", counted_fill)
+    from_samples(pts)
+    assert sum(cells) <= 0.8 * earlier_cells
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ tasks; the grid passes stay off it.
 
 import multiprocessing
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -49,9 +51,10 @@ def _serial_tables(monkeypatch):
 @pytest.mark.parametrize("M", [64, 120])
 def test_from_samples_pool_gives_the_serial_bits(pool, monkeypatch, M):
     # 7-row chunks of the position tables, so the final evaluation at the M
-    # arclength points ends in a one-row chunk; the Newton tables, with
-    # 2M + 1 modes, run in one-row chunks throughout
-    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * 2 * (M // 2 + 1))
+    # arclength points would end in a one-row chunk, which joins the one
+    # before; the Newton tables, with 2M + 1 modes, run in two-row chunks,
+    # the last of three rows for an odd number of moving rows
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * (M // 2 + 1))
     assert M % 7 == 1
     pts = _angle_samples(M, M)
 
@@ -65,6 +68,29 @@ def test_from_samples_pool_gives_the_serial_bits(pool, monkeypatch, M):
     _serial_tables(monkeypatch)
     _assert_same_bits(pooled, outputs())
     assert pool.tasks == tasks
+
+
+def test_more_table_workers_than_cpus_give_the_serial_bits(monkeypatch):
+    # five workers whatever the CPU count, two-row Newton chunks and a short
+    # switch interval, so the tasks' writes into their rows of the shared
+    # tables and outputs interleave often
+    M = 128
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 2 * (2 * M + 1))
+    pts = _angle_samples(M, M)
+    _serial_tables(monkeypatch)
+    serial = from_samples(pts)
+    pool = ThreadPoolExecutor(max_workers=5)
+    monkeypatch.setattr(spectral, "WORKERS", 5)
+    monkeypatch.setattr(spectral, "PARALLEL_CELLS", 0)
+    monkeypatch.setattr(spectral, "_POOL", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = from_samples(pts)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    _assert_same_bits([pooled.positions, pooled.L], [serial.positions, serial.L])
 
 
 @pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5)])

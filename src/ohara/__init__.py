@@ -20,17 +20,7 @@ from .curve import (
     save_curve,
 )
 from .errors import NumericalError, ValidationError
-from .kernels import (
-    EnergyParams,
-    density,
-    density_general_param,
-    GeneralParamCurve,
-    k_bilinear,
-    m_alpha,
-    n_bilinear,
-    phi_alpha,
-    weighted_density,
-)
+from .kernels import EnergyParams, density_general_param, GeneralParamCurve, phi_alpha
 from .quadrature import (
     PairGrid,
     density_grid,
@@ -39,18 +29,7 @@ from .quadrature import (
     holder_chain_check,
     second_variation,
 )
-from .variations import (
-    VariationTerms,
-    delta2_chord_ratio,
-    delta2_m_alpha,
-    delta2_n_tau,
-    delta_chord_ratio,
-    delta_k,
-    delta_m_alpha,
-    delta_n_tau,
-    first_variation_density,
-    second_variation_density,
-)
+from .variations import pair_terms
 from .norms import (
     gagliardo_seminorm,
     holder_seminorm,

@@ -21,17 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pairs import PairSet, k_raw, n_raw, n_raw_scalar
 from .errors import NumericalError, ValidationError
 
 __all__ = [
     "EnergyParams",
     "phi_alpha",
-    "n_bilinear",
-    "k_bilinear",
-    "m_alpha",
-    "density",
-    "weighted_density",
     "GeneralParamCurve",
     "density_general_param",
     "N_CLAMP",
@@ -95,24 +89,6 @@ def phi_alpha(t, alpha):
     return value, d1, d2
 
 
-def _pairset(curve, pair):
-    return PairSet(curve, pair.i, pair.j)
-
-
-def n_bilinear(curve, u, v, pair):
-    """N(u, v) at a sample pair; symmetric, bilinear, zero on constants."""
-    ev = _pairset(curve, pair)
-    if u.values.ndim == 1:
-        return float(n_raw_scalar(ev, u, v, u.dot(v)))
-    return float(n_raw(ev, u, v, u.dot(v)))
-
-
-def k_bilinear(curve, u, v, pair):
-    """K(u, v) = <u(s1)-u(s2), v(s1)-v(s2)> / |df|^2 at a sample pair."""
-    ev = _pairset(curve, pair)
-    return float(k_raw(ev, u, v))
-
-
 def n_tau_checked(ntt, where=None):
     """Apply the validity policy to raw N(tau, tau) values.
 
@@ -131,42 +107,6 @@ def n_tau_checked(ntt, where=None):
             % (float(np.min(np.where(bad, ntt, 0.0))), N_CLAMP)
         )
     return np.where(ntt < 0.0, 0.0, ntt)
-
-
-def n_tau_pair(curve, pair):
-    """N(tau, tau) at a sample pair, validity policy applied."""
-    tau = curve.tau_field
-    raw = n_bilinear(curve, tau, tau, pair)
-    return float(n_tau_checked(raw))
-
-
-def m_alpha(curve, pair, params):
-    """Reformulated kernel ``M_alpha = phi_alpha(N(tau,tau)) / |df|^alpha``."""
-    ev = _pairset(curve, pair)
-    tau = curve.tau_field
-    ntt = n_tau_checked(n_raw(ev, tau, tau, tau.dot(tau)))
-    value, _, _ = phi_alpha(ntt, params.alpha)
-    return float(value / np.power(ev.chord2, params.alpha / 2.0))
-
-
-def density(curve, pair, params):
-    """Energy integrand ``M_alpha ** p`` at a sample pair."""
-    return m_alpha(curve, pair, params) ** params.p
-
-
-def weighted_density(curve, pair, params, beta=None):
-    """``D^((alpha - 2 beta) p) * M_alpha^p`` -- bounded near the diagonal.
-
-    With ``beta = alpha/2`` (the default for alpha <= 2) the weight is 1 and
-    this is the plain density; with ``beta = 1`` it extends continuously to
-    the diagonal with value ``(alpha/24 |kappa|^2)^p``.
-    """
-    if beta is None:
-        beta = params.beta
-    if not (0.0 < beta <= 1.0):
-        raise ValidationError("beta must lie in (0, 1]")
-    expo = (params.alpha - 2.0 * beta) * params.p
-    return pair.D ** expo * density(curve, pair, params)
 
 
 class GeneralParamCurve:
@@ -209,8 +149,9 @@ def density_general_param(gcurve, i, j, params):
     """Jacobian-weighted density of a general-parameter curve at a pair.
 
     ``(1/|dc|^alpha - 1/D^alpha)^p |c'(s_i)| |c'(s_j)|`` with D the intrinsic
-    distance; at ``eps = 0`` this reduces to :func:`density`.  Evaluated in
-    the same bracket form as the unit-speed kernel for stability.
+    distance; at ``eps = 0`` this reduces to the density ``M_alpha ** p`` of
+    ``variations.pair_terms``.  Evaluated in the same bracket form as the
+    unit-speed kernel for stability.
     """
     M = gcurve.base.M
     i, j = int(i) % M, int(j) % M

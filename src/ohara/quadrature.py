@@ -375,7 +375,7 @@ class GridOperator:
         offdiag = _offband_cols(M, 0)[None, :w]
 
         def build(j0, j1):
-            b = Blocks(_grid_pairs(curve, j0, j1, slice(w)), curve, params=params)
+            b = Blocks(_grid_pairs(curve, j0, j1, slice(w)), params=params)
             n_tau_checked(b.ntt_raw(), where=offdiag)
             rows = self._geometry(j0, j1)
             for name, block in b.geometry().items():
@@ -392,8 +392,7 @@ class GridOperator:
         """``Blocks`` on rows ``j0:j1`` of the half grid, its geometry blocks
         row views of the operator's."""
         return Blocks(_grid_pairs(self.curve, j0, j1, slice(_half_width(self.curve.M))),
-                      self.curve, params=self.params, phi=phi, psi=psi,
-                      geometry=self._geometry(j0, j1))
+                      params=self.params, phi=phi, psi=psi, geometry=self._geometry(j0, j1))
 
     def _half(self, integrand, phi, psi=None):
         """The blocks that ``integrand(b)`` lists, each on the whole half grid,
@@ -752,8 +751,7 @@ def holder_chain_check(curve, phi, psi, params):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         geometry = {k: _unfold(V) for k, V in op._geometry(0, curve.M).items()}
-        b = Blocks(_grid_pairs(curve), curve, params=params, phi=phi, psi=psi,
-                   geometry=geometry)
+        b = Blocks(_grid_pairs(curve), params=params, phi=phi, psi=psi, geometry=geometry)
         m = b.malpha()[:, cols]
         dmp = b.dm("phi")[:, cols]
         dmq = b.dm("psi")[:, cols]

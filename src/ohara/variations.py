@@ -1,7 +1,7 @@
 """First and second variations of the (alpha, p) kernels, term by term.
 
-Every operation returns its labeled constituent terms together with their
-sum, mirroring the decompositions used throughout the analysis:
+:class:`Blocks` computes each variation as its labeled constituent terms,
+mirroring the decompositions used throughout the analysis:
 
 * ``delta N = R1 + R2``, ``delta^2 N = S1 + ... + S5``
 * ``delta M_alpha = P1 + P2``, ``delta^2 M_alpha = Q1 + ... + Q6``
@@ -15,29 +15,21 @@ with the chord-ratio building blocks
     delta K(f, phi)[psi]    = K(phi, psi) - 2 K(f, phi) K(f, psi).
 
 All formulas are evaluated on a pair evaluator (single pair, list of pairs,
-or rows of the offset grid -- see ``_pairs``), so the pointwise operations
-here and the quadrature module share one implementation.
+or rows of the offset grid -- see ``_pairs``), so :func:`pair_terms`, which
+reads the terms of one sample pair, and the quadrature module share one
+implementation.
 """
 
 import functools
 
 import numpy as np
 
-from ._pairs import PairSet, k_raw, n_raw, n_raw_scalar
+from ._pairs import k_raw, n_raw, n_raw_scalar
 from .errors import NumericalError
 from .kernels import phi_alpha, n_tau_checked
 
 __all__ = [
-    "VariationTerms",
-    "delta_chord_ratio",
-    "delta2_chord_ratio",
-    "delta_k",
-    "delta_n_tau",
-    "delta2_n_tau",
-    "delta_m_alpha",
-    "delta2_m_alpha",
-    "first_variation_density",
-    "second_variation_density",
+    "pair_terms",
     "H2_SINGULAR_THRESHOLD",
     "H2_DELTA_TOLERANCE",
 ]
@@ -46,44 +38,6 @@ __all__ = [
 H2_SINGULAR_THRESHOLD = 1.0e-300
 #: |delta M_alpha| below this counts as vanishing at a singular H2 pair
 H2_DELTA_TOLERANCE = 1.0e-14
-
-_SUM_CONSISTENCY = 1.0e-12
-
-
-class VariationTerms:
-    """Labeled variation terms and their sum.
-
-    The sum is assembled once at construction and checked against the naive
-    re-summation of the parts (relative tolerance 1e-12), so downstream code
-    can rely on ``total`` and the term table never drifting apart.
-    """
-
-    def __init__(self, terms):
-        self.terms = dict(terms)
-        vals = list(self.terms.values())
-        total = vals[0]
-        for v in vals[1:]:
-            total = total + v
-        self.total = float(total)
-        scale = max((abs(float(v)) for v in vals), default=0.0)
-        resum = float(sum(float(v) for v in vals))
-        if abs(self.total - resum) > _SUM_CONSISTENCY * max(scale, 1.0):
-            raise NumericalError("variation terms do not re-sum consistently")
-
-    def __getitem__(self, key):
-        return float(self.terms[key])
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def as_dict(self):
-        out = {k: float(v) for k, v in self.terms.items()}
-        out["total"] = self.total
-        return out
-
-    def __repr__(self):
-        inner = ", ".join("%s=%.6g" % (k, float(v)) for k, v in self.terms.items())
-        return "VariationTerms(%s, total=%.6g)" % (inner, self.total)
 
 
 def _memo(fn):
@@ -101,7 +55,7 @@ def _memo(fn):
 
 
 class Blocks:
-    """Memoized pair-level building blocks for one (curve, phi, psi) setup.
+    """Memoized pair-level building blocks for one (pairs, phi, psi) setup.
 
     Product fields (tau.phi', phi'.psi', ...) are built once per instance;
     each block is computed lazily on the evaluator's shape: one pair, a few,
@@ -115,9 +69,8 @@ class Blocks:
 
     GEOMETRY = ("ntt", "calpha", "phis", "malpha")
 
-    def __init__(self, ev, curve, params=None, phi=None, psi=None, geometry=None):
+    def __init__(self, ev, params=None, phi=None, psi=None, geometry=None):
         self.ev = ev
-        self.curve = curve
         self.params = params
         self.phi = phi
         self.psi = psi
@@ -131,7 +84,7 @@ class Blocks:
 
     @property
     def tau(self):
-        return self.curve.tau_field
+        return self.ev.curve.tau_field
 
     @_memo
     def ntt_raw(self):
@@ -170,7 +123,7 @@ class Blocks:
 
     @_memo
     def kf(self, which):
-        return k_raw(self.ev, self.curve.position_field, self._field(which))
+        return k_raw(self.ev, self.ev.curve.position_field, self._field(which))
 
     @_memo
     def nt(self, which):
@@ -316,86 +269,39 @@ class Blocks:
         return terms, flagged
 
 
-def _single(curve, pair, params=None, phi=None, psi=None):
-    ev = PairSet(curve, pair.i, pair.j)
-    b = Blocks(ev, curve, params=params, phi=phi, psi=psi)
-    n_tau_checked(b.ntt_raw())
-    return b
+def pair_terms(pair, params, phi=None, psi=None):
+    """The pointwise quantities of one sample pair, read off one ``Blocks``.
 
+    ``pair`` is the one-pair :class:`~ohara._pairs.PairSet` that
+    ``curve.pair_frame`` returns.  The keys are:
 
-# -- chord-ratio building blocks --------------------------------------------
+    * always ``n_tau`` (validity policy applied), ``m_alpha`` and ``density``;
+    * with ``phi``: ``chord_ratio`` (``2 K(f, phi)``), ``R`` (``delta N``),
+      ``P`` (``delta M_alpha``) and ``G`` (first-variation integrand);
+    * with ``phi`` and ``psi``: ``k_ratio`` (``2 K(phi, psi)``), ``delta_k``,
+      ``S`` (``delta^2 N``), ``Q`` (``delta^2 M_alpha``) and ``H``
+      (second-variation integrand).
 
-
-def delta_chord_ratio(curve, phi, pair):
-    """delta |df|^2 / |df|^2 = 2 K(f, phi)."""
-    b = _single(curve, pair, phi=phi)
-    return float(2.0 * b.kf("phi"))
-
-
-def delta2_chord_ratio(curve, phi, psi, pair):
-    """delta^2 |df|^2 / |df|^2 = 2 K(phi, psi)."""
-    b = _single(curve, pair, phi=phi, psi=psi)
-    return float(2.0 * b.kpq())
-
-
-def delta_k(curve, phi, psi, pair):
-    """delta K(f, phi)[psi] = K(phi, psi) - 2 K(f, phi) K(f, psi)."""
-    b = _single(curve, pair, phi=phi, psi=psi)
-    return float(b.kpq() - 2.0 * b.kf("phi") * b.kf("psi"))
-
-
-# -- N and M_alpha variations ------------------------------------------------
-
-
-def delta_n_tau(curve, phi, pair):
-    """delta N(tau)[phi] = R1 + R2."""
-    b = _single(curve, pair, phi=phi)
-    return VariationTerms(b.dn_terms("phi"))
-
-
-def delta2_n_tau(curve, phi, psi, pair):
-    """delta^2 N(tau)[phi, psi] = S1 + ... + S5 (symmetric in phi, psi)."""
-    b = _single(curve, pair, phi=phi, psi=psi)
-    return VariationTerms(b.d2n_terms())
-
-
-def delta_m_alpha(curve, phi, pair, params):
-    """delta M_alpha[phi] = P1 + P2."""
-    b = _single(curve, pair, params=params, phi=phi)
-    return VariationTerms(b.dm_terms("phi"))
-
-
-def delta2_m_alpha(curve, phi, psi, pair, params):
-    """delta^2 M_alpha[phi, psi] = Q1 + ... + Q6."""
-    b = _single(curve, pair, params=params, phi=phi, psi=psi)
-    return VariationTerms(b.d2m_terms())
-
-
-# -- energy integrands -------------------------------------------------------
-
-
-def first_variation_density(curve, phi, pair, params):
-    """Integrand of the first variation: G = G1 + G2.
-
-    G1 = p M_alpha^(p-1) delta M_alpha[phi];
-    G2 = M_alpha^p (tau.phi'(s1) + tau.phi'(s2))  (the Jacobian term).
+    Values are floats; a sum is that of its terms, ``sum(t["G"].values())``.
+    For 1 < p < 2 the H2 factor ``M_alpha^(p-2)`` is singular where the kernel
+    vanishes: such a pair evaluates to the limit 0 when both first variations
+    vanish there too, and raises :class:`NumericalError` otherwise.
     """
-    b = _single(curve, pair, params=params, phi=phi)
-    return VariationTerms(b.g_terms("phi"))
-
-
-def second_variation_density(curve, phi, psi, pair, params):
-    """Integrand of the second variation: H = H1 + ... + H6.
-
-    For 1 < p < 2 the H2 factor ``M_alpha^(p-2)`` is singular where the
-    kernel vanishes; such pairs evaluate to the limit 0 when both first
-    variations vanish there too, and raise otherwise.
-    """
-    b = _single(curve, pair, params=params, phi=phi, psi=psi)
-    terms, flagged = b.h_terms()
-    if bool(np.any(flagged)):
-        raise NumericalError(
-            "H2 is singular at pair (%d, %d): M_alpha ~ 0 with nonvanishing "
-            "delta M_alpha" % (pair.i, pair.j)
-        )
-    return VariationTerms(terms)
+    b = Blocks(pair, params=params, phi=phi, psi=psi)
+    ntt = n_tau_checked(b.ntt_raw())
+    m = float(b.malpha())
+    out = {"n_tau": ntt, "m_alpha": m, "density": m ** params.p}
+    if phi is not None:
+        out.update(chord_ratio=2.0 * b.kf("phi"), R=b.dn_terms("phi"),
+                   P=b.dm_terms("phi"), G=b.g_terms("phi"))
+    if phi is not None and psi is not None:
+        terms, flagged = b.h_terms()
+        if bool(np.any(flagged)):
+            raise NumericalError(
+                "H2 is singular at pair (%d, %d): M_alpha ~ 0 with nonvanishing "
+                "delta M_alpha" % (pair.i, pair.j)
+            )
+        out.update(k_ratio=2.0 * b.kpq(), delta_k=b.kpq() - 2.0 * b.kf("phi") * b.kf("psi"),
+                   S=b.d2n_terms(), Q=b.d2m_terms(), H=terms)
+    return {k: {t: float(x) for t, x in v.items()} if isinstance(v, dict) else float(v)
+            for k, v in out.items()}

@@ -146,7 +146,7 @@ def diagonal_limit(curve, phi, psi, params, s, which):
 
     hs = curve.L / 16.0 / 2.0 ** np.arange(_LEVELS)
     ev = OffGridPair(curve, s + hs / 2.0, s - hs / 2.0)
-    b = Blocks(ev, curve, params=params, phi=phi, psi=psi)
+    b = Blocks(ev, params=params, phi=phi, psi=psi)
     n_tau_checked(b.ntt_raw())
 
     alpha, p, beta = params.alpha, params.p, params.beta

@@ -3,20 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ohara._pairs import k_raw, n_raw
 from ohara.curve import circle, pair_frame, random_field
 from ohara.errors import NumericalError, ValidationError
-from ohara.kernels import (
-    EnergyParams,
-    GeneralParamCurve,
-    density,
-    density_general_param,
-    k_bilinear,
-    m_alpha,
-    n_bilinear,
-    n_tau_pair,
-    phi_alpha,
-    weighted_density,
-)
+from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param, phi_alpha
+from ohara.variations import pair_terms
 
 from conftest import rel
 
@@ -126,12 +117,12 @@ def test_phi_alpha_vectorized():
 # ------------------------------------------------------------ bilinear forms
 
 
-def test_n_identity_on_circle(circle128):
+def test_n_identity_on_circle(circle128, params21):
     # 1 + N(tau, tau) = D^2 / |df|^2 exactly (both sides closed-form here)
     cv = circle128
     for j in [1, 5, 17, 40, 64]:
         pair = pair_frame(cv, j, 0)
-        ntt = n_tau_pair(cv, pair)
+        ntt = pair_terms(pair, params21)["n_tau"]
         expect = pair.D**2 / pair.chord**2 - 1.0
         assert rel(ntt, expect) < 1.0e-10
 
@@ -142,11 +133,12 @@ def test_n_bilinear_symmetry_and_constants(circle128, params21):
     rng_v = random_field(cv, 4)
     pair = pair_frame(cv, 31, 7)
     assert rel(
-        n_bilinear(cv, rng_u, rng_v, pair), n_bilinear(cv, rng_v, rng_u, pair)
+        n_raw(pair, rng_u, rng_v, rng_u.dot(rng_v)),
+        n_raw(pair, rng_v, rng_u, rng_v.dot(rng_u)),
     ) < 1.0e-12
     # constant fields are annihilated
     const = random_field(cv, 5, modes=0)
-    assert abs(n_bilinear(cv, const, rng_u, pair)) < 1.0e-13
+    assert abs(n_raw(pair, const, rng_u, const.dot(rng_u))) < 1.0e-13
 
 
 def test_k_bilinear_matches_chord_quotient(circle128):
@@ -155,8 +147,8 @@ def test_k_bilinear_matches_chord_quotient(circle128):
     pair = pair_frame(cv, 50, 12)
     du = u.values[pair.i] - u.values[pair.j]
     expect = float(np.dot(du, du)) / pair.chord**2
-    assert rel(k_bilinear(cv, u, u, pair), expect) < 1.0e-12
-    assert k_bilinear(cv, cv.tau_field, cv.tau_field, pair) >= 0.0
+    assert rel(k_raw(pair, u, u), expect) < 1.0e-12
+    assert k_raw(pair, cv.tau_field, cv.tau_field) >= 0.0
 
 
 def test_k_of_position_field_is_one(circle128):
@@ -166,7 +158,7 @@ def test_k_of_position_field_is_one(circle128):
     cv = circle128
     f = Field(cv, cv.positions.copy())
     pair = pair_frame(cv, 33, 90)
-    assert rel(k_bilinear(cv, f, f, pair), 1.0) < 1.0e-12
+    assert rel(k_raw(pair, f, f), 1.0) < 1.0e-12
 
 
 # -------------------------------------------------------------------- kernel
@@ -178,14 +170,14 @@ def test_m_alpha_circle_closed_form(circle128, params21):
     for j in [2, 9, 30, 64]:
         pair = pair_frame(cv, j, 0)
         naive = 1.0 / pair.chord**2 - 1.0 / pair.D**2
-        assert rel(m_alpha(cv, pair, params21), naive) < 1.0e-9
+        assert rel(pair_terms(pair, params21)["m_alpha"], naive) < 1.0e-9
 
 
 def test_m_alpha_antipodal_value(circle128, params21):
     # D = pi, chord = 2: M = 1/4 - 1/pi^2
     pair = pair_frame(cv := circle128, 64, 0)
     assert pair.D == pytest.approx(np.pi, rel=1e-14)
-    assert rel(m_alpha(cv, pair, params21), 0.25 - 1.0 / np.pi**2) < 1.0e-12
+    assert rel(pair_terms(pair, params21)["m_alpha"], 0.25 - 1.0 / np.pi**2) < 1.0e-12
 
 
 def test_m_alpha_near_diagonal_no_cancellation(params21):
@@ -193,38 +185,33 @@ def test_m_alpha_near_diagonal_no_cancellation(params21):
     # digits, the reformulation stays at the curvature limit scale
     cv = circle(1024)
     pair = pair_frame(cv, 1, 0)
-    got = m_alpha(cv, pair, params21)
+    got = pair_terms(pair, params21)["m_alpha"]
     # limit alpha/24 |kappa|^2 = 1/12; one grid step off by O(h^2)
     assert rel(got, 1.0 / 12.0) < 1.0e-4
     assert got > 0.0
 
 
 def test_density_is_m_power(circle128, params22):
-    pair = pair_frame(circle128, 40, 3)
-    m = m_alpha(circle128, pair, params22)
-    assert rel(density(circle128, pair, params22), m**2) < 1.0e-14
+    t = pair_terms(pair_frame(circle128, 40, 3), params22)
+    assert rel(t["density"], t["m_alpha"] ** 2) < 1.0e-14
 
 
 def test_density_positive_on_noncircular(bumpy256, params21):
     cv = bumpy256
-    vals = [density(cv, pair_frame(cv, i, 0), params21) for i in (1, 16, 128)]
+    vals = [pair_terms(pair_frame(cv, i, 0), params21)["density"] for i in (1, 16, 128)]
     assert all(v > 0.0 for v in vals)
 
 
 def test_weighted_density_weight(circle128):
     pr = EnergyParams(2.4, 1.0)  # weight exponent 0.4
     pair = pair_frame(circle128, 25, 0)
-    w = weighted_density(circle128, pair, pr)
-    d = density(circle128, pair, pr)
+    d = pair_terms(pair, pr)["density"]
+    w = pair.D ** pr.weight_exponent * d
     assert rel(w, pair.D**0.4 * d) < 1.0e-13
     # beta = alpha/2 makes the weight trivial
-    pr2 = EnergyParams(2.0, 1.0)
-    assert rel(
-        weighted_density(circle128, pair, pr2, beta=1.0),
-        density(circle128, pair, pr2),
-    ) < 1.0e-13
-    with pytest.raises(ValidationError):
-        weighted_density(circle128, pair, pr, beta=0.0)
+    pr2 = EnergyParams(2.0, 1.0, beta=1.0)
+    d2 = pair_terms(pair, pr2)["density"]
+    assert rel(pair.D ** pr2.weight_exponent * d2, d2) < 1.0e-13
 
 
 def test_weighted_density_diagonal_limit():
@@ -233,7 +220,8 @@ def test_weighted_density_diagonal_limit():
     cv = circle(2048)
     pr = EnergyParams(2.0, 2.0)
     pair = pair_frame(cv, 1, 0)
-    assert rel(weighted_density(cv, pair, pr), (1.0 / 12.0) ** 2) < 1.0e-4
+    weighted = pair.D ** pr.weight_exponent * pair_terms(pair, pr)["density"]
+    assert rel(weighted, (1.0 / 12.0) ** 2) < 1.0e-4
 
 
 def test_pair_frame_rejects_diagonal(circle128):
@@ -254,7 +242,7 @@ def test_general_param_reduces_at_zero(circle128, params21):
         pair = pair_frame(cv, i, j)
         assert rel(
             density_general_param(g, i, j, params21),
-            density(cv, pair, params21),
+            pair_terms(pair, params21)["density"],
         ) < 1.0e-9
 
 

@@ -345,7 +345,7 @@ STREAM_PARAMS = [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)]
 
 def _full_grid_blocks(op, phi, psi=None):
     """Blocks on the whole offset grid, built apart from the operator."""
-    return Blocks(_grid_pairs(op.curve), op.curve, params=op.params, phi=phi, psi=psi)
+    return Blocks(_grid_pairs(op.curve), params=op.params, phi=phi, psi=psi)
 
 
 def _full_grid_h(op, phi, psi):

@@ -5,30 +5,18 @@ serves as the oracle: its eps-derivatives at eps = 0 must equal the assembled
 first- and second-variation integrands pair by pair.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from ohara import variations
 from ohara.curve import ClosedCurve, Field, pair_frame, random_curve, random_field
 from ohara.errors import NumericalError
-from ohara.kernels import (
-    EnergyParams,
-    GeneralParamCurve,
-    density,
-    density_general_param,
-    m_alpha,
-)
-from ohara.variations import (
-    VariationTerms,
-    delta2_chord_ratio,
-    delta2_m_alpha,
-    delta2_n_tau,
-    delta_chord_ratio,
-    delta_k,
-    delta_m_alpha,
-    delta_n_tau,
-    first_variation_density,
-    second_variation_density,
-)
+from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param
+from ohara.quadrature import GridOperator
+from ohara.variations import pair_terms
+from ohara.verify import diagonal_limit
 
 from conftest import rel
 
@@ -58,27 +46,27 @@ def fd2(fun, eps=1.0e-3):
 # ------------------------------------------------------------- direct algebra
 
 
-def test_delta_chord_ratio_formula(bumpy256):
+def test_delta_chord_ratio_formula(bumpy256, params21):
     cv = bumpy256
     phi = random_field(cv, 1)
     for i, j in PAIRS:
         pair = pair_frame(cv, i, j)
         dphi = phi.values[pair.i] - phi.values[pair.j]
         expect = 2.0 * float(np.dot(pair.dvec, dphi)) / pair.chord**2
-        assert rel(delta_chord_ratio(cv, phi, pair), expect) < 1.0e-12
+        assert rel(pair_terms(pair, params21, phi)["chord_ratio"], expect) < 1.0e-12
 
 
-def test_delta2_chord_ratio_formula(bumpy256):
+def test_delta2_chord_ratio_formula(bumpy256, params21):
     cv = bumpy256
     phi, psi = random_field(cv, 1), random_field(cv, 2)
     pair = pair_frame(cv, 77, 20)
     dphi = phi.values[pair.i] - phi.values[pair.j]
     dpsi = psi.values[pair.i] - psi.values[pair.j]
     expect = 2.0 * float(np.dot(dphi, dpsi)) / pair.chord**2
-    assert rel(delta2_chord_ratio(cv, phi, psi, pair), expect) < 1.0e-12
+    assert rel(pair_terms(pair, params21, phi, psi)["k_ratio"], expect) < 1.0e-12
 
 
-def test_delta_k_is_derivative_of_chord_ratio(bumpy256):
+def test_delta_k_is_derivative_of_chord_ratio(bumpy256, params21):
     # K(f, phi) varied along psi: compare against an explicit FD in the
     # chord quotient (pure vector algebra, no arclength subtleties)
     cv = bumpy256
@@ -93,42 +81,41 @@ def test_delta_k_is_derivative_of_chord_ratio(bumpy256):
             d = df + e * dpsi
             return float(np.dot(d, dphi) / np.dot(d, d))
 
-        assert rel(delta_k(cv, phi, psi, pair), fd1(kq)) < 1.0e-9
+        assert rel(pair_terms(pair, params21, phi, psi)["delta_k"], fd1(kq)) < 1.0e-9
 
 
 # ------------------------------------------------ structural identities
 
 
-def test_term_tables_resum(bumpy256, params21):
-    cv = bumpy256
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)])
+def test_pair_terms_match_the_grid(alpha, p):
+    # pair_terms and the GridOperator run the same Blocks formulas, one on a
+    # single pair, the other on row chunks of the half grid unfolded by the
+    # pair swap: the sums of G and H must agree bit for bit, band pair and
+    # antipodal pairs included
+    cv = random_curve(0, M=256, n=3)
+    pr = EnergyParams(alpha, p)
+    op = GridOperator(cv, pr)
     phi, psi = random_field(cv, 5), random_field(cv, 6)
-    pair = pair_frame(cv, 90, 33)
-    for vt in (
-        delta_n_tau(cv, phi, pair),
-        delta2_n_tau(cv, phi, psi, pair),
-        delta_m_alpha(cv, phi, pair, params21),
-        delta2_m_alpha(cv, phi, psi, pair, params21),
-        first_variation_density(cv, phi, pair, params21),
-        second_variation_density(cv, phi, psi, pair, params21),
-    ):
-        d = vt.as_dict()
-        assert rel(sum(v for k, v in d.items() if k != "total"), d["total"]) < 1.0e-11 or abs(d["total"]) < 1.0e-13
+    G = op.g_values(phi)
+    H = op.h_values(phi, psi)[0]
+    for i, j in PAIRS + [(cv.M // 2, 0), (0, cv.M // 2), (5, 250)]:
+        t = pair_terms(pair_frame(cv, i, j), pr, phi, psi)
+        k = (i - j) % cv.M
+        assert sum(t["G"].values()) == G[j, k], (i, j)
+        assert sum(t["H"].values()) == H[j, k], (i, j)
 
 
 def test_term_labels(bumpy256, params21):
     cv = bumpy256
     phi, psi = random_field(cv, 5), random_field(cv, 6)
-    pair = pair_frame(cv, 90, 33)
-    assert set(delta_n_tau(cv, phi, pair)) == {"R1", "R2"}
-    assert set(delta2_n_tau(cv, phi, psi, pair)) == {"S1", "S2", "S3", "S4", "S5"}
-    assert set(delta_m_alpha(cv, phi, pair, params21)) == {"P1", "P2"}
-    assert set(delta2_m_alpha(cv, phi, psi, pair, params21)) == {
-        "Q1", "Q2", "Q3", "Q4", "Q5", "Q6",
-    }
-    assert set(first_variation_density(cv, phi, pair, params21)) == {"G1", "G2"}
-    assert set(second_variation_density(cv, phi, psi, pair, params21)) == {
-        "H1", "H2", "H3", "H4", "H5", "H6",
-    }
+    t = pair_terms(pair_frame(cv, 90, 33), params21, phi, psi)
+    assert set(t["R"]) == {"R1", "R2"}
+    assert set(t["S"]) == {"S1", "S2", "S3", "S4", "S5"}
+    assert set(t["P"]) == {"P1", "P2"}
+    assert set(t["Q"]) == {"Q1", "Q2", "Q3", "Q4", "Q5", "Q6"}
+    assert set(t["G"]) == {"G1", "G2"}
+    assert set(t["H"]) == {"H1", "H2", "H3", "H4", "H5", "H6"}
 
 
 def test_swap_symmetry(bumpy256, params21):
@@ -137,11 +124,11 @@ def test_swap_symmetry(bumpy256, params21):
     phi, psi = random_field(cv, 7), random_field(cv, 8)
     for i, j in PAIRS:
         pair = pair_frame(cv, i, j)
-        a = second_variation_density(cv, phi, psi, pair, params21).total
-        b = second_variation_density(cv, psi, phi, pair, params21).total
+        ta = pair_terms(pair, params21, phi, psi)
+        tb = pair_terms(pair, params21, psi, phi)
+        a, b = sum(ta["H"].values()), sum(tb["H"].values())
         assert abs(a - b) <= 1.0e-10 * max(abs(a), 1.0)
-        a = delta2_n_tau(cv, phi, psi, pair).total
-        b = delta2_n_tau(cv, psi, phi, pair).total
+        a, b = sum(ta["S"].values()), sum(tb["S"].values())
         assert abs(a - b) <= 1.0e-10 * max(abs(a), 1.0)
 
 
@@ -149,11 +136,11 @@ def test_translation_invariance(bumpy256, params21):
     # constant phi: no chord change, no tangent change, zero everywhere
     cv = bumpy256
     const = Field(cv, np.tile([0.3, -0.7], (cv.M, 1)))
-    pair = pair_frame(cv, 66, 9)
-    assert abs(delta_chord_ratio(cv, const, pair)) < 1.0e-13
-    assert abs(delta_n_tau(cv, const, pair).total) < 1.0e-13
-    assert abs(delta_m_alpha(cv, const, pair, params21).total) < 1.0e-12
-    assert abs(first_variation_density(cv, const, pair, params21).total) < 1.0e-12
+    t = pair_terms(pair_frame(cv, 66, 9), params21, const)
+    assert abs(t["chord_ratio"]) < 1.0e-13
+    assert abs(sum(t["R"].values())) < 1.0e-13
+    assert abs(sum(t["P"].values())) < 1.0e-12
+    assert abs(sum(t["G"].values())) < 1.0e-12
 
 
 def test_rotation_equivariance(params21):
@@ -169,13 +156,10 @@ def test_rotation_equivariance(params21):
     # away from the diagonal the pair quantities follow at that level
     assert np.abs(cv_r.tau - cv.tau @ R.T).max() < 1.0e-8
     for i, j in [(30, 90), (64, 5)]:
-        pair = pair_frame(cv, i, j)
-        pair_r = pair_frame(cv_r, i, j)
-        assert rel(
-            density(cv, pair, params21), density(cv_r, pair_r, params21)
-        ) < 1.0e-9
-        a = first_variation_density(cv, phi, pair, params21).total
-        b = first_variation_density(cv_r, phi_r, pair_r, params21).total
+        t = pair_terms(pair_frame(cv, i, j), params21, phi)
+        t_r = pair_terms(pair_frame(cv_r, i, j), params21, phi_r)
+        assert rel(t["density"], t_r["density"]) < 1.0e-9
+        a, b = sum(t["G"].values()), sum(t_r["G"].values())
         assert abs(a - b) <= 1.0e-8 * max(abs(a), 1.0)
 
 
@@ -186,12 +170,12 @@ def test_dilation_identities(bumpy256):
     f = Field(cv, cv.positions.copy())
     for pr in (EnergyParams(2.0, 1.0), EnergyParams(2.4, 1.0), EnergyParams(2.0, 2.0)):
         for i, j in PAIRS:
-            pair = pair_frame(cv, i, j)
-            assert abs(delta_chord_ratio(cv, f, pair) - 2.0) < 1.0e-10
-            dn = delta_n_tau(cv, f, pair).total
+            t = pair_terms(pair_frame(cv, i, j), pr, f)
+            assert abs(t["chord_ratio"] - 2.0) < 1.0e-10
+            dn = sum(t["R"].values())
             assert abs(dn) < 1.0e-10
-            g = first_variation_density(cv, f, pair, pr).total
-            expect = (2.0 - pr.alpha * pr.p) * density(cv, pair, pr)
+            g = sum(t["G"].values())
+            expect = (2.0 - pr.alpha * pr.p) * t["density"]
             assert abs(g - expect) < 1.0e-9 * max(abs(expect), 1.0)
 
 
@@ -206,12 +190,12 @@ def test_first_variation_matches_general_param_fd(bumpy256):
     phi = random_field(cv, 10)
     for pr in (EnergyParams(2.0, 1.0), EnergyParams(2.4, 1.0)):
         for i, j in PAIRS:
-            pair = pair_frame(cv, i, j)
-            got = first_variation_density(cv, phi, pair, pr).total
+            t = pair_terms(pair_frame(cv, i, j), pr, phi)
+            got = sum(t["G"].values())
 
             def dens(e):
                 if e == 0.0:
-                    return density(cv, pair, pr)
+                    return t["density"]
                 return density_general_param(
                     GeneralParamCurve(cv, phi, e), i, j, pr
                 )
@@ -224,12 +208,12 @@ def test_second_variation_matches_general_param_fd(bumpy256, params21):
     cv = bumpy256
     phi = random_field(cv, 12)
     for i, j in PAIRS:
-        pair = pair_frame(cv, i, j)
-        got = second_variation_density(cv, phi, phi, pair, params21).total
+        t = pair_terms(pair_frame(cv, i, j), params21, phi, phi)
+        got = sum(t["H"].values())
 
         def dens(e):
             if e == 0.0:
-                return density(cv, pair, params21)
+                return t["density"]
             return density_general_param(
                 GeneralParamCurve(cv, phi, e), i, j, params21
             )
@@ -248,8 +232,7 @@ def test_delta_m_matches_unit_speed_fd():
     phi = random_field(cv, 13)
     pr = EnergyParams(2.0, 1.0)
     i, j = 50, 10
-    pair = pair_frame(cv, i, j)
-    got = delta_m_alpha(cv, phi, pair, pr).total
+    got = sum(pair_terms(pair_frame(cv, i, j), pr, phi)["P"].values())
 
     def m_of(e):
         g = GeneralParamCurve(cv, phi, e)
@@ -268,14 +251,28 @@ def test_p_between_one_and_two_regular_pairs(bumpy256):
     cv = bumpy256
     phi, psi = random_field(cv, 14), random_field(cv, 15)
     for i, j in PAIRS:
-        pair = pair_frame(cv, i, j)
-        h = second_variation_density(cv, phi, psi, pair, pr)
-        assert np.isfinite(h.total)
+        h = pair_terms(pair_frame(cv, i, j), pr, phi, psi)["H"]
+        assert np.isfinite(sum(h.values()))
 
 
-def test_variation_terms_container():
-    vt = VariationTerms({"A": 1.0, "B": 2.5})
-    assert vt.total == 3.5
-    assert vt["B"] == 2.5
-    assert vt.as_dict() == {"A": 1.0, "B": 2.5, "total": 3.5}
-    assert "total=3.5" in repr(vt)
+_H2_RAISES = {
+    "pair": (
+        lambda cv, pr, phi, psi: pair_terms(pair_frame(cv, 40, 10), pr, phi, psi),
+        "H2 is singular at pair (40, 10)",
+    ),
+    "diagonal": (
+        lambda cv, pr, phi, psi: diagonal_limit(cv, phi, psi, pr, 0.0, "h"),
+        "H2 singular along the diagonal path",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_H2_RAISES))
+def test_h2_singular_pairs_raise(bumpy256, monkeypatch, where):
+    # 1 < p < 2 with every M_alpha below the threshold: each pair is flagged
+    # and, away from the grid quadrature, the flag raises
+    call, message = _H2_RAISES[where]
+    cv = bumpy256
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 1.0e300)
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        call(cv, EnergyParams(2.5, 1.5), random_field(cv, 14), random_field(cv, 15))

@@ -6,10 +6,10 @@ separation, the chord vector, signed short-arc integrals of fields, and field
 values at the two endpoints.  Two evaluators provide those with a common
 interface so the formulas are written exactly once:
 
-* :class:`PairSet` -- pairs of grid samples, from a single pair up to the full
-  M x M offset grid (vectorized; ``curve.pair_frame`` returns one pair and
-  the quadrature module builds the grid and row chunks of it, see
-  :func:`map_chunks`);
+* :class:`PairSet` -- the pairs of grid samples at ``rows, cols`` of the
+  M x M offset grid, from a single pair up to the whole grid (vectorized;
+  ``curve.pair_frame`` returns one pair and the quadrature module reads row
+  chunks of the grid, see :func:`map_chunks`, and its antipodal column);
 * :class:`OffGridPair` -- pairs of arbitrary parameter values, evaluated
   through the trigonometric interpolants (used by the diagonal-limit probes).
 
@@ -30,11 +30,12 @@ fields, the chord vector) are component major, shaped ``(n,) + pairs``, so
 every ufunc on them runs over whole rows of pairs, not over a length-n
 inner axis; :func:`_dot` contracts the leading axis in the order that
 ``einsum`` sums a component-last one, so the kernels keep their bits.  On
-the offset grid row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``, so a
-:class:`PairSet` built with a ``window`` (``quadrature._grid_pairs``) reads
-the first points of its pairs, ``table[j + k]``, through a sliding-window
-view of the doubled sample or prefix table instead of an index gather; the
-second points are one column per row.
+the offset grid row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``, so
+:class:`PairSet` reads the first points of its pairs, ``table[j + k]``,
+through a sliding-window view of the doubled sample or prefix table instead
+of an index gather, and its squared chords off ``curve.chord2_grid``; the
+second points are one column per row.  So one pair and a row chunk of the
+grid read the same numbers, bit for bit, in every dimension.
 
 Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
@@ -72,41 +73,34 @@ def map_chunks(fn, M, width=None):
 
 
 class PairSet:
-    """Vectorized bundle of grid-sample pairs ``(s1, s2) = (s_i, s_j)``.
+    """The grid-sample pairs ``curve.chord2_grid()[rows, cols]``, vectorized.
 
-    ``i`` and ``j`` broadcast against each other, so one pair, a list of
-    pairs and rows of the offset grid (``j`` a column) share this class.
-    ``chord2`` may be passed in when the caller already holds the squared
-    chords; ``D``, ``dvec`` and ``chord`` are computed on demand.
-
-    ``window = (j0, j1, cols)`` states that the pairs are rows ``j0:j1`` and
-    columns ``cols`` (a slice) of the offset grid, ``i = j + k``: the first
-    points are then read through a window view of the doubled sample table
-    instead of gathered through ``i``, ``i_idx`` is not read (it may be
-    ``None``), and the separation ``ds`` is one row over the columns.  ``i``
-    is computed only when asked for.  Vector quantities are component major,
-    ``(n,) + shape``; see the module docstring.
+    ``rows`` and ``cols`` are each an int or a slice of ``0..M-1``, with numpy
+    indexing rules: row ``j``, column ``k`` of the offset grid is the pair
+    ``(s_i, s_j) = (s_{j+k}, s_j)``, and every block has the shape of
+    ``grid[rows, cols]``, from one pair (``curve.pair_frame``) up to row
+    chunks of the grid.  ``chord2`` is read off the curve's grid (a view for
+    slices); ``D``, ``dvec`` and ``chord`` are computed on demand.  The first
+    points are read through a window view of the doubled sample table, the
+    second points are one index per row, and the separation ``ds`` is one
+    value per column.  ``i`` is computed only when asked for.  Vector
+    quantities are component major, ``(n,) + shape``; see the module
+    docstring.
     """
 
-    def __init__(self, curve, i_idx, j_idx, chord2=None, window=None):
+    def __init__(self, curve, rows, cols):
         M = curve.M
         self.curve = curve
-        self.j = np.asarray(j_idx, dtype=np.intp) % M
-        self.window = window
-        # cyclic forward offset k = (i - j) mod M: on a window, its columns
-        if window is None:
-            k = (np.asarray(i_idx, dtype=np.intp) - self.j) % M
-        else:
-            k = np.arange(M)[window[2]]
-        self._k = k
+        self._rows, self._cols = rows, cols
+        # cyclic forward offset k = (i - j) mod M
+        self._k = k = np.arange(M)[cols]
+        # the second points as a column, when there are columns
+        self.j = np.arange(M)[(rows, None) if np.ndim(k) else rows]
         # signed short-arc separation s_i - s_j in (-L/2, L/2]
         self.ds = np.where(k <= M // 2, k, k - M) * curve.h
         # i < j exactly when j + k >= M
         self.wrap = (self.j + k >= M).astype(float) - (k > M // 2)
-        if chord2 is None:
-            dvec = self.dvec
-            chord2 = _dot(dvec, dvec)
-        self.chord2 = chord2
+        self.chord2 = curve.chord2_grid()[rows, cols]
 
     @property
     def i(self):
@@ -116,12 +110,10 @@ class PairSet:
     def _first(self, samples):
         """``(M,)`` or ``(M, n)`` samples at the first points, component major."""
         table = np.ascontiguousarray(samples.T)
-        if self.window is None:
-            return table[..., self.i]
-        j0, j1, cols = self.window
         doubled = np.concatenate([table, table], axis=-1)
+        # window j of the doubled table is table[j + k] over k, for j < M
         win = np.lib.stride_tricks.sliding_window_view(doubled, self.curve.M, axis=-1)
-        return win[..., j0:j1, cols]
+        return win[..., :self.curve.M, :][..., self._rows, self._cols]
 
     def _second(self, samples):
         """``(M,)`` or ``(M, n)`` samples at the second points, component major."""

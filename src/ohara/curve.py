@@ -382,7 +382,7 @@ def pair_frame(curve, i, j):
     j = int(j) % M
     if i == j:
         raise ValidationError("pair_frame requires two distinct samples (diagonal pair)")
-    return PairSet(curve, i, j)
+    return PairSet(curve, j, (i - j) % M)
 
 
 def bilipschitz_constant(curve):

@@ -134,15 +134,6 @@ class _Rows:
         )
 
 
-def _grid_pairs(curve, j0=0, j1=None, cols=slice(None)):
-    """Rows ``j0:j1`` of the offset grid, all of them by default, on its
-    columns ``cols`` (a slice, all ``M`` by default): row ``j``, column ``k``
-    is the pair ``(s_{j+k}, s_j)``, read through windows (``_pairs``)."""
-    j1 = curve.M if j1 is None else j1
-    return PairSet(curve, None, np.arange(j0, j1)[:, None],
-                   chord2=curve.chord2_grid()[j0:j1, cols], window=(j0, j1, cols))
-
-
 def _half_width(M):
     """Columns ``0..M/2`` of the offset grid: the half that :class:`GridOperator`
     evaluates."""
@@ -164,6 +155,15 @@ def _unfold(V, j0=0, j1=None):
     k = np.arange(w, M)
     out[..., w:] = V[..., (np.arange(j0, j1)[:, None] + k) % M, M - k]
     return out
+
+
+def _mirror_weights(M, band):
+    """Weights of the half-grid columns ``band + 1..M/2``: how many columns of
+    the whole grid each stands for in a sum over all rows, 2 (itself and its
+    mirror ``M - k``) and 1 for the antipodal column ``M/2``, its own mirror."""
+    w = np.full(_half_width(M) - band - 1, 2.0)
+    w[-1] = 1.0
+    return w
 
 
 def _quartic_coeffs(W_m2, W_m1, W0, W_p1, W_p2, band):
@@ -375,7 +375,7 @@ class GridOperator:
         offdiag = _offband_cols(M, 0)[None, :w]
 
         def build(j0, j1):
-            b = Blocks(_grid_pairs(curve, j0, j1, slice(w)), params=params)
+            b = Blocks(PairSet(curve, slice(j0, j1), slice(w)), params=params)
             n_tau_checked(b.ntt_raw(), where=offdiag)
             rows = self._geometry(j0, j1)
             for name, block in b.geometry().items():
@@ -391,7 +391,7 @@ class GridOperator:
     def _rows(self, j0, j1, phi=None, psi=None):
         """``Blocks`` on rows ``j0:j1`` of the half grid, its geometry blocks
         row views of the operator's."""
-        return Blocks(_grid_pairs(self.curve, j0, j1, slice(_half_width(self.curve.M))),
+        return Blocks(PairSet(self.curve, slice(j0, j1), slice(_half_width(self.curve.M))),
                       params=self.params, phi=phi, psi=psi, geometry=self._geometry(j0, j1))
 
     def _half(self, integrand, phi, psi=None):
@@ -493,7 +493,7 @@ class GridOperator:
         kc = M // 2 - self.band - 1  # the antipodal column of the slice
 
         def rows(j0, j1):
-            ps = _grid_pairs(cv, j0, j1, k)
+            ps = PairSet(cv, slice(j0, j1), k)
             m = _unfold(self.malpha, j0, j1)[:, k]
             hmp1 = h * w[k] * np.power(m, p - 1.0)
             p1_ca = _unfold(self.phis[1], j0, j1)[:, k] / _unfold(self.calpha, j0, j1)[:, k]
@@ -540,7 +540,7 @@ class GridOperator:
         if flagged.any():
             warnings.warn(
                 "H2 singular policy fired at %d grid pairs; excluded from "
-                "quadrature" % np.count_nonzero(_unfold(flagged))
+                "quadrature" % (flagged[:, 1:] * _mirror_weights(self.curve.M, 0)).sum()
             )
         rows = self._reduce(H)
         W0 = h_limit(self.curve, self.params, phi, psi)
@@ -609,10 +609,8 @@ def antipodal_motion_term(curve, phi, psi, params):
     vanishes identically for phi = f (dA = L/2, dL = L) and for constant
     fields, so dilation and translation identities are unaffected.
     """
-    M = curve.M
-    j = np.arange(M)
-    ps = PairSet(curve, (j + M // 2) % M, j)
-    c = np.sqrt(ps.chord2)
+    ps = PairSet(curve, slice(None), curve.M // 2)
+    c = ps.chord
     D = 0.5 * curve.L
     alpha, p = params.alpha, params.p
     base = c ** (-alpha) - D ** (-alpha)
@@ -747,32 +745,25 @@ def holder_chain_check(curve, phi, psi, params):
     op = GridOperator(curve, params)
     p = params.p
     h2cell = curve.h ** 2
-    cols = _offband_cols(curve.M, DEFAULT_BAND)
+    lo, w = DEFAULT_BAND + 1, _mirror_weights(curve.M, DEFAULT_BAND)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geometry = {k: _unfold(V) for k, V in op._geometry(0, curve.M).items()}
-        b = Blocks(_grid_pairs(curve), params=params, phi=phi, psi=psi, geometry=geometry)
-        m = b.malpha()[:, cols]
-        dmp = b.dm("phi")[:, cols]
-        dmq = b.dm("psi")[:, cols]
-        d2m = b.d2m()[:, cols]
-        gp = b.g_terms("phi")
-        gq = b.g_terms("psi")
-        g1p = gp["G1"][:, cols]
-        g1q = gq["G1"][:, cols]
-        g2p = gp["G2"][:, cols]
-        hterms, _ = b.h_terms()
-        hvals = {k: v[:, cols] for k, v in hterms.items()}
+    def row_sums(b):
+        # per row, sum_k w[k] |v[j, k]|^q over the off-band half columns: over
+        # all rows, the off-band sum of |v|^q on the whole grid
+        g_phi, g_psi = b.g_terms("phi"), b.g_terms("psi")
+        powers = [b.malpha(), b.dm("phi"), b.dm("psi"), b.d2m()]
+        plain = [g_phi["G1"], g_psi["G1"], g_phi["G2"], *b.h_terms()[0].values()]
+        return ([(np.abs(v[:, lo:]) ** p * w).sum(axis=1) for v in powers]
+                + [(np.abs(v[:, lo:]) * w).sum(axis=1) for v in plain])
 
-    def lp(v, q):
-        return float(np.sum(np.abs(v) ** q) * h2cell) ** (1.0 / q)
+    m, dmp, dmq, d2m, g1p, g1q, g2p, *h = op._half(row_sums, phi, psi)
+    hvals = dict(zip(["H%d" % t for t in range(1, 7)], h))
 
-    def l1(v):
-        return float(np.sum(np.abs(v)) * h2cell)
+    def l1(s):
+        """The integral over the pair measure of a block with row sums ``s``."""
+        return float(s.sum() * h2cell)
 
-    m_p = lp(m, p)
-    dmp_p, dmq_p = lp(dmp, p), lp(dmq, p)
-    d2m_p = lp(d2m, p)
+    m_p, dmp_p, dmq_p, d2m_p = (l1(s) ** (1.0 / p) for s in (m, dmp, dmq, d2m))
     sup_dp = phi.deriv.sup_norm()
     sup_dq = psi.deriv.sup_norm()
 

@@ -14,10 +14,10 @@ with the chord-ratio building blocks
     delta^2 |df|^2 / |df|^2 = 2 K(phi, psi)
     delta K(f, phi)[psi]    = K(phi, psi) - 2 K(f, phi) K(f, psi).
 
-All formulas are evaluated on a pair evaluator (single pair, list of pairs,
-or rows of the offset grid -- see ``_pairs``), so :func:`pair_terms`, which
-reads the terms of one sample pair, and the quadrature module share one
-implementation.
+All formulas are evaluated on a pair evaluator (one grid pair, rows or
+columns of the offset grid, or off-grid probes -- see ``_pairs``), so
+:func:`pair_terms`, which reads the terms of one sample pair, and the
+quadrature module share one implementation.
 """
 
 import functools

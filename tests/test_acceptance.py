@@ -12,6 +12,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
+from ohara._pairs import PairSet
 from ohara.curve import (
     ClosedCurve,
     Field,
@@ -31,7 +32,6 @@ from ohara.kernels import (
 )
 from ohara.norms import product_seminorm_check, sobolev_linf_norm
 from ohara.quadrature import (
-    _grid_pairs,
     _offband_cols,
     density_grid,
     energy,
@@ -82,7 +82,7 @@ def test_reformulated_density_matches_subtraction_off_band():
     worst = 0.0
     for seed in range(5):
         cv = random_curve(seed, M=256, n=3)
-        ps = _grid_pairs(cv)
+        ps = PairSet(cv, slice(None), slice(None))
         cols = _offband_cols(cv.M, 2)
         b = Blocks(ps)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -118,7 +118,7 @@ def _whole_grid_dual(op):
     w, w0 = totals(np.eye(M), np.zeros(M)), totals(np.zeros((M, M)), np.ones(M))[0]
     k = slice(op.band + 1, M - op.band)
     j = np.arange(M)[:, None]
-    ps = PairSet(cv, j + np.arange(M)[k], j, chord2=cv.chord2_grid()[:, k])
+    ps = PairSet(cv, slice(None), k)
     back = (j - np.arange(M)[k]) % M
 
     def at_i(a):

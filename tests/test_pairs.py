@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ohara._pairs import OffGridPair, PairSet, _dot
-from ohara.curve import random_curve, random_field
-from ohara.quadrature import DEFAULT_BAND, _grid_pairs, _half_width
+from ohara.curve import pair_frame, random_curve, random_field
+from ohara.quadrature import DEFAULT_BAND, _half_width
 
 M = 48
 
@@ -27,17 +27,30 @@ def _fields(cv):
 
 
 def _windows():
-    """``(j0, j1, cols)`` of every read the grid passes make."""
-    chunks = [(j0, min(j0 + 7, M)) for j0 in range(0, M, 7)]
+    """``(rows, cols)`` of every read of the grid that the code makes: one pair
+    (``pair_frame``), the antipodal column (``antipodal_motion_term``), and
+    row chunks by the full width, the half width (operator build, ``_rows``)
+    and the band slice of ``first_variation_dual``; and single rows."""
+    chunks = [slice(j0, min(j0 + 7, M)) for j0 in range(0, M, 7)]
     col_sets = [slice(None), slice(_half_width(M)), slice(DEFAULT_BAND + 1, M - DEFAULT_BAND)]
-    return [(0, M, cols) for cols in col_sets] + [(j0, j1, cols) for j0, j1 in chunks
-                                                  for cols in col_sets]
+    return ([(30, 22), (4, M // 2), (47, 1), (slice(0, M), M // 2), (30, slice(None)),
+             (5, slice(_half_width(M)))]
+            + [(slice(0, M), cols) for cols in col_sets]
+            + [(rows, cols) for rows in chunks for cols in col_sets])
 
 
-def _reference(cv, j0, j1, cols):
-    """The pairs of rows ``j0:j1``, columns ``cols`` by index gathers."""
-    j = np.arange(j0, j1)[:, None]
-    k = np.arange(M)[cols]
+def _window_id(window):
+    rows, cols = window
+    if isinstance(rows, slice):
+        return "%s-%s-%s" % (rows.start, rows.stop, cols)
+    return "%s-%s" % window
+
+
+def _reference(cv, rows, cols):
+    """The pairs ``grid[rows, cols]`` by index gathers, each block of the
+    shape of ``grid[rows, cols]``."""
+    jj, kk = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    j, k = jj[rows, cols], kk[rows, cols]
     i = (j + k) % M
     wrap = (i < j).astype(float) - (k > M // 2)
 
@@ -48,37 +61,35 @@ def _reference(cv, j0, j1, cols):
     def integral(field):
         P, T = field.prefix()
         P1, P2 = gather(P)
-        return P1 - P2 + wrap * np.reshape(T, np.shape(T) + (1, 1))
+        return P1 - P2 + wrap * np.reshape(T, np.shape(T) + (1,) * np.ndim(wrap))
 
-    return i, j, gather, integral
+    return i, j, k, gather, integral
 
 
-@pytest.mark.parametrize("window", _windows(), ids=lambda w: "%s-%s-%s" % (w[0], w[1], w[2]))
+@pytest.mark.parametrize("window", _windows(), ids=_window_id)
 def test_window_reads_equal_index_gathers(curve, window):
-    j0, j1, cols = window
-    ps = _grid_pairs(curve, j0, j1, cols)
-    i, j, gather, integral = _reference(curve, j0, j1, cols)
-    assert np.array_equal(ps.i, np.broadcast_to(i, ps.i.shape))
-    assert np.array_equal(ps.j, j)
-    # the same pairs read through the index gathers of a plain PairSet
-    plain = PairSet(curve, i, j, chord2=ps.chord2)
+    ps = PairSet(curve, *window)
+    i, j, k, gather, integral = _reference(curve, *window)
+    shape = np.shape(i)
+    assert np.array_equal(ps.i, i)
+    assert np.array_equal(np.broadcast_to(ps.j, shape), j)
+    ds = np.where(k <= M // 2, k, k - M) * curve.h
+    assert np.array_equal(np.broadcast_to(ps.ds, shape), ds)
     for name, field in _fields(curve).items():
         v1, v2 = gather(field.values)
-        for got in (ps, plain):
-            assert np.array_equal(got.integral(field), integral(field)), name
-            assert np.array_equal(got.value1(field), v1), name
-            assert np.array_equal(got.value2(field), v2), name
+        assert np.array_equal(ps.integral(field), integral(field)), name
+        assert np.array_equal(ps.value1(field), v1), name
+        assert np.array_equal(np.broadcast_to(ps.value2(field), v2.shape), v2), name
     p1, p2 = gather(curve.positions)
-    assert ps.dvec.shape == (curve.n,) + ps.wrap.shape
+    assert ps.dvec.shape == (curve.n,) + shape
     assert np.array_equal(ps.dvec, p1 - p2)
-    assert np.array_equal(plain.dvec, p1 - p2)
-    k = (i - j) % M
     assert np.array_equal(ps.chord2, curve.chord2_grid()[j, k])
 
 
-@pytest.mark.parametrize("window", [(0, M, slice(None)), (7, 14, slice(_half_width(M)))])
+@pytest.mark.parametrize("window", [(slice(0, M), slice(None)), (slice(7, 14), slice(_half_width(M)))])
 def test_window_chord2_is_the_dot_of_the_chord(curve, window):
-    ps = PairSet(curve, *_reference(curve, *window)[:2], window=window)
+    # the grid's squared chords are those of the component-major chord vector
+    ps = PairSet(curve, *window)
     d = ps.dvec
     assert np.array_equal(ps.chord2, _dot(d, d))
     np.testing.assert_array_max_ulp(ps.chord2, np.einsum("i...,i...->...", d, d), maxulp=2)
@@ -98,7 +109,7 @@ def test_dot_matches_einsum(n):
 
 
 def test_single_pair_is_component_major(curve):
-    ps = PairSet(curve, 30, 4)
+    ps = pair_frame(curve, 30, 4)
     phi = random_field(curve, 6)
     assert ps.dvec.shape == (curve.n,)
     assert np.array_equal(ps.dvec, curve.positions[30] - curve.positions[4])

@@ -21,9 +21,10 @@ from ohara.quadrature import (
     save_grid_csv,
     second_variation,
 )
-from ohara import quadrature, variations
+from ohara import _pairs, quadrature, variations
+from ohara._pairs import PairSet
 from ohara.diagonal import g_limit, h_limit
-from ohara.quadrature import _band_pieces, _grid_pairs, _integrate, _Rows
+from ohara.quadrature import _band_pieces, _integrate, _Rows
 from ohara.variations import Blocks
 from ohara.verify import fd_energy_gradient, fd_energy_hessian
 
@@ -328,6 +329,91 @@ def test_holder_chain_requires_p_above_one(params21, bumpy256):
         holder_chain_check(bumpy256, phi, phi, params21)
 
 
+def _whole_grid_holder_chain(cv, phi, psi, params):
+    """``{name: (lhs, rhs)}`` of :func:`holder_chain_check` from Blocks on the
+    whole offset grid, summed over its off-band cells."""
+    op = GridOperator(cv, params)
+    p = params.p
+    h2cell = cv.h ** 2
+    cols = quadrature._offband_cols(cv.M, quadrature.DEFAULT_BAND)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = _full_grid_blocks(op, phi, psi)
+        m = b.malpha()[:, cols]
+        dmp = b.dm("phi")[:, cols]
+        dmq = b.dm("psi")[:, cols]
+        d2m = b.d2m()[:, cols]
+        gp = b.g_terms("phi")
+        gq = b.g_terms("psi")
+        g1p = gp["G1"][:, cols]
+        g1q = gq["G1"][:, cols]
+        g2p = gp["G2"][:, cols]
+        hterms, _ = b.h_terms()
+        hvals = {k: v[:, cols] for k, v in hterms.items()}
+
+    def lp(v, q):
+        return float(np.sum(np.abs(v) ** q) * h2cell) ** (1.0 / q)
+
+    def l1(v):
+        return float(np.sum(np.abs(v)) * h2cell)
+
+    m_p = lp(m, p)
+    dmp_p, dmq_p = lp(dmp, p), lp(dmq, p)
+    d2m_p = lp(d2m, p)
+    sup_dp = phi.deriv.sup_norm()
+    sup_dq = psi.deriv.sup_norm()
+    return {
+        "G1": (l1(g1p), p * m_p ** (p - 1.0) * dmp_p),
+        "G2": (l1(g2p), 2.0 * m_p ** p * sup_dp),
+        "H1": (l1(hvals["H1"]), p * m_p ** (p - 1.0) * d2m_p),
+        "H2": (l1(hvals["H2"]), p * (p - 1.0) * m_p ** (p - 2.0) * dmp_p * dmq_p),
+        "H3": (l1(hvals["H3"]), 2.0 * l1(g1p) * sup_dq),
+        "H4": (l1(hvals["H4"]), 2.0 * l1(g1q) * sup_dp),
+        "H5": (l1(hvals["H5"]), 6.0 * m_p ** p * sup_dp * sup_dq),
+        "H6": (l1(hvals["H6"]), 4.0 * m_p ** p * sup_dp * sup_dq),
+    }
+
+
+@pytest.mark.parametrize("alpha,p", [(2.0, 2.0), (2.5, 1.5)])
+def test_holder_chain_matches_the_whole_grid_sums(alpha, p):
+    # row sums over the half grid, each column weighted by its mirror
+    # multiplicity, against sums over the whole grid: the same terms added in
+    # another order
+    cv = random_curve(5, M=128, n=3)
+    pr = EnergyParams(alpha, p)
+    phi, psi = random_field(cv, 28), random_field(cv, 29)
+    rep = holder_chain_check(cv, phi, psi, pr)
+    ref = _whole_grid_holder_chain(cv, phi, psi, pr)
+    assert set(rep) == set(ref)
+    for name, (lhs, rhs) in ref.items():
+        assert rel(rep[name]["lhs"], lhs) <= 1.0e-13, name
+        assert rel(rep[name]["rhs"], rhs) <= 1.0e-13, name
+
+
+def test_holder_chain_by_row_chunks_gives_the_one_chunk_bits(uneven_chunks, monkeypatch):
+    cv = uneven_chunks
+    pr = EnergyParams(2.5, 1.5)
+    phi, psi = random_field(cv, 28), random_field(cv, 29)
+    chunked = holder_chain_check(cv, phi, psi, pr)
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", cv.M ** 2)
+    assert holder_chain_check(cv, phi, psi, pr) == chunked
+
+
+def test_holder_chain_memory_is_row_chunked():
+    # the whole-grid Blocks peaked at 132 MiB at this size
+    cv = random_curve(5, M=512, n=3)
+    pr = EnergyParams(2.0, 2.0)
+    phi, psi = random_field(cv, 28), random_field(cv, 29)
+    holder_chain_check(cv, phi, psi, pr)  # the fields' derivatives are cached
+    tracemalloc.start()
+    try:
+        holder_chain_check(cv, phi, psi, pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def test_operator_reuses_blocks(params21, bumpy256):
     # one operator, several evaluations: results agree with the one-shot API
     op = GridOperator(bumpy256, params21)
@@ -345,7 +431,8 @@ STREAM_PARAMS = [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0)]
 
 def _full_grid_blocks(op, phi, psi=None):
     """Blocks on the whole offset grid, built apart from the operator."""
-    return Blocks(_grid_pairs(op.curve), params=op.params, phi=phi, psi=psi)
+    return Blocks(PairSet(op.curve, slice(None), slice(None)), params=op.params, phi=phi,
+                  psi=psi)
 
 
 def _full_grid_h(op, phi, psi):
@@ -389,7 +476,7 @@ def test_streamed_variations_equal_the_full_grid(uneven_chunks, alpha, p):
 
     grid = density_grid(cv, pr, which="h", phi=phi, psi=psi)
     pair_major = np.full((cv.M, cv.M), np.nan)
-    ps = _grid_pairs(cv)
+    ps = PairSet(cv, slice(None), slice(None))
     pair_major[ps.i, ps.j] = H
     assert np.array_equal(grid.values, pair_major, equal_nan=True)
 

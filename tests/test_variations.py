@@ -14,7 +14,7 @@ from ohara import variations
 from ohara.curve import ClosedCurve, Field, pair_frame, random_curve, random_field
 from ohara.errors import NumericalError
 from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param
-from ohara.quadrature import GridOperator
+from ohara.quadrature import GridOperator, _unfold
 from ohara.variations import pair_terms
 from ohara.verify import diagonal_limit
 
@@ -104,6 +104,30 @@ def test_pair_terms_match_the_grid(alpha, p):
         k = (i - j) % cv.M
         assert sum(t["G"].values()) == G[j, k], (i, j)
         assert sum(t["H"].values()) == H[j, k], (i, j)
+
+
+@pytest.mark.parametrize("seed,M,n", [(5, 96, 8), (0, 96, 3)])
+def test_one_pair_equals_the_grid_in_every_dimension(seed, M, n):
+    # a pair reads its squared chord off the curve's grid, so pair_terms gives
+    # the grid's values also where n >= 8, where a dot of the chord vector sums
+    # its components in another order than the grid does
+    cv = random_curve(seed, M=M, n=n)
+    pr = EnergyParams(2.5, 1.5)
+    op = GridOperator(cv, pr)
+    phi, psi = random_field(cv, 5), random_field(cv, 6)
+    m = _unfold(op.malpha)
+    G = op.g_values(phi)
+    H = op.h_values(phi, psi)[0]
+    c2 = cv.chord2_grid()
+    for j in (0, 17, 50, 95):
+        for k in list(range(3, M - 2, 4)) + [M // 2]:
+            i = (j + k) % M
+            pair = pair_frame(cv, i, j)
+            assert pair.chord2 == c2[j, k], (i, j)
+            t = pair_terms(pair, pr, phi, psi)
+            assert t["m_alpha"] == m[j, k], (i, j)
+            assert sum(t["G"].values()) == G[j, k], (i, j)
+            assert sum(t["H"].values()) == H[j, k], (i, j)
 
 
 def test_term_labels(bumpy256, params21):

@@ -41,11 +41,12 @@ Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
 ``first_variation_dual`` with the row weights it reads off the assembler,
 ``curve.chord2_grid`` from rows of :func:`offset_sq_diffs`,
-``curve.bilipschitz_constant``, and the one pass per field of ``norms``)
-calls :func:`map_chunks`, which calls ``fn(j0, j1)`` once per row chunk of
-about ``CHUNK_CELLS`` cells, in row order, on the calling thread.  Each row
-is computed on its own, so the result is the same, bit for bit, whatever
-the chunking.
+``curve.bilipschitz_constant``, the reductions of ``density_grid`` and
+the rows that ``save_grid_csv`` writes, and the one pass per field of
+``norms``) calls :func:`map_chunks`, which calls ``fn(j0, j1)`` once per
+row chunk of about ``CHUNK_CELLS`` cells, in row order, on the calling
+thread.  Each row is computed on its own, so the result is the same, bit
+for bit, whatever the chunking.
 
 These passes run serially.  Since the window reads, each ufunc on a chunk
 is a short contiguous pass and the Python work between them holds the GIL,

@@ -205,15 +205,13 @@ def _cmd_density(args, params):
         phi = _load_field(cv, args.phi, args.seed)
     if args.which == "h":
         psi = _load_field(cv, args.psi, args.seed + 1)
-    beta = args.beta
-    grid = density_grid(
-        cv, params, which=args.which, beta=beta, phi=phi, psi=psi, band=args.band
-    )
+    grid = density_grid(cv, params, which=args.which, beta=args.beta, phi=phi, psi=psi,
+                        band=args.band)
     if args.out is not None:
         with _writing(args.out):
             save_grid_csv(grid, args.out)
     doc = grid.summary()
-    doc.update({"M": cv.M, "band": args.band, "beta": beta, "csv": args.out})
+    doc.update({"M": cv.M, "band": args.band, "beta": args.beta, "csv": args.out})
     _emit(doc, None)
     return 0
 

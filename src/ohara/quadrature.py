@@ -183,7 +183,6 @@ def _band_pieces(cols, curve, band, gamma, W0):
     Returns ``(band_int, cut_em2, cut_em4)`` arrays of shape (M,).
     """
     M, h = curve.M, curve.h
-    _check_band(M, band)
     Dk = np.abs(short_arc_offsets(M, curve.L))
     Wm2, Wm1, Wp1, Wp2 = (
         cols[k] * Dk[k] ** gamma
@@ -428,10 +427,6 @@ class GridOperator:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.malpha ** self.params.p
 
-    def density_values(self):
-        """The whole M_alpha^p grid."""
-        return _unfold(self._density_half())
-
     def energy(self, band=None):
         band = self.band if band is None else band
         rows = self._reduce(self._density_half(), band)
@@ -621,18 +616,31 @@ def antipodal_motion_term(curve, phi, psi, params):
     return -0.5 * curve.h * float(np.sum(wd * prod))
 
 
+def _roll_rows(F, i0):
+    """Row ``r`` of ``F`` rolled by ``i0 + r``: offset-grid rows ``i0:`` as
+    pair-major rows, whose cell ``j`` is the cell ``(j - i) % M`` of row ``i``."""
+    return np.array([np.roll(row, i) for i, row in enumerate(F, i0)])
+
+
 @dataclass
 class PairGrid:
     """Pair-major grid of a kernel quantity with band bookkeeping.
 
-    ``values[i, j]`` is the quantity at ``(s_i, s_j)``; diagonal and band
-    cells are present in ``values`` where computable but are excluded from
-    the reported norms, which cover the off-band region; the band carries a
-    separate closed-form L1 estimate.  ``flagged`` lists (i, j) pairs where
-    a singular policy fired.
+    Keeps ``half``, columns ``0..M/2`` of the offset grid (see
+    :func:`_unfold`), beta-weighted if ``beta`` is given.  ``rows(i0, i1)``
+    returns rows ``i0:i1`` of the pair-major grid: cell ``[i, j]`` is the
+    quantity at ``(s_i, s_j)``, that is row ``i`` of the whole offset grid
+    rolled by ``i``, except the antipodal cell ``(i, (i + M/2) % M)``, which
+    is ``half[(i + M/2) % M, M/2]`` since the mirror does not hold there.
+    ``values`` is the whole pair-major grid and ``band_mask()`` its band
+    cells, the cells within ``band`` of the diagonal.  Diagonal and band
+    cells are present where computable but are excluded from the reported
+    norms, which cover the off-band region; the band carries a separate
+    closed-form L1 estimate.  ``flagged`` lists (i, j) pairs where a
+    singular policy fired.
     """
 
-    values: np.ndarray
+    half: np.ndarray
     band: int
     label: str
     M: int
@@ -649,11 +657,24 @@ class PairGrid:
     def l1(self):
         return self.l1_offband + self.band_l1_estimate
 
+    def rows(self, i0, i1):
+        """Rows ``i0:i1`` of the pair-major grid, unfolded from ``half``."""
+        F = _unfold(self.half, i0, i1)
+        # the antipodal pair (s_i, s_{i+M/2}) sits at (i + M/2, M/2)
+        F[:, self.M // 2] = np.roll(self.half[:, self.M // 2], -(self.M // 2))[i0:i1]
+        return _roll_rows(F, i0)
+
+    @property
+    def values(self):
+        """The whole pair-major grid."""
+        return self.rows(0, self.M)
+
+    def _band_rows(self, i0, i1):
+        band = ~_offband_cols(self.M, self.band)
+        return _roll_rows(np.broadcast_to(band, (i1 - i0, self.M)), i0)
+
     def band_mask(self):
-        k = np.arange(self.M)
-        cyc = np.abs(np.subtract.outer(k, k))
-        cyc = np.minimum(cyc, self.M - cyc)
-        return cyc <= self.band
+        return self._band_rows(0, self.M)
 
     def summary(self):
         return {
@@ -664,15 +685,6 @@ class PairGrid:
         }
 
 
-def _to_pair_major(V):
-    """``out[i, j]`` = the offset-grid value of the pair ``(s_i, s_j)``."""
-    M = V.shape[0]
-    j = np.arange(M)[:, None]
-    out = np.full((M, M), np.nan)
-    out[(j + np.arange(M)) % M, j] = V
-    return out
-
-
 def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
                  band=DEFAULT_BAND):
     """Grid of the density, G, or H, optionally beta-weighted.
@@ -680,9 +692,12 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     ``which`` is one of ``"density"``, ``"g"``, ``"h"``; G needs ``phi``, H
     needs ``phi`` and ``psi``.  When ``beta`` is given, values carry the
     weight ``D^((alpha - 2 beta) p)`` that renders them bounded (for beta at
-    the Hoelder regularity of the curve).  Returns a :class:`PairGrid`.
-    ``which``, the fields it needs and ``beta`` are checked before any grid
-    work.
+    the Hoelder regularity of the curve).  Returns a :class:`PairGrid` that
+    keeps the operator's half grid of the quantity; ``sup``, the off-band
+    L1 and the flagged pairs are reduced over row chunks of it, each column
+    weighted by the whole-grid columns it stands for, so no whole grid is
+    built.  ``which``, the fields it needs and ``beta`` are checked before
+    any grid work.
     """
     if which not in ("density", "g", "h"):
         raise ValidationError("unknown grid quantity %r" % (which,))
@@ -694,41 +709,52 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
         raise ValidationError("beta must lie in (0, 1]")
 
     op = GridOperator(curve, params, band)
+    M = curve.M
     flagged = []
     if which == "density":
-        V, label, W0 = op.density_values(), "M_alpha^p", density_limit(curve, params)
+        half, label, W0 = op._density_half(), "M_alpha^p", density_limit(curve, params)
     elif which == "g":
-        V, label, W0 = op.g_values(phi), "G", g_limit(curve, params, phi)
+        (half,), label, W0 = op._half(_g_grid, phi), "G", g_limit(curve, params, phi)
     else:
-        V, fmask = op.h_values(phi, psi)
-        # row j, column k is the pair (s_{j+k}, s_j)
-        flagged = [(int((j + k) % curve.M), int(j)) for j, k in zip(*np.nonzero(fmask))]
+        half, fmask = op._half(op._h_grid, phi, psi)
         label, W0 = "H", h_limit(curve, params, phi, psi)
+
+        def pairs(j0, j1):
+            # row j, column k is the pair (s_{j+k}, s_j)
+            j, k = np.nonzero(_unfold(fmask, j0, j1))
+            return zip(((j0 + j + k) % M).tolist(), (j0 + j).tolist())
+
+        flagged = [ij for chunk in map_chunks(pairs, M) for ij in chunk]
 
     gamma_w = 0.0
     if beta is not None:
         gamma_w = (params.alpha - 2.0 * beta) * params.p
-        Dk = np.abs(short_arc_offsets(curve.M, curve.L))
+        # |D| is symmetric, D[k] == D[M - k], so the half carries the weight
+        # of the unfolded grid bit for bit
+        Dk = np.abs(short_arc_offsets(M, curve.L))[:_half_width(M)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            V = V * np.where(Dk > 0, Dk, np.nan)[None, :] ** gamma_w
+            half *= np.where(Dk > 0, Dk, np.nan) ** gamma_w
         label = "D^%g * %s" % (gamma_w, label)
 
-    cols = _offband_cols(curve.M, band)
-    off_vals = V[:, cols]
-    sup = float(np.max(np.abs(off_vals)))
-    l1_off = float(np.sum(np.abs(off_vals))) * curve.h ** 2
+    def offband(j0, j1):
+        a = np.abs(half[j0:j1, band + 1:])
+        return a.max(), (a * _mirror_weights(M, band)).sum(axis=1)
 
-    # band L1 estimate from the quartic model of |values| (weighted form)
-    gamma_model = op.gamma - gamma_w
-    band_int, _, _ = _band_pieces(_Rows.of(np.abs(V), band).cols, curve, band,
-                                  gamma_model, np.abs(np.asarray(W0, dtype=float)))
+    sups, sums = zip(*map_chunks(offband, M, _half_width(M)))
+    sup, l1_off = float(np.max(sups)), float(np.concatenate(sums).sum()) * curve.h ** 2
+
+    # band L1 estimate from the quartic model of |values| (weighted form):
+    # the model reads columns band+1, band+2 and their mirrors M - k, whose
+    # row j is row j - k of column k
+    cols = {k: np.abs(half[:, k]) for k in (band + 1, band + 2)}
+    cols.update({M - k: np.roll(c, k) for k, c in cols.items()})
+    band_int, _, _ = _band_pieces(cols, curve, band, op.gamma - gamma_w,
+                                  np.abs(np.asarray(W0, dtype=float)))
     band_l1 = float(curve.h * np.sum(np.abs(band_int)))
 
-    return PairGrid(
-        values=_to_pair_major(V), band=band, label=label, M=curve.M,
-        L=curve.L, alpha=params.alpha, p=params.p, beta=beta, sup=sup,
-        l1_offband=l1_off, band_l1_estimate=band_l1, flagged=flagged,
-    )
+    return PairGrid(half=half, band=band, label=label, M=M, L=curve.L, alpha=params.alpha,
+                    p=params.p, beta=beta, sup=sup, l1_offband=l1_off,
+                    band_l1_estimate=band_l1, flagged=flagged)
 
 
 def holder_chain_check(curve, phi, psi, params):
@@ -788,14 +814,15 @@ def holder_chain_check(curve, phi, psi, params):
 
 
 def save_grid_csv(grid, path):
-    """Row-major CSV of the grid values; band cells written as nan."""
-    vals = grid.values.copy()
-    vals[grid.band_mask()] = np.nan
-    header = "# M=%d L=%r alpha=%r p=%r beta=%r band=%d label=%s" % (
-        grid.M, grid.L, grid.alpha, grid.p, grid.beta, grid.band, grid.label,
-    )
+    """Row-major CSV of the grid values, written by row chunks; band and
+    non-finite cells written as nan."""
     with open(str(path), "w") as fh:
-        fh.write(header + "\n")
-        for row in vals:
-            fh.write(",".join("nan" if not np.isfinite(x) else repr(float(x)) for x in row))
-            fh.write("\n")
+        fh.write("# M=%d L=%r alpha=%r p=%r beta=%r band=%d label=%s\n" % (
+            grid.M, grid.L, grid.alpha, grid.p, grid.beta, grid.band, grid.label))
+
+        def write(i0, i1):
+            vals = grid.rows(i0, i1)
+            vals[grid._band_rows(i0, i1) | ~np.isfinite(vals)] = np.nan
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in vals.tolist())
+
+        map_chunks(write, grid.M)

@@ -23,8 +23,9 @@ from ohara.quadrature import (
 )
 from ohara import _pairs, quadrature, variations
 from ohara._pairs import PairSet
-from ohara.diagonal import g_limit, h_limit
+from ohara.diagonal import density_limit, g_limit, h_limit
 from ohara.quadrature import _band_pieces, _integrate, _Rows
+from ohara.spectral import short_arc_offsets
 from ohara.variations import Blocks
 from ohara.verify import fd_energy_gradient, fd_energy_hessian
 
@@ -307,6 +308,135 @@ def test_grid_export_roundtrip(tmp_path, params21):
     back = np.array([float(x) for x in lines[1 + 32].split(",")])
     keep = np.isfinite(back)
     assert np.allclose(back[keep], np.where(g.band_mask(), np.nan, g.values)[32][keep])
+
+
+def _whole_grid_density(cv, pr, which, beta=None, phi=None, psi=None):
+    """:func:`density_grid`'s numbers from the whole unfolded offset grid: its
+    summary fields, the NaN-filled pair-major grid and the CSV text, written
+    through an ``M x M`` band mask."""
+    op = GridOperator(cv, pr)
+    M, band = cv.M, op.band
+    flagged = []
+    if which == "density":
+        V, label, W0 = quadrature._unfold(op._density_half()), "M_alpha^p", density_limit(cv, pr)
+    elif which == "g":
+        V, label, W0 = op.g_values(phi), "G", g_limit(cv, pr, phi)
+    else:
+        V, fmask = op.h_values(phi, psi)
+        flagged = [(int((j + k) % M), int(j)) for j, k in zip(*np.nonzero(fmask))]
+        label, W0 = "H", h_limit(cv, pr, phi, psi)
+
+    gamma_w = 0.0
+    if beta is not None:
+        gamma_w = (pr.alpha - 2.0 * beta) * pr.p
+        Dk = np.abs(short_arc_offsets(M, cv.L))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V = V * np.where(Dk > 0, Dk, np.nan)[None, :] ** gamma_w
+        label = "D^%g * %s" % (gamma_w, label)
+
+    off_vals = V[:, quadrature._offband_cols(M, band)]
+    band_int, _, _ = _band_pieces(_Rows.of(np.abs(V), band).cols, cv, band,
+                                  op.gamma - gamma_w, np.abs(np.asarray(W0, dtype=float)))
+    band_l1 = float(cv.h * np.sum(np.abs(band_int)))
+
+    j = np.arange(M)[:, None]
+    values = np.full((M, M), np.nan)
+    values[(j + np.arange(M)) % M, j] = V
+    k = np.arange(M)
+    cyc = np.abs(np.subtract.outer(k, k))
+    cyc = np.minimum(cyc, M - cyc)
+    masked = np.where(cyc <= band, np.nan, values)
+    lines = ["# M=%d L=%r alpha=%r p=%r beta=%r band=%d label=%s" % (
+        M, cv.L, pr.alpha, pr.p, beta, band, label)]
+    lines += [",".join("nan" if not np.isfinite(x) else repr(float(x)) for x in row)
+              for row in masked]
+    return {
+        "sup": float(np.max(np.abs(off_vals))),
+        "l1": float(np.sum(np.abs(off_vals))) * cv.h ** 2 + band_l1,
+        "band_l1_estimate": band_l1,
+        "flagged": flagged,
+        "label": label,
+        "values": values,
+        "csv": "\n".join(lines) + "\n",
+    }
+
+
+def _grid_and_csv(tmp_path, *args, **kwargs):
+    grid = density_grid(*args, **kwargs)
+    save_grid_csv(grid, tmp_path / "grid.csv")
+    return grid, (tmp_path / "grid.csv").read_text()
+
+
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5)])
+@pytest.mark.parametrize("beta", [None, 1.0])
+@pytest.mark.parametrize("which", ["density", "g", "h"])
+def test_density_grid_matches_the_whole_grid(tmp_path, which, beta, alpha, p):
+    # the half grid reduced by row chunks, each column weighted by its mirror
+    # multiplicity, against the whole grid: sup, the band estimate, the flags,
+    # the pair-major grid and the CSV keep their bits, and the off-band L1
+    # adds the same terms in another order
+    cv = random_curve(3, M=96, n=3)
+    pr = EnergyParams(alpha, p)
+    phi, psi = random_field(cv, 40), random_field(cv, 41)
+    grid, text = _grid_and_csv(tmp_path, cv, pr, which=which, beta=beta, phi=phi, psi=psi)
+    ref = _whole_grid_density(cv, pr, which, beta, phi, psi)
+    assert grid.sup == ref["sup"]
+    assert grid.band_l1_estimate == ref["band_l1_estimate"]
+    assert grid.flagged == ref["flagged"]
+    assert grid.label == ref["label"]
+    assert np.array_equal(grid.values, ref["values"], equal_nan=True)
+    assert text == ref["csv"]
+    assert rel(grid.l1, ref["l1"]) <= 1.0e-13
+
+
+def test_density_grid_flags_match_the_whole_grid(tmp_path, monkeypatch):
+    # a high threshold makes the H2 flags fire at p = 1.5
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 0.1)
+    cv = random_curve(3, M=96, n=3)
+    pr = EnergyParams(2.5, 1.5)
+    phi, psi = random_field(cv, 42), random_field(cv, 43)
+    grid, text = _grid_and_csv(tmp_path, cv, pr, which="h", phi=phi, psi=psi)
+    ref = _whole_grid_density(cv, pr, "h", phi=phi, psi=psi)
+    assert len(ref["flagged"]) == 3012
+    assert grid.flagged == ref["flagged"]
+    assert text == ref["csv"]
+
+
+@pytest.mark.parametrize("which", ["density", "h"])
+def test_density_grid_by_row_chunks_gives_the_one_chunk_bits(uneven_chunks, monkeypatch,
+                                                            tmp_path, which):
+    cv = uneven_chunks
+    pr = EnergyParams(2.5, 1.5)
+    phi, psi = random_field(cv, 42), random_field(cv, 43)
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 0.1)
+
+    def run():
+        grid, text = _grid_and_csv(tmp_path, cv, pr, which=which, beta=1.0, phi=phi, psi=psi)
+        return grid.summary(), grid.band_l1_estimate, text
+
+    chunked = run()
+    assert which == "density" or chunked[0]["flagged_pairs"]
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", cv.M ** 2)
+    assert run() == chunked
+
+
+def test_density_grid_memory_is_row_chunked():
+    # the whole unfolded grid, its pair-major copy and |V| peaked at 16.0 MiB
+    # at this size; the operator build is in both measurements
+    cv = random_curve(0, M=512, n=3)
+    pr = EnergyParams(2.5, 1.5)
+
+    def peak(run):
+        run()  # the curve's cached grids
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: density_grid(cv, pr)) <= (
+        peak(lambda: energy(cv, pr, with_estimate=True)) + 2**20)
 
 
 # ------------------------------------------------------------ chain bounds

@@ -32,10 +32,13 @@ inner axis; :func:`_dot` contracts the leading axis in the order that
 ``einsum`` sums a component-last one, so the kernels keep their bits.  On
 the offset grid row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``, so
 :class:`PairSet` reads the first points of its pairs, ``table[j + k]``,
-through a sliding-window view of the doubled sample or prefix table instead
-of an index gather, and its squared chords off ``curve.chord2_grid``; the
-second points are one column per row.  So one pair and a row chunk of the
-grid read the same numbers, bit for bit, in every dimension.
+through a window view of a doubled, component-major sample or prefix table
+instead of an index gather, and its squared chords off
+``curve.chord2_grid``; the second points are one column per row.  The
+table and its window view are built once per field and kept on it
+(:func:`doubled_table`, ``Field.tables``), so a row chunk reads its pairs
+without building anything.  So one pair and a row chunk of the grid read
+the same numbers, bit for bit, in every dimension.
 
 Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
@@ -73,6 +76,22 @@ def map_chunks(fn, M, width=None):
     return [fn(j0, min(j0 + rows, M)) for j0 in range(0, M, rows)]
 
 
+def doubled_table(samples):
+    """``(table, win)`` of ``(M,)`` or ``(M, n)`` samples: the component-major
+    doubled table, ``table[..., m] = samples[m % M]`` for ``m < 2M``, and its
+    ``(M, M)`` window view ``win[..., j, k] = table[..., j + k]``.
+
+    :class:`PairSet` reads first points off ``win`` and second points off
+    ``table``; ``Field.tables`` keeps both, one ``(n, 2M)`` table per field.
+    """
+    half = np.ascontiguousarray(samples.T)
+    table = np.concatenate([half, half], axis=-1)
+    M, step = half.shape[-1], table.strides[-1]
+    win = np.lib.stride_tricks.as_strided(
+        table, table.shape[:-1] + (M, M), table.strides[:-1] + (step, step), writeable=False)
+    return table, win
+
+
 class PairSet:
     """The grid-sample pairs ``curve.chord2_grid()[rows, cols]``, vectorized.
 
@@ -82,11 +101,11 @@ class PairSet:
     ``grid[rows, cols]``, from one pair (``curve.pair_frame``) up to row
     chunks of the grid.  ``chord2`` is read off the curve's grid (a view for
     slices); ``D``, ``dvec`` and ``chord`` are computed on demand.  The first
-    points are read through a window view of the doubled sample table, the
-    second points are one index per row, and the separation ``ds`` is one
-    value per column.  ``i`` is computed only when asked for.  Vector
-    quantities are component major, ``(n,) + shape``; see the module
-    docstring.
+    points are read through the window view of a field's doubled table
+    (``Field.tables``), the second points are one index per row, and the
+    separation ``ds`` is one value per column.  ``i`` is computed only when
+    asked for.  Vector quantities are component major, ``(n,) + shape``; see
+    the module docstring.
     """
 
     def __init__(self, curve, rows, cols):
@@ -108,17 +127,13 @@ class PairSet:
         """Sample index of the first points, ``(j + k) mod M``."""
         return (self.j + self._k) % self.curve.M
 
-    def _first(self, samples):
-        """``(M,)`` or ``(M, n)`` samples at the first points, component major."""
-        table = np.ascontiguousarray(samples.T)
-        doubled = np.concatenate([table, table], axis=-1)
-        # window j of the doubled table is table[j + k] over k, for j < M
-        win = np.lib.stride_tricks.sliding_window_view(doubled, self.curve.M, axis=-1)
-        return win[..., :self.curve.M, :][..., self._rows, self._cols]
+    def _first(self, tables):
+        """The first points' entries of a field's ``tables``, component major."""
+        return tables[1][..., self._rows, self._cols]
 
-    def _second(self, samples):
-        """``(M,)`` or ``(M, n)`` samples at the second points, component major."""
-        return np.ascontiguousarray(samples.T)[..., self.j]
+    def _second(self, tables):
+        """The second points' entries of a field's ``tables``, component major."""
+        return tables[0][..., self.j]
 
     @property
     def D(self):
@@ -128,7 +143,7 @@ class PairSet:
     @property
     def dvec(self):
         """Chord vector ``f(s_i) - f(s_j)``."""
-        pos = self.curve.positions
+        pos = self.curve.position_field.tables()
         return self._first(pos) - self._second(pos)
 
     @property
@@ -138,16 +153,16 @@ class PairSet:
 
     def integral(self, field):
         """Signed short-arc integral of a field between the pair endpoints."""
-        P, T = field.prefix()
+        P, T = field.tables(prefix=True), field.prefix()[1]
         out = self._first(P) - self._second(P)
         out += self.wrap * np.reshape(T, np.shape(T) + (1,) * self.wrap.ndim)
         return out
 
     def value1(self, field):
-        return self._first(field.values)
+        return self._first(field.tables())
 
     def value2(self, field):
-        return self._second(field.values)
+        return self._second(field.tables())
 
 
 class OffGridPair:

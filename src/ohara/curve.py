@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from ._pairs import PairSet, map_chunks, offset_sq_diffs
+from ._pairs import PairSet, doubled_table, map_chunks, offset_sq_diffs
 from .errors import NumericalError, ValidationError
 from .spectral import Interpolant, prefix_integral, short_arc_offsets, spectral_derivative
 
@@ -53,9 +53,10 @@ class Field:
 
     ``values`` has shape ``(M,)`` for scalar fields or ``(M, n)`` for vector
     fields (``n`` the ambient dimension of the curve).  The spectral
-    derivative and the prefix integral of the trig interpolant are computed
-    lazily and cached; an explicit derivative can be supplied when it is known
-    exactly (e.g. the tangent field's derivative is the curvature).
+    derivative, the prefix integral of the trig interpolant and the doubled
+    tables that grid pairs read (:meth:`tables`) are computed lazily and
+    cached; an explicit derivative can be supplied when it is known exactly
+    (e.g. the tangent field's derivative is the curvature).
     """
 
     def __init__(self, curve, values, derivative=None):
@@ -78,6 +79,7 @@ class Field:
         self._deriv = derivative
         self._prefix = None
         self._interp = None
+        self._tables = {}
 
     @property
     def deriv(self):
@@ -93,6 +95,13 @@ class Field:
         if self._prefix is None:
             self._prefix = prefix_integral(self.values, self.curve.L)
         return self._prefix
+
+    def tables(self, prefix=False):
+        """``_pairs.doubled_table`` of the samples, or of the grid prefix if
+        ``prefix``: the tables that ``PairSet`` reads grid pairs from."""
+        if prefix not in self._tables:
+            self._tables[prefix] = doubled_table(self.prefix()[0] if prefix else self.values)
+        return self._tables[prefix]
 
     def interpolant(self):
         if self._interp is None:

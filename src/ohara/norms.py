@@ -206,13 +206,16 @@ def seminorms(u, sigma, q, beta):
     return {"gagliardo": gag, "holder": holder, "sobolev_linf": _sobolev_linf(u, gag, q)}
 
 
-def product_seminorm_check(curve, phi):
+def product_seminorm_check(curve, phi, known=None):
     """Product estimates for the scalar field tau . phi'.
 
     The parameters are fixed, (β, σ, q) = (``PRODUCT_BETA``,
     ``PRODUCT_SIGMA``, ``PRODUCT_Q``) = (1, 1/2, 2), and reported in the
     output: ``ohara norms`` prints its ``product_check`` at these values
-    whatever ``--alpha``, ``--p`` and ``--beta`` say.
+    whatever ``--alpha``, ``--p`` and ``--beta`` say.  ``known`` maps a
+    triple ``(σ, q, β)`` to the :func:`seminorms` reports ``(of tau, of
+    phi')`` that the caller already has; at the fixed triple they are used
+    as they are, not computed again.
 
     Hölder side: [tau.phi']_{C^{0,β}} <= ‖tau‖_∞ [phi']_{C^{0,β}}
     + [tau]_{C^{0,β}} ‖phi'‖_∞ with constant exactly 1; the margin
@@ -223,10 +226,10 @@ def product_seminorm_check(curve, phi):
     """
     tau = curve.tau_field
     dphi = phi.deriv
-    of_w, of_dphi, of_tau = (
-        seminorms(f, PRODUCT_SIGMA, PRODUCT_Q, PRODUCT_BETA)
-        for f in (tau.dot(dphi), dphi, tau)
-    )
+    triple = (PRODUCT_SIGMA, PRODUCT_Q, PRODUCT_BETA)
+    given = (known or {}).get(triple)
+    of_tau, of_dphi = given or [seminorms(f, *triple) for f in (tau, dphi)]
+    of_w = seminorms(tau.dot(dphi), *triple)
     lhs = of_w["holder"]
     rhs = sup_norm(tau) * of_dphi["holder"] + of_tau["holder"] * sup_norm(dphi)
     scale = max(rhs, 1e-300)

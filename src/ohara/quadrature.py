@@ -349,14 +349,16 @@ class GridOperator:
     Keeps the geometry-only blocks on the evaluated half of the offset grid
     (columns ``0..M/2``, see the module docstring) as ``(M, M/2 + 1)``
     arrays: ``ntt`` = N(tau, tau), ``calpha`` = |df|^alpha, ``malpha`` =
-    M_alpha and the three ``phis`` of phi_alpha (one ``(3, M, M/2 + 1)``
-    array).  The antipodal column ``M/2`` is kept as computed, since the
-    mirror does not hold on it.  One evaluator, :meth:`_rows`, works on row
-    chunks of the half grid, handed out by ``_pairs.map_chunks``: the build
-    writes each chunk's geometry blocks into those arrays, and the energy
-    and the variations start each chunk from row views of them
-    (:meth:`_half`), then unfold the integrand and reduce it by row chunks
-    of the whole grid (:meth:`_reduce`).  So N(tau,tau),
+    M_alpha and ``dphis``, the first two derivatives of phi_alpha (one
+    ``(2, M, M/2 + 1)`` array); phi_alpha itself is read only to form
+    M_alpha, so it is not kept.  The antipodal column ``M/2`` is kept as
+    computed, since the mirror does not hold on it.  One evaluator,
+    :meth:`_rows`, works on row chunks of the half grid, handed out by
+    ``_pairs.map_chunks``: the build writes each chunk's geometry blocks into
+    those arrays, and the energy and the variations start each chunk from
+    row views of them, each pass handing all its chunks one dict of product
+    fields (:meth:`_half`), then unfold the integrand and reduce it by row
+    chunks of the whole grid (:meth:`_reduce`).  So N(tau,tau),
     M_alpha etc. are computed once, on half the pairs, and whole grids exist
     only where a caller asks for one.
     """
@@ -370,11 +372,12 @@ class GridOperator:
         self.gamma = (params.alpha - 2.0) * params.p
         M, w = curve.M, _half_width(curve.M)
         self.ntt, self.calpha, self.malpha = (np.empty((M, w)) for _ in range(3))
-        self.phis = np.empty((3, M, w))
+        self.dphis = np.empty((2, M, w))
         offdiag = _offband_cols(M, 0)[None, :w]
+        fields = {}
 
         def build(j0, j1):
-            b = Blocks(PairSet(curve, slice(j0, j1), slice(w)), params=params)
+            b = Blocks(PairSet(curve, slice(j0, j1), slice(w)), params=params, fields=fields)
             n_tau_checked(b.ntt_raw(), where=offdiag)
             rows = self._geometry(j0, j1)
             for name, block in b.geometry().items():
@@ -387,19 +390,22 @@ class GridOperator:
         """Rows ``j0:j1`` of the geometry blocks, keyed as :meth:`Blocks.geometry`."""
         return {k: getattr(self, k)[..., j0:j1, :] for k in Blocks.GEOMETRY}
 
-    def _rows(self, j0, j1, phi=None, psi=None):
+    def _rows(self, j0, j1, phi=None, psi=None, fields=None):
         """``Blocks`` on rows ``j0:j1`` of the half grid, its geometry blocks
-        row views of the operator's."""
+        row views of the operator's and its product fields ``fields``."""
         return Blocks(PairSet(self.curve, slice(j0, j1), slice(_half_width(self.curve.M))),
-                      params=self.params, phi=phi, psi=psi, geometry=self._geometry(j0, j1))
+                      params=self.params, phi=phi, psi=psi, geometry=self._geometry(j0, j1),
+                      fields=fields)
 
     def _half(self, integrand, phi, psi=None):
         """The blocks that ``integrand(b)`` lists, each on the whole half grid,
-        evaluated on ``Blocks`` of one row chunk each."""
+        evaluated on ``Blocks`` of one row chunk each, which share one dict
+        of product fields."""
         M = self.curve.M
+        fields = {}
 
         def blocks(j0, j1):
-            return integrand(self._rows(j0, j1, phi, psi))
+            return integrand(self._rows(j0, j1, phi, psi, fields))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             parts = map_chunks(blocks, M, _half_width(M))
@@ -491,7 +497,7 @@ class GridOperator:
             ps = PairSet(cv, slice(j0, j1), k)
             m = _unfold(self.malpha, j0, j1)[:, k]
             hmp1 = h * w[k] * np.power(m, p - 1.0)
-            p1_ca = _unfold(self.phis[1], j0, j1)[:, k] / _unfold(self.calpha, j0, j1)[:, k]
+            p1_ca = _unfold(self.dphis[0], j0, j1)[:, k] / _unfold(self.calpha, j0, j1)[:, k]
             cK = -p * hmp1 * (2.0 * p1_ca * _unfold(self.ntt, j0, j1)[:, k] + pr.alpha * m)
             cN = 2.0 * p * hmp1 * p1_ca
             # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2 and

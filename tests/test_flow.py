@@ -129,7 +129,7 @@ def _whole_grid_dual(op):
 
     m = _unfold(op.malpha)[:, k]
     hmp1 = h * w[k] * np.power(m, p - 1.0)
-    p1_ca = _unfold(op.phis[1])[:, k] / _unfold(op.calpha)[:, k]
+    p1_ca = _unfold(op.dphis[0])[:, k] / _unfold(op.calpha)[:, k]
     cK = -p * hmp1 * (2.0 * p1_ca * _unfold(op.ntt)[:, k] + pr.alpha * m)
     cN = 2.0 * p * hmp1 * p1_ca
     cT = hmp1 * m

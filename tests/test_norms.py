@@ -222,11 +222,14 @@ def test_each_field_is_one_pass_over_its_grid(monkeypatch, tmp_path, capsys):
     cv = random_curve(2, M=64, n=3)
     path = tmp_path / "curve.json"
     save_curve(cv, str(path))
-    # tau and phi', then tau . phi', phi' and tau for the product check
-    assert cli.main(["norms", "--curve", str(path)]) == 0
-    capsys.readouterr()
-    assert len(passes) == 5
-    passes.clear()
+    # tau and phi', then tau . phi' for the product check, which reuses the
+    # reports of tau and phi' at the default (2, 1): there the job's
+    # (sigma, q, beta) is the check's own; at (2.5, 1.5) it is not
+    for argv, count in ((["norms"], 3), (["norms", "--alpha", "2.5", "--p", "1.5"], 5)):
+        assert cli.main(argv + ["--curve", str(path)]) == 0
+        capsys.readouterr()
+        assert len(passes) == count
+        passes.clear()
     product_seminorm_check(cv, random_field(cv, 6))
     assert len(passes) == 3
     passes.clear()

@@ -110,7 +110,7 @@ def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch
         rows = op._reduce(op.malpha)
         return [
             cv.chord2_grid(), _pairs.offset_sq_diffs(phi.values), bilip,
-            op.ntt, op.calpha, op.malpha, op.phis, *op.energy_with_estimate(),
+            op.ntt, op.calpha, op.malpha, op.dphis, *op.energy_with_estimate(),
             rows.offband, *rows.cols.values(), op.g_values(phi),
             *op.h_values(phi, psi), op.first_variation(phi),
             op.second_variation(phi, psi),

@@ -648,7 +648,7 @@ def test_whole_grids_are_pair_swap_symmetric(monkeypatch, M, alpha, p):
     j = np.arange(M)[:, None]
     k = np.array([c for c in range(1, M) if c != M // 2])
     for name, V in grids.items():
-        V = np.asarray(V)  # phis is a tuple of three grids
+        V = np.asarray(V)  # dphis is a tuple of two grids
         assert np.array_equal(V[..., j, k], V[..., (j + k) % M, M - k]), name
 
 
@@ -664,6 +664,23 @@ def test_second_variation_memory_is_row_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_second_variation_memory_keeps_no_pass_memo():
+    # one pass after a warm-up call, which caches the fields' derivatives and
+    # tables: 12.7-13.0 MiB while a chunk's Blocks kept every labelled term,
+    # 9.0 MiB since; memoizing short-arc integrals on PairSet read 11.5 MiB
+    cv = random_curve(0, M=512, n=3)
+    op = GridOperator(cv, EnergyParams(2.5, 1.5))
+    phi, psi = random_field(cv, 1), random_field(cv, 2)
+    op.second_variation(phi, psi)
+    tracemalloc.start()
+    try:
+        op.second_variation(phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_grid_operator_build_memory_is_row_chunked():

@@ -6,15 +6,17 @@ first- and second-variation integrands pair by pair.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ohara import variations
+from ohara._pairs import PairSet, k_raw, n_raw, n_raw_scalar
 from ohara.curve import ClosedCurve, Field, pair_frame, random_curve, random_field
 from ohara.errors import NumericalError
-from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param
-from ohara.quadrature import GridOperator, _unfold
+from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param, phi_alpha
+from ohara.quadrature import GridOperator, _g_grid, _unfold, holder_chain_check
 from ohara.variations import pair_terms
 from ohara.verify import diagonal_limit
 
@@ -300,3 +302,284 @@ def test_h2_singular_pairs_raise(bumpy256, monkeypatch, where):
     monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 1.0e300)
     with pytest.raises(NumericalError, match=re.escape(message)):
         call(cv, EnergyParams(2.5, 1.5), random_field(cv, 14), random_field(cv, 15))
+
+
+# ------------------------------------------- the parent's blocks, bit for bit
+
+
+class _ParentPairs(PairSet):
+    """:class:`PairSet` reading its pairs as the parent commit did: a doubled
+    table and a sliding window built on every read."""
+
+    def _first_of(self, samples):
+        table = np.ascontiguousarray(samples.T)
+        doubled = np.concatenate([table, table], axis=-1)
+        win = np.lib.stride_tricks.sliding_window_view(doubled, self.curve.M, axis=-1)
+        return win[..., :self.curve.M, :][..., self._rows, self._cols]
+
+    def _second_of(self, samples):
+        return np.ascontiguousarray(samples.T)[..., self.j]
+
+    @property
+    def dvec(self):
+        pos = self.curve.positions
+        return self._first_of(pos) - self._second_of(pos)
+
+    def integral(self, field):
+        P, T = field.prefix()
+        out = self._first_of(P) - self._second_of(P)
+        out += self.wrap * np.reshape(T, np.shape(T) + (1,) * self.wrap.ndim)
+        return out
+
+    def value1(self, field):
+        return self._first_of(field.values)
+
+    def value2(self, field):
+        return self._second_of(field.values)
+
+
+class _ParentBlocks:
+    """The parent commit's ``variations.Blocks``, unseeded: every product
+    field, its prefix and every power of M_alpha are built per instance, and
+    every block and term dict is memoized."""
+
+    def __init__(self, ev, params=None, phi=None, psi=None):
+        self.ev = ev
+        self.params = params
+        self.phi = phi
+        self.psi = psi
+        self._memo = {}
+
+    @property
+    def tau(self):
+        return self.ev.curve.tau_field
+
+    @variations._memo
+    def ntt_raw(self):
+        return n_raw(self.ev, self.tau, self.tau, self.tau.dot(self.tau))
+
+    @variations._memo
+    def ntt(self):
+        return np.where(self.ntt_raw() < 0.0, 0.0, self.ntt_raw())
+
+    @variations._memo
+    def calpha(self):
+        return np.power(self.ev.chord2, self.params.alpha / 2.0)
+
+    @variations._memo
+    def phis(self):
+        return phi_alpha(self.ntt(), self.params.alpha)
+
+    @variations._memo
+    def malpha(self):
+        return self.phis()[0] / self.calpha()
+
+    def _field(self, which):
+        return self.phi if which == "phi" else self.psi
+
+    def _dfield(self, which):
+        return self._field(which).deriv
+
+    @variations._memo
+    def _t_dot(self, which):
+        return self.tau.dot(self._dfield(which))
+
+    @variations._memo
+    def kf(self, which):
+        return k_raw(self.ev, self.ev.curve.position_field, self._field(which))
+
+    @variations._memo
+    def nt(self, which):
+        return n_raw(self.ev, self.tau, self._dfield(which), self._t_dot(which))
+
+    @variations._memo
+    def t1(self, which):
+        return self.ev.value1(self._t_dot(which))
+
+    @variations._memo
+    def t2(self, which):
+        return self.ev.value2(self._t_dot(which))
+
+    @variations._memo
+    def kpq(self):
+        return k_raw(self.ev, self.phi, self.psi)
+
+    @variations._memo
+    def npq(self):
+        dp, dq = self.phi.deriv, self.psi.deriv
+        return n_raw(self.ev, dp, dq, dp.dot(dq))
+
+    @variations._memo
+    def nscal(self):
+        u, v = self._t_dot("phi"), self._t_dot("psi")
+        return n_raw_scalar(self.ev, u, v, u.dot(v))
+
+    @variations._memo
+    def pp_split(self):
+        pq = self._dfield("phi").dot(self._dfield("psi"))
+        return self.ev.value1(pq), self.ev.value2(pq)
+
+    @variations._memo
+    def dn_terms(self, which):
+        return {"R1": -2.0 * self.kf(which) * self.ntt(), "R2": 2.0 * self.nt(which)}
+
+    @variations._memo
+    def dn(self, which):
+        t = self.dn_terms(which)
+        return t["R1"] + t["R2"]
+
+    @variations._memo
+    def d2n_terms(self):
+        ntt = self.ntt()
+        kfp, kfq = self.kf("phi"), self.kf("psi")
+        return {
+            "S1": -2.0 * (self.kpq() - 2.0 * kfp * kfq) * ntt,
+            "S2": -kfp * self.dn("psi") - kfq * self.dn("phi"),
+            "S3": -2.0 * kfq * self.nt("phi") - 2.0 * kfp * self.nt("psi"),
+            "S4": 2.0 * self.npq(),
+            "S5": -2.0 * self.nscal(),
+        }
+
+    @variations._memo
+    def dm_terms(self, which):
+        _, p1, _ = self.phis()
+        alpha = self.params.alpha
+        return {
+            "P1": p1 * self.dn(which) / self.calpha(),
+            "P2": -(alpha / 2.0) * self.malpha() * 2.0 * self.kf(which),
+        }
+
+    @variations._memo
+    def dm(self, which):
+        t = self.dm_terms(which)
+        return t["P1"] + t["P2"]
+
+    @variations._memo
+    def d2m_terms(self):
+        _, p1, p2 = self.phis()
+        alpha = self.params.alpha
+        ca = self.calpha()
+        d2n = sum(self.d2n_terms().values())
+        dnp, dnq = self.dn("phi"), self.dn("psi")
+        kfp, kfq = self.kf("phi"), self.kf("psi")
+        return {
+            "Q1": p1 * d2n / ca,
+            "Q2": -(alpha / 2.0) * p1 * (dnp / ca) * (2.0 * kfq),
+            "Q3": p2 * dnp * dnq / ca,
+            "Q4": -(alpha / 2.0) * self.dm("psi") * (2.0 * kfp),
+            "Q5": -(alpha / 2.0) * self.malpha() * (2.0 * self.kpq()),
+            "Q6": (alpha / 2.0) * self.malpha() * (2.0 * kfp) * (2.0 * kfq),
+        }
+
+    @variations._memo
+    def d2m(self):
+        return sum(self.d2m_terms().values())
+
+    @variations._memo
+    def g_terms(self, which):
+        p = self.params.p
+        m = self.malpha()
+        mp1 = np.power(m, p - 1.0) if p != 1.0 else np.ones_like(np.asarray(m))
+        g1 = p * mp1 * self.dm(which)
+        g2 = m * mp1 * (self.t1(which) + self.t2(which))
+        return {"G1": g1, "G2": g2}
+
+    @variations._memo
+    def h_terms(self):
+        p = self.params.p
+        m = np.asarray(self.malpha())
+        mp = np.power(m, p)
+        mp1 = np.power(m, p - 1.0) if p != 1.0 else np.ones_like(m)
+        dmp, dmq = np.asarray(self.dm("phi")), np.asarray(self.dm("psi"))
+        if p == 1.0:
+            h2 = np.zeros_like(m)
+            flagged = np.zeros_like(m, dtype=bool)
+        elif p >= 2.0:
+            h2 = p * (p - 1.0) * np.power(m, p - 2.0) * dmp * dmq
+            flagged = np.zeros_like(m, dtype=bool)
+        else:
+            sing = m < variations.H2_SINGULAR_THRESHOLD
+            safe_m = np.where(sing, 1.0, m)
+            h2 = p * (p - 1.0) * np.power(safe_m, p - 2.0) * dmp * dmq
+            vanish = (np.abs(dmp) <= variations.H2_DELTA_TOLERANCE) & (
+                np.abs(dmq) <= variations.H2_DELTA_TOLERANCE
+            )
+            h2 = np.where(sing, 0.0, h2)
+            flagged = sing & ~vanish
+        tp = self.t1("phi") + self.t2("phi")
+        tq = self.t1("psi") + self.t2("psi")
+        pp1, pp2 = self.pp_split()
+        g1p = self.g_terms("phi")["G1"]
+        g1q = self.g_terms("psi")["G1"]
+        terms = {
+            "H1": p * mp1 * self.d2m(),
+            "H2": h2,
+            "H3": g1p * tq,
+            "H4": g1q * tp,
+            "H5": mp * ((pp1 + pp2) - 2.0 * (
+                self.t1("phi") * self.t1("psi") + self.t2("phi") * self.t2("psi")
+            )),
+            "H6": mp * tp * tq,
+        }
+        return terms, flagged
+
+
+def _outputs(cv, pr, phi, psi):
+    """Every output of the row-chunk variation passes on ``cv``, with
+    ``holder_chain_check`` where it is defined (p > 1)."""
+    op = GridOperator(cv, pr)
+    (G,) = op._half(_g_grid, phi)
+    H, flagged = op._half(op._h_grid, phi, psi)
+    out = {"G": G, "H": H, "flagged": flagged, "first_variation": op.first_variation(phi)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the flagged case warns on both sides
+        out["second_variation"] = op.second_variation(phi, psi)
+    if pr.p > 1.0:
+        out["holder_chain_check"] = holder_chain_check(cv, phi, psi, pr)
+    return out
+
+
+def _parent_rows(op, j0, j1, phi=None, psi=None, fields=None):
+    # unseeded, so the parent's geometry blocks are computed on the same
+    # rows; the parent built its product fields per chunk, so fields is unused
+    return _ParentBlocks(_ParentPairs(op.curve, slice(j0, j1), slice(op.curve.M // 2 + 1)),
+                         params=op.params, phi=phi, psi=psi)
+
+
+def _assert_parent_bits(monkeypatch, cv, pr):
+    phi, psi = random_field(cv, 40), random_field(cv, 41)
+    got = _outputs(cv, pr, phi, psi)
+    with monkeypatch.context() as m:
+        m.setattr(GridOperator, "_rows", _parent_rows)
+        ref = _outputs(cv, pr, phi, psi)
+    assert got.keys() == ref.keys()
+    for name in ("G", "H", "flagged"):
+        assert np.array_equal(got[name], ref[name], equal_nan=True), name
+    for name in ("first_variation", "second_variation", "holder_chain_check"):
+        assert got.get(name) == ref.get(name), name
+    # the operator's geometry blocks against the parent's, on the whole half
+    op = GridOperator(cv, pr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pb = _parent_rows(op, 0, cv.M)
+        parent = {"ntt": pb.ntt(), "calpha": pb.calpha(), "malpha": pb.malpha(),
+                  "dphis": pb.phis()[1:]}
+    for name, block in parent.items():
+        assert np.array_equal(getattr(op, name), block, equal_nan=True), name
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5), (2.0, 2.0), (2.2, 3.0)])
+def test_blocks_keep_the_parent_bits(uneven_chunks, monkeypatch, alpha, p, n):
+    # per-pass product fields, cached field windows, one M_alpha^(p-1) per
+    # chunk, term dicts built on demand and the unmasked H2 product where no
+    # pair is singular change no bit
+    cv = random_curve(3, M=uneven_chunks.M, n=n)
+    _assert_parent_bits(monkeypatch, cv, EnergyParams(alpha, p))
+
+
+def test_blocks_keep_the_parent_bits_where_h2_flags(monkeypatch):
+    # a high threshold makes the H2 flags fire at p = 1.5
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 0.1)
+    got = _assert_parent_bits(monkeypatch, random_curve(3, M=96, n=3), EnergyParams(2.5, 1.5))
+    assert got["flagged"].any()

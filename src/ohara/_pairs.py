@@ -33,22 +33,25 @@ inner axis; :func:`_dot` contracts the leading axis in the order that
 the offset grid row ``j``, column ``k`` is the pair ``(s_{j+k}, s_j)``, so
 :class:`PairSet` reads the first points of its pairs, ``table[j + k]``,
 through a window view of a doubled, component-major sample or prefix table
-instead of an index gather, and its squared chords off
-``curve.chord2_grid``; the second points are one column per row.  The
+instead of an index gather; the second points are one column per row.  The
 table and its window view are built once per field and kept on it
 (:func:`doubled_table`, ``Field.tables``), so a row chunk reads its pairs
-without building anything.  So one pair and a row chunk of the grid read
-the same numbers, bit for bit, in every dimension.
+without building anything.  A squared chord is a pair quantity like any
+other, ``_dot(dvec, dvec)`` of the pair's own chord vector, on the grid as
+off it; since ``_dot`` is elementwise over the pairs, one pair and a row
+chunk of the grid read the same numbers, bit for bit, in every dimension.
+Swapping the two points of a pair negates its chord vector, so the squared
+chords obey the mirror ``chord2[j, k] == chord2[(j + k) % M, M - k]`` bit
+for bit, and half the grid (``k = 0..M/2``) holds every distinct value.
 
 Row-chunk passes.  Every pass over the rows of the offset grid (the
 ``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
 ``first_variation_dual`` with the row weights it reads off the assembler,
-``curve.chord2_grid`` from rows of :func:`offset_sq_diffs`,
-``curve.bilipschitz_constant``, the reductions of ``density_grid`` and
-the rows that ``save_grid_csv`` writes, and the one pass per field of
-``norms``) calls :func:`map_chunks`, which calls ``fn(j0, j1)`` once per
-row chunk of about ``CHUNK_CELLS`` cells, in row order, on the calling
-thread.  Each row is computed on its own, so the result is the same, bit
+the chord pass of ``ClosedCurve`` construction, the reductions of
+``density_grid`` and the rows that ``save_grid_csv`` writes, and the one
+pass per field of ``norms``) calls :func:`map_chunks`, which calls
+``fn(j0, j1)`` once per row chunk of about ``CHUNK_CELLS`` cells, in row
+order, on the calling thread.  Each row is computed on its own, so the result is the same, bit
 for bit, whatever the chunking.
 
 These passes run serially.  Since the window reads, each ufunc on a chunk
@@ -60,6 +63,8 @@ against 194-307 ms for ``flow.l2_gradient``; and such a box caps any pool
 gain at 2x.  The one pool left builds the elementwise cos/sin table of
 ``spectral.Interpolant``.
 """
+
+import functools
 
 import numpy as np
 
@@ -93,17 +98,19 @@ def doubled_table(samples):
 
 
 class PairSet:
-    """The grid-sample pairs ``curve.chord2_grid()[rows, cols]``, vectorized.
+    """The grid-sample pairs at ``[rows, cols]`` of the M x M offset grid,
+    vectorized.
 
     ``rows`` and ``cols`` are each an int or a slice of ``0..M-1``, with numpy
     indexing rules: row ``j``, column ``k`` of the offset grid is the pair
     ``(s_i, s_j) = (s_{j+k}, s_j)``, and every block has the shape of
     ``grid[rows, cols]``, from one pair (``curve.pair_frame``) up to row
-    chunks of the grid.  ``chord2`` is read off the curve's grid (a view for
-    slices); ``D``, ``dvec`` and ``chord`` are computed on demand.  The first
-    points are read through the window view of a field's doubled table
-    (``Field.tables``), the second points are one index per row, and the
-    separation ``ds`` is one value per column.  ``i`` is computed only when
+    chunks of the grid.  ``D``, ``dvec``, ``chord2`` and ``chord`` are
+    computed on demand; ``chord2`` is computed once and kept, unless a
+    caller that keeps the squared chords of these pairs assigns them first.
+    The first points are read through the window view of a field's doubled
+    table (``Field.tables``), the second points are one index per row, and
+    the separation ``ds`` is one value per column.  ``i`` is computed only when
     asked for.  Vector quantities are component major, ``(n,) + shape``; see
     the module docstring.
     """
@@ -118,9 +125,13 @@ class PairSet:
         self.j = np.arange(M)[(rows, None) if np.ndim(k) else rows]
         # signed short-arc separation s_i - s_j in (-L/2, L/2]
         self.ds = np.where(k <= M // 2, k, k - M) * curve.h
-        # i < j exactly when j + k >= M
-        self.wrap = (self.j + k >= M).astype(float) - (k > M // 2)
-        self.chord2 = curve.chord2_grid()[rows, cols]
+
+    @functools.cached_property
+    def wrap(self):
+        """The full-period multiple in :meth:`integral`, ``[i < j] - [k > M/2]``
+        (``i < j`` exactly when ``j + k >= M``), built only for the pair sets
+        that take integrals."""
+        return (self.j + self._k >= self.curve.M).astype(float) - (self._k > self.curve.M // 2)
 
     @property
     def i(self):
@@ -146,10 +157,20 @@ class PairSet:
         pos = self.curve.position_field.tables()
         return self._first(pos) - self._second(pos)
 
+    @functools.cached_property
+    def chord2(self):
+        """Squared chord ``|f(s_i) - f(s_j)|^2``, ``_dot(dvec, dvec)``."""
+        return self.sq_diff(self.curve.position_field)
+
     @property
     def chord(self):
         """Euclidean chord length."""
         return np.sqrt(self.chord2)
+
+    def sq_diff(self, field):
+        """``|u(s_i) - u(s_j)|^2`` of a field's values at the two endpoints."""
+        d = self.value1(field) - self.value2(field)
+        return _inner(field, d, d)
 
     def integral(self, field):
         """Signed short-arc integral of a field between the pair endpoints."""
@@ -199,22 +220,6 @@ class OffGridPair:
         return self._vector(field, field.at(self.s2))
 
 
-def offset_sq_diffs(values, j0=0, j1=None):
-    """Rows ``j0:j1`` (all by default) of ``out[j, k] = |v(s_{j+k}) - v(s_j)|^2``
-    over all cyclic offsets ``k``.
-
-    ``values`` holds the ``(M,)`` or ``(M, n)`` samples of ``v``.  Each row is
-    computed on its own, so row chunks give the rows of the whole grid.
-    """
-    vals = values if values.ndim == 2 else values[:, None]
-    M = vals.shape[0]
-    j1 = M if j1 is None else j1
-    # row j of the windows is v(s_{j+k}) over k, as an (n, M) view
-    win = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals]), M, axis=0)
-    d = win[j0:j1] - vals[j0:j1, :, None]
-    return np.einsum("jik,jik->jk", d, d)
-
-
 def _dot(a, b):
     """``sum_c a[c] * b[c]`` over the leading (component) axis.
 
@@ -236,16 +241,17 @@ def _dot(a, b):
     return even
 
 
+def _inner(field, a, b):
+    """``a . b`` of two pair blocks of a field's kind: :func:`_dot` of
+    component-major blocks of a vector field, ``a * b`` for a scalar one."""
+    return _dot(a, b) if field.values.ndim == 2 else a * b
+
+
 def n_raw(ev, u, v, uv):
-    """Bilinear kernel N(u, v) on an evaluator, given the product field uv."""
-    Iu = ev.integral(u)
-    Iv = ev.integral(v)
-    return (ev.ds * ev.integral(uv) - _dot(Iu, Iv)) / ev.chord2
-
-
-def n_raw_scalar(ev, u, v, uv):
-    """N(u, v) for scalar fields u, v (d = 1)."""
-    return (ev.ds * ev.integral(uv) - ev.integral(u) * ev.integral(v)) / ev.chord2
+    """Bilinear kernel N(u, v) on an evaluator, given the product field uv;
+    u and v are both vector fields or both scalar fields."""
+    Iu, Iv = ev.integral(u), ev.integral(v)
+    return (ev.ds * ev.integral(uv) - _inner(u, Iu, Iv)) / ev.chord2
 
 
 def k_raw(ev, u, v):

@@ -11,6 +11,12 @@ removed (a closed curve has zero mean tangent), and the positions are rebuilt
 as the prefix integral of that tangent.  As a result chord vectors between
 samples agree with short-arc tangent integrals to machine precision, which
 the kernel identities downstream rely on.
+
+A curve keeps no pair grid.  Its construction reads the squared chords of
+the grid pairs once, in row chunks of ``_pairs.PairSet`` over the offsets
+``1..M/2`` (by the swap mirror they hold every pair's value), to reject
+degenerate or self-intersecting samples and to compute the bi-Lipschitz
+constant that :func:`bilipschitz_constant` returns.
 """
 
 import csv
@@ -18,7 +24,7 @@ import json
 
 import numpy as np
 
-from ._pairs import PairSet, doubled_table, map_chunks, offset_sq_diffs
+from ._pairs import PairSet, doubled_table, map_chunks
 from .errors import NumericalError, ValidationError
 from .spectral import Interpolant, prefix_integral, short_arc_offsets, spectral_derivative
 
@@ -103,6 +109,11 @@ class Field:
             self._tables[prefix] = doubled_table(self.prefix()[0] if prefix else self.values)
         return self._tables[prefix]
 
+    def __getstate__(self):
+        # a copy or pickle would turn each table's (n, M, M) window view into
+        # a whole array; the copy builds its tables again when it reads them
+        return dict(vars(self), _tables={})
+
     def interpolant(self):
         if self._interp is None:
             self._interp = Interpolant(self.values, self.curve.L)
@@ -183,8 +194,6 @@ class ClosedCurve:
 
         self._tau_field = None
         self._pos_field = None
-        self._chord2 = None
-        self._bilip = None
         self._validate()
 
     # -- construction-time checks -------------------------------------------
@@ -200,15 +209,27 @@ class ClosedCurve:
                 "tangent/curvature orthogonality defect %.3g; curve is not "
                 "resolved by its grid" % ortho
             )
-        # reject (near-)self-intersecting data: any two samples at least two
-        # grid steps apart must be separated by a minimal chord
-        # columns 2 .. M-2 are the cyclic offsets of at least 2
-        min_chord = float(np.sqrt(np.min(self.chord2_grid()[:, 2:self.M - 1])))
+        # one pass over the squared chords of the columns 1 .. M/2, which by
+        # the swap mirror hold every pair's value: reject data where two
+        # samples at least two grid steps apart come closer than a minimal
+        # chord, and keep the bi-Lipschitz constant, the largest ratio of
+        # intrinsic distance to chord
+        M, w = self.M, self.M // 2
+        D = np.abs(short_arc_offsets(M, self.L))[1:w + 1]
+
+        def chords(j0, j1):
+            c2 = PairSet(self, slice(j0, j1), slice(1, w + 1)).chord2
+            return np.min(c2[:, 1:]), np.max(D / np.sqrt(c2))
+
+        with np.errstate(divide="ignore"):
+            mins, peaks = zip(*map_chunks(chords, M))
+        min_chord = float(np.sqrt(np.min(mins)))
         if not min_chord >= MIN_CHORD_REL * self.L:
             raise ValidationError(
                 "curve is degenerate or self-intersecting (min separated chord "
                 "%.3g x L)" % (min_chord / self.L)
             )
+        self._bilip = max(1.0, float(np.max(peaks)))
 
     # -- cached geometry -----------------------------------------------------
 
@@ -223,18 +244,6 @@ class ClosedCurve:
         if self._pos_field is None:
             self._pos_field = Field(self, self.positions, derivative=self.tau)
         return self._pos_field
-
-    def chord2_grid(self):
-        """Offset-major squared chords: ``out[j, k] = |f(s_{j+k}) - f(s_j)|^2``."""
-        if self._chord2 is None:
-            out = np.empty((self.M, self.M))
-
-            def rows(j0, j1):
-                out[j0:j1] = offset_sq_diffs(self.positions, j0, j1)
-
-            map_chunks(rows, self.M)
-            self._chord2 = out
-        return self._chord2
 
     def kappa_sq(self):
         return np.einsum("ij,ij->i", self.kappa, self.kappa)
@@ -398,15 +407,11 @@ def bilipschitz_constant(curve):
     """max over sample pairs of intrinsic distance / chord (>= 1).
 
     The supremum over distinct pairs is taken together with 1 (the diagonal
-    limit for a unit-speed curve).  Values above ``BILIPSCHITZ_CAP`` raise
+    limit for a unit-speed curve).  It is computed once, in the chord pass of
+    the curve's construction.  Values above ``BILIPSCHITZ_CAP`` raise
     :class:`NumericalError`: the curve is too close to self-intersecting for
     the quadrature downstream to mean anything.
     """
-    if curve._bilip is None:
-        c2 = curve.chord2_grid()
-        D = np.abs(short_arc_offsets(curve.M, curve.L))[None, 1:]
-        peaks = map_chunks(lambda j0, j1: np.max(D / np.sqrt(c2[j0:j1, 1:])), curve.M)
-        curve._bilip = max(1.0, float(np.max(peaks)))
     if curve._bilip > BILIPSCHITZ_CAP:
         raise NumericalError(
             "bi-Lipschitz constant %.3g exceeds cap %.1g" % (curve._bilip, BILIPSCHITZ_CAP)

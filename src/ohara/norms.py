@@ -1,8 +1,10 @@
 """Function-space seminorms on periodic fields: Gagliardo, Hölder, products.
 
 Every seminorm of a field reads the offset grid of
-``|u(s_{j+k}) - u(s_j)|`` (``_pairs.offset_sq_diffs``) in one pass over the
-row chunks of ``_pairs.map_chunks``, never as a whole ``(M, M)`` grid:
+``|u(s_{j+k}) - u(s_j)|`` in one pass over the row chunks of
+``_pairs.map_chunks``, each chunk the grid pairs of a ``_pairs.PairSet``
+read off the field's kept tables (``PairSet.sq_diff``), never as a whole
+``(M, M)`` grid:
 ``_one_pass`` hands each chunk to one reducer per seminorm, so
 :func:`seminorms` gives the Gagliardo, Hölder and Sobolev-L^∞ values of a
 field from a single pass, with the same bits as the one-seminorm functions
@@ -23,7 +25,7 @@ grid cannot see) is refined with the derivative bound
 
 import numpy as np
 
-from ._pairs import map_chunks, offset_sq_diffs
+from ._pairs import PairSet, map_chunks
 from .errors import ValidationError
 from .quadrature import _integrate, _Rows
 from .spectral import short_arc_offsets
@@ -135,7 +137,7 @@ def _one_pass(u, *reducers):
     """
 
     def chunk(j0, j1):
-        d = np.sqrt(offset_sq_diffs(u.values, j0, j1))
+        d = np.sqrt(PairSet(u.curve, slice(j0, j1), slice(None)).sq_diff(u))
         return [reduce(d) for reduce, _ in reducers]
 
     with np.errstate(divide="ignore", invalid="ignore"):

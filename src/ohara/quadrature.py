@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._pairs import PairSet, map_chunks
+from ._pairs import PairSet, _dot, map_chunks
 from .curve import bilipschitz_constant
 from .diagonal import density_limit, g_limit, g_limit_weights, h_limit
 from .errors import NumericalError, ValidationError
@@ -348,17 +348,19 @@ class GridOperator:
 
     Keeps the geometry-only blocks on the evaluated half of the offset grid
     (columns ``0..M/2``, see the module docstring) as ``(M, M/2 + 1)``
-    arrays: ``ntt`` = N(tau, tau), ``calpha`` = |df|^alpha, ``malpha`` =
-    M_alpha and ``dphis``, the first two derivatives of phi_alpha (one
-    ``(2, M, M/2 + 1)`` array); phi_alpha itself is read only to form
-    M_alpha, so it is not kept.  The antipodal column ``M/2`` is kept as
-    computed, since the mirror does not hold on it.  One evaluator,
-    :meth:`_rows`, works on row chunks of the half grid, handed out by
-    ``_pairs.map_chunks``: the build writes each chunk's geometry blocks into
-    those arrays, and the energy and the variations start each chunk from
-    row views of them, each pass handing all its chunks one dict of product
-    fields (:meth:`_half`), then unfold the integrand and reduce it by row
-    chunks of the whole grid (:meth:`_reduce`).  So N(tau,tau),
+    arrays: ``chord2`` = |df|^2, ``ntt`` = N(tau, tau), ``calpha`` =
+    |df|^alpha, ``malpha`` = M_alpha and ``dphis``, the first two
+    derivatives of phi_alpha (one ``(2, M, M/2 + 1)`` array); phi_alpha
+    itself is read only to form M_alpha, so it is not kept.  The antipodal
+    column ``M/2`` is kept as computed, since the mirror does not hold on
+    it.  One evaluator, :meth:`_rows`, works on row chunks of the half grid,
+    handed out by ``_pairs.map_chunks``: the build writes each chunk's
+    geometry blocks into those arrays, and the energy and the variations
+    start each chunk from row views of them (the squared chords seeded into
+    the chunk's ``PairSet``, the other blocks into its ``Blocks``), each
+    pass handing all its chunks one dict of product fields (:meth:`_half`),
+    then unfold the integrand and reduce it by row chunks of the whole grid
+    (:meth:`_reduce`).  So N(tau,tau),
     M_alpha etc. are computed once, on half the pairs, and whole grids exist
     only where a caller asks for one.
     """
@@ -371,7 +373,7 @@ class GridOperator:
         self.band = band
         self.gamma = (params.alpha - 2.0) * params.p
         M, w = curve.M, _half_width(curve.M)
-        self.ntt, self.calpha, self.malpha = (np.empty((M, w)) for _ in range(3))
+        self.chord2, self.ntt, self.calpha, self.malpha = (np.empty((M, w)) for _ in range(4))
         self.dphis = np.empty((2, M, w))
         offdiag = _offband_cols(M, 0)[None, :w]
         fields = {}
@@ -379,6 +381,7 @@ class GridOperator:
         def build(j0, j1):
             b = Blocks(PairSet(curve, slice(j0, j1), slice(w)), params=params, fields=fields)
             n_tau_checked(b.ntt_raw(), where=offdiag)
+            self.chord2[j0:j1] = b.ev.chord2
             rows = self._geometry(j0, j1)
             for name, block in b.geometry().items():
                 rows[name][...] = block
@@ -391,11 +394,13 @@ class GridOperator:
         return {k: getattr(self, k)[..., j0:j1, :] for k in Blocks.GEOMETRY}
 
     def _rows(self, j0, j1, phi=None, psi=None, fields=None):
-        """``Blocks`` on rows ``j0:j1`` of the half grid, its geometry blocks
-        row views of the operator's and its product fields ``fields``."""
-        return Blocks(PairSet(self.curve, slice(j0, j1), slice(_half_width(self.curve.M))),
-                      params=self.params, phi=phi, psi=psi, geometry=self._geometry(j0, j1),
-                      fields=fields)
+        """``Blocks`` on rows ``j0:j1`` of the half grid, its squared chords and
+        geometry blocks row views of the operator's and its product fields
+        ``fields``."""
+        ps = PairSet(self.curve, slice(j0, j1), slice(_half_width(self.curve.M)))
+        ps.chord2 = self.chord2[j0:j1]
+        return Blocks(ps, params=self.params, phi=phi, psi=psi,
+                      geometry=self._geometry(j0, j1), fields=fields)
 
     def _half(self, integrand, phi, psi=None):
         """The blocks that ``integrand(b)`` lists, each on the whole half grid,
@@ -505,8 +510,10 @@ class GridOperator:
             # multiplies I(phi'_c), x[n] I(tau.phi') and x[n + 1], which is
             # cT, tau.phi'(s1) + tau.phi'(s2)
             x = np.empty((n + 2,) + m.shape)
-            x[:n] = (cK * ps.dvec - cN * ps.integral(cv.tau_field)) / ps.chord2
-            x[n] = cN * ps.ds / ps.chord2
+            dvec = ps.dvec
+            chord2 = _dot(dvec, dvec)
+            x[:n] = (cK * dvec - cN * ps.integral(cv.tau_field)) / chord2
+            x[n] = cN * ps.ds / chord2
             x[n + 1] = hmp1 * m
             # Row l of the transpose pairs x[l, k] with x[l - k, k], the pair
             # whose first point is s_l.  That pair is the swap of the pair at

@@ -40,7 +40,7 @@ import functools
 
 import numpy as np
 
-from ._pairs import k_raw, n_raw, n_raw_scalar
+from ._pairs import k_raw, n_raw
 from .errors import NumericalError
 from .kernels import phi_alpha, n_tau_checked
 
@@ -190,7 +190,7 @@ class Blocks:
     def nscal(self):
         # N((tau.phi'), (tau.psi')) with d = 1 scalar fields
         u, v = self._t_dot("phi"), self._t_dot("psi")
-        return n_raw_scalar(self.ev, u, v, self._product("nscal", u, v))
+        return n_raw(self.ev, u, v, self._product("nscal", u, v))
 
     def pp_split(self):
         # phi'.psi' at s1 and at s2

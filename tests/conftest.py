@@ -91,3 +91,21 @@ def bumpy256():
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0e-300)
+
+
+def offset_sq_diffs(values, j0=0, j1=None):
+    """Rows ``j0:j1`` (all by default) of ``out[j, k] = |v(s_{j+k}) - v(s_j)|^2``
+    over all cyclic offsets ``k``, from the ``(M,)`` or ``(M, n)`` samples
+    of ``v``.
+
+    The squared grid differences as the package computed them before they
+    became a pair quantity: an ``einsum`` over a sliding window of the
+    doubled samples.  Kept here as the reference for their bits.
+    """
+    vals = values if values.ndim == 2 else values[:, None]
+    M = vals.shape[0]
+    j1 = M if j1 is None else j1
+    # row j of the windows is v(s_{j+k}) over k, as an (n, M) view
+    win = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals]), M, axis=0)
+    d = win[j0:j1] - vals[j0:j1, :, None]
+    return np.einsum("jik,jik->jk", d, d)

@@ -1,4 +1,7 @@
+import copy
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from ohara.quadrature import (
     second_variation,
 )
 from ohara.spectral import Interpolant, prefix_integral
+
+from conftest import offset_sq_diffs
 
 
 def test_circle_geometry(circle128):
@@ -361,13 +366,71 @@ def test_quadrature_sets_no_attributes_on_curves():
 
 
 def test_grid_operator_shares_the_curve_chords():
+    # the operator keeps the curve's squared chords on its half grid, and its
+    # row chunks read them as views
     cv = random_curve(3, M=64, n=3)
     op = GridOperator(cv, EnergyParams(2.0, 1.0))
     b = op._rows(5, 12)
-    assert np.shares_memory(b.ev.chord2, cv.chord2_grid())
+    assert np.shares_memory(b.ev.chord2, op.chord2)
     # the operator evaluates the offset columns 0..M/2 only
-    assert np.array_equal(b.ev.chord2, cv.chord2_grid()[5:12, :33])
+    assert op.chord2.shape == (64, 33)
+    assert np.array_equal(b.ev.chord2, offset_sq_diffs(cv.positions)[5:12, :33])
     assert b.ev.j.shape == (7, 1)
+
+
+def _largest_held_array(obj):
+    """Cells of the largest array that ``obj`` holds, through its attributes
+    and those of the package objects, dicts, lists and tuples it holds; a
+    view counts as the array that owns its memory."""
+    largest, stack, seen = 0, [obj], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            while getattr(x, "base", None) is not None:  # a window view's base is no ndarray
+                x = x.base
+            largest = max(largest, x.size if isinstance(x, np.ndarray) else 0)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif type(x).__module__.startswith("ohara"):
+            stack.extend(vars(x).values())
+    return largest
+
+
+def test_no_curve_attribute_holds_a_whole_grid():
+    M = 128
+    cv = random_curve(3, M=M, n=3)
+    assert _largest_held_array(cv) < M * M
+    bilipschitz_constant(cv)
+    assert _largest_held_array(cv) < M * M
+    op = GridOperator(cv, EnergyParams(2.5, 1.5))
+    op.energy()
+    # the operator keeps its half grids; the curve keeps none
+    assert _largest_held_array(op) >= M * (M // 2 + 1)
+    assert _largest_held_array(cv) < M * M
+    # nor does a copy, whose fields rebuild their tables, with the same bits
+    copied = copy.deepcopy(cv)
+    assert _largest_held_array(copied) < M * M
+    assert GridOperator(copied, EnergyParams(2.5, 1.5)).energy() == op.energy()
+
+
+def test_curve_construction_peak_stays_below_a_whole_grid():
+    # the construction's chord pass streams half-width row chunks; a whole
+    # M x M grid of squared chords alone is M^2 * 8 bytes
+    M = 512
+    base = random_curve(0, M=M, n=3)
+    ClosedCurve(base.positions, base.L)  # warm-up
+    tracemalloc.start()
+    try:
+        ClosedCurve(base.positions, base.L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M * M * 8
 
 
 def test_random_curve_deterministic():
@@ -423,21 +486,45 @@ def test_closed_curve_rejects_non_finite_or_non_positive_input(build, message):
         build()
 
 
+def test_self_intersecting_samples_are_rejected_without_warnings(monkeypatch):
+    # a figure eight, and a circle with one squared chord zeroed: a zero
+    # chord must end in the ValidationError, not in a division warning
+    from ohara import curve as curve_module
+
+    t = 2.0 * np.pi * np.arange(256) / 256
+    eight = np.stack([np.sin(t), np.sin(t) * np.cos(t)], axis=1)
+    positions = circle(64).positions
+
+    class ZeroChord(_pairs.PairSet):
+        @property
+        def chord2(self):
+            c2 = super().chord2
+            return np.where((self.j == 40) & (self.i == 50), 0.0, c2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="degenerate or self-intersecting"):
+            from_samples(eight)
+        monkeypatch.setattr(curve_module, "PairSet", ZeroChord)
+        with pytest.raises(ValidationError, match=r"min separated chord 0 x L"):
+            ClosedCurve(positions, 2.0 * np.pi)
+
+
 def test_bilipschitz_constant_is_chunk_independent(monkeypatch):
-    from ohara import _pairs
     from ohara.spectral import short_arc_offsets
 
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * 96)
     cv = random_curve(4, M=96, n=3)
     D = np.abs(short_arc_offsets(cv.M, cv.L))[None, 1:]
-    full = max(1.0, float(np.max(D / np.sqrt(cv.chord2_grid()[:, 1:]))))
-    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * cv.M)
+    full = max(1.0, float(np.max(D / np.sqrt(offset_sq_diffs(cv.positions)[:, 1:]))))
     assert bilipschitz_constant(cv) == full > 1.0
 
 
 @pytest.mark.parametrize("rows", [None, 7])
 def test_offset_sq_diffs_matches_the_roll_loop(rows):
-    from ohara import _pairs
-
+    # the squared differences |u(s_{j+k}) - u(s_j)|^2 of grid pairs, as
+    # PairSet.sq_diff reads them by rows and as the reference offset_sq_diffs
+    # computes them, against a loop over np.roll
     def roll_loop(values):
         vals = values if values.ndim == 2 else values[:, None]
         M = vals.shape[0]
@@ -449,13 +536,14 @@ def test_offset_sq_diffs_matches_the_roll_loop(rows):
 
     cv = random_curve(2, M=96, n=3)
     phi = random_field(cv, 3)
-    for values in (cv.positions, cv.tau, phi.deriv.values, cv.kappa_sq()):
-        if rows is None:
-            got = _pairs.offset_sq_diffs(values)
-        else:  # row chunks, the last one shorter
-            got = np.concatenate([_pairs.offset_sq_diffs(values, j0, min(j0 + rows, cv.M))
-                                  for j0 in range(0, cv.M, rows)])
-        assert np.array_equal(got, roll_loop(values))
+    chunks = [(0, cv.M)] if rows is None else [  # the last chunk shorter
+        (j0, min(j0 + rows, cv.M)) for j0 in range(0, cv.M, rows)]
+    for field in (cv.position_field, cv.tau_field, phi.deriv, Field(cv, cv.kappa_sq())):
+        want = roll_loop(field.values)
+        got = [_pairs.PairSet(cv, slice(j0, j1), slice(None)).sq_diff(field) for j0, j1 in chunks]
+        assert np.array_equal(np.concatenate(got), want)
+        assert np.array_equal(np.concatenate(
+            [offset_sq_diffs(field.values, j0, j1) for j0, j1 in chunks]), want)
 
 
 def test_random_field_modes_must_stay_below_nyquist():

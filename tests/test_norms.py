@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from ohara import cli, norms
-from ohara._pairs import offset_sq_diffs
+from ohara._pairs import PairSet
 from ohara.curve import Field, circle, random_curve, random_field, save_curve
 from ohara.errors import ValidationError
 from ohara.norms import (
@@ -25,7 +25,7 @@ from ohara.quadrature import _integrate, _Rows
 from ohara.spectral import short_arc_offsets
 from ohara.verify import cusp_field
 
-from conftest import rel
+from conftest import offset_sq_diffs, rel
 
 
 def scalar_cos_field(cv, k=1):
@@ -210,15 +210,16 @@ def test_norms_by_row_chunks_give_the_whole_grid_bits(uneven_chunks):
 
 
 def test_each_field_is_one_pass_over_its_grid(monkeypatch, tmp_path, capsys):
-    # a pass over the |du| grid reads its row 0 once, whatever the chunking
+    # a pass over the |du| grid reads the pairs of its row 0 once, whatever
+    # the chunking
     passes = []
 
-    def counted(values, j0=0, j1=None):
-        if j0 == 0:
-            passes.append(j1)
-        return offset_sq_diffs(values, j0, j1)
+    def counted(curve, rows, cols):
+        if rows.start == 0:
+            passes.append(rows.stop)
+        return PairSet(curve, rows, cols)
 
-    monkeypatch.setattr(norms, "offset_sq_diffs", counted)
+    monkeypatch.setattr(norms, "PairSet", counted)
     cv = random_curve(2, M=64, n=3)
     path = tmp_path / "curve.json"
     save_curve(cv, str(path))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from ohara._pairs import OffGridPair, PairSet, _dot
-from ohara.curve import pair_frame, random_curve, random_field
+from ohara._pairs import OffGridPair, PairSet, _dot, map_chunks
+from ohara.curve import Field, pair_frame, random_curve, random_field
 from ohara.quadrature import DEFAULT_BAND, _half_width
+
+from conftest import offset_sq_diffs
 
 M = 48
 
@@ -83,7 +85,7 @@ def test_window_reads_equal_index_gathers(curve, window):
     p1, p2 = gather(curve.positions)
     assert ps.dvec.shape == (curve.n,) + shape
     assert np.array_equal(ps.dvec, p1 - p2)
-    assert np.array_equal(ps.chord2, curve.chord2_grid()[j, k])
+    assert np.array_equal(ps.chord2, offset_sq_diffs(curve.positions)[j, k])
 
 
 @pytest.mark.parametrize("window", [(slice(0, M), slice(None)), (slice(7, 14), slice(_half_width(M)))])
@@ -93,6 +95,45 @@ def test_window_chord2_is_the_dot_of_the_chord(curve, window):
     d = ps.dvec
     assert np.array_equal(ps.chord2, _dot(d, d))
     np.testing.assert_array_max_ulp(ps.chord2, np.einsum("i...,i...->...", d, d), maxulp=2)
+
+
+def _sq_diff_fields(cv, n):
+    """Fields whose squared grid differences have ``n`` components: the
+    positions, the tangent and a derivative field of the curve ``cv`` of
+    dimension ``n``, or for ``n = 1`` two scalar fields on it."""
+    phi = random_field(cv, 6)
+    if n == 1:
+        return {"kappa_sq": Field(cv, cv.kappa_sq()), "tau.phi'": cv.tau_field.dot(phi.deriv)}
+    return {"position": cv.position_field, "tau": cv.tau_field, "phi'": phi.deriv}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+def test_squared_differences_keep_the_einsum_bits(uneven_chunks, n):
+    # row chunks of PairSet.sq_diff (and so of the squared chords) against the
+    # einsum grid they replaced: equal for n < 8, where _dot sums in einsum's
+    # order, and within 3 ulp from n = 8 on (two orders of a sum of n
+    # nonnegative terms; 3 ulp, 4.1e-16 relative, is the most seen at n = 9,
+    # M = 64); the swap mirror holds exactly
+    cv = random_curve(3, M=uneven_chunks.M, n=max(n, 2))
+    Mc, half = cv.M, slice(_half_width(cv.M))
+    jj, kk = np.meshgrid(np.arange(Mc), np.arange(Mc), indexing="ij")
+
+    def rows(read, cols):
+        return np.concatenate(map_chunks(lambda j0, j1: read(PairSet(cv, slice(j0, j1), cols)), Mc))
+
+    for name, field in _sq_diff_fields(cv, n).items():
+        want = offset_sq_diffs(field.values)
+        whole = rows(lambda ps: ps.sq_diff(field), slice(None))
+        for cols in (slice(None), half):
+            got = rows(lambda ps: ps.sq_diff(field), cols)
+            if n < 8:
+                assert np.array_equal(got, want[:, cols]), (name, cols)
+            else:
+                np.testing.assert_array_max_ulp(got, want[:, cols], maxulp=3)
+        assert np.array_equal(whole[(jj + kk) % Mc, (Mc - kk) % Mc], whole), name
+    if n > 1:
+        assert np.array_equal(rows(lambda ps: ps.chord2, slice(None)),
+                              rows(lambda ps: ps.sq_diff(cv.position_field), slice(None)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ohara import _pairs, spectral
+from ohara import _pairs, quadrature, spectral
 from ohara.curve import (
     ClosedCurve, bilipschitz_constant, from_samples, random_curve, random_field,
 )
@@ -100,16 +100,18 @@ def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch
     params = EnergyParams(alpha, p)
 
     def outputs():
-        # the fixture's curve, built afresh: its chord grid and bi-Lipschitz
-        # constant are cached on the curve
+        # the fixture's curve, built afresh: its bi-Lipschitz constant is
+        # computed at construction
         cv = random_curve(3, M=uneven_chunks.M, n=3)
         bilip = bilipschitz_constant(cv)
         op = GridOperator(cv, params)
         phi, psi = random_field(cv, 40), random_field(cv, 41)
         dual = op.first_variation_dual()
         rows = op._reduce(op.malpha)
+        sq_diffs = _pairs.map_chunks(
+            lambda j0, j1: _pairs.PairSet(cv, slice(j0, j1), slice(None)).sq_diff(phi), cv.M)
         return [
-            cv.chord2_grid(), _pairs.offset_sq_diffs(phi.values), bilip,
+            np.concatenate(sq_diffs), bilip, op.chord2,
             op.ntt, op.calpha, op.malpha, op.dphis, *op.energy_with_estimate(),
             rows.offband, *rows.cols.values(), op.g_values(phi),
             *op.h_values(phi, psi), op.first_variation(phi),
@@ -135,7 +137,7 @@ def test_grid_passes_stay_off_the_pool(pool):
     base = from_samples(_angle_samples(0, 1024))
     assert pool.tasks >= 1
     pool.tasks = 0
-    cv = ClosedCurve(base.positions, base.L)  # validation builds the chord grid
+    cv = ClosedCurve(base.positions, base.L)  # validation runs the chord pass
     bilipschitz_constant(cv)
     op = GridOperator(cv, EnergyParams(2.5, 1.5))
     phi, psi = random_field(cv, 6), random_field(cv, 7)
@@ -150,15 +152,24 @@ def test_grid_passes_stay_off_the_pool(pool):
 def test_numerical_error_in_a_later_chunk_surfaces_as_in_a_serial_run(
     uneven_chunks, monkeypatch
 ):
+    cv = random_curve(3, M=uneven_chunks.M, n=3)
+    M = cv.M
+    spoiled = (M - 5, (M - 5 + M // 4) % M)  # (j, i) of the pair at row M - 5
+
+    class SpoiledPairs(_pairs.PairSet):
+        @property
+        def chord2(self):
+            # a negative squared chord near the end of the grid makes
+            # N(tau, tau) negative in a chunk after the first
+            c2 = super().chord2
+            return np.where((self.j == spoiled[0]) & (self.i == spoiled[1]), -c2, c2)
+
     def message():
-        cv = random_curve(3, M=uneven_chunks.M, n=3)
-        bilipschitz_constant(cv)  # cached before the chord grid is spoiled
-        # a negative squared chord near the end of the grid makes N(tau, tau)
-        # negative in a chunk after the first
-        cv.chord2_grid()[cv.M - 5, cv.M // 4] *= -1.0
         with pytest.raises(NumericalError) as exc:
             GridOperator(cv, EnergyParams(2.0, 1.0))
         return str(exc.value)
+
+    monkeypatch.setattr(quadrature, "PairSet", SpoiledPairs)
 
     chunked = message()
     assert "chord/arc tables are inconsistent" in chunked

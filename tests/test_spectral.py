@@ -86,3 +86,17 @@ def test_interpolant_vector_values_and_scalar_points():
     assert abs(scalar(s[0]) - _closed_form(a, b, s[0], 0)) < 1.0e-12
     assert abs(scalar.prefix(s[0]) - _closed_form(a, b, s[0], "prefix")) < 1.0e-12
 
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "odd orders drop the Nyquist sine, which vanishes only at grid points; "
+    "keeping it changes the bits of from_samples"))
+def test_first_derivative_is_the_derivative_of_the_values_off_the_grid():
+    # samples with a nonzero Nyquist coefficient: off the grid, order 1 must
+    # be the derivative of order 0, here its central difference
+    a, b = _trig_poly(3)
+    a[NYQ] = 1.0
+    interp = Interpolant(_closed_form(a, b, np.arange(M) * (L / M), 0), L)
+    s, step = _points(30), 1.0e-6
+    central = (interp(s + step) - interp(s - step)) / (2.0 * step)
+    assert np.max(np.abs(interp(s, order=1) - central)) < 1.0e-6 * np.max(np.abs(central))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ohara import variations
-from ohara._pairs import PairSet, k_raw, n_raw, n_raw_scalar
+from ohara._pairs import PairSet, k_raw, n_raw
 from ohara.curve import ClosedCurve, Field, pair_frame, random_curve, random_field
 from ohara.errors import NumericalError
 from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param, phi_alpha
@@ -110,9 +110,10 @@ def test_pair_terms_match_the_grid(alpha, p):
 
 @pytest.mark.parametrize("seed,M,n", [(5, 96, 8), (0, 96, 3)])
 def test_one_pair_equals_the_grid_in_every_dimension(seed, M, n):
-    # a pair reads its squared chord off the curve's grid, so pair_terms gives
-    # the grid's values also where n >= 8, where a dot of the chord vector sums
-    # its components in another order than the grid does
+    # a pair and the operator's rows both take the squared chord as the dot of
+    # the pair's own chord vector, so pair_terms gives the grid's values also
+    # where n >= 8, where that dot sums its components in another order than
+    # einsum does
     cv = random_curve(seed, M=M, n=n)
     pr = EnergyParams(2.5, 1.5)
     op = GridOperator(cv, pr)
@@ -120,7 +121,7 @@ def test_one_pair_equals_the_grid_in_every_dimension(seed, M, n):
     m = _unfold(op.malpha)
     G = op.g_values(phi)
     H = op.h_values(phi, psi)[0]
-    c2 = cv.chord2_grid()
+    c2 = _unfold(op.chord2)
     for j in (0, 17, 50, 95):
         for k in list(range(3, M - 2, 4)) + [M // 2]:
             i = (j + k) % M
@@ -412,7 +413,8 @@ class _ParentBlocks:
     @variations._memo
     def nscal(self):
         u, v = self._t_dot("phi"), self._t_dot("psi")
-        return n_raw_scalar(self.ev, u, v, u.dot(v))
+        ev = self.ev  # the parent's N for scalar fields
+        return (ev.ds * ev.integral(u.dot(v)) - ev.integral(u) * ev.integral(v)) / ev.chord2
 
     @variations._memo
     def pp_split(self):

@@ -6,17 +6,20 @@ Writes a 3-D curve file of M = 256 samples taken uniformly in the curve's
 angle parameter, not in arclength, so every job runs the full arclength
 reparametrization.  Runs the ``energy``, ``gradient``, ``hessian-form``,
 ``norms``, ``density`` and ``density --which h`` jobs on it at
-(alpha, p) = (2, 1) and (2.5, 1.5), once with the working tree's ``src``
-and once with the ``src`` of ``REV`` (``HEAD`` by default), unpacked with
-``git archive`` into a temporary directory.  The child processes run with
-one BLAS thread, since threaded BLAS can change the bits of large matrix
-products.
+(alpha, p) = (2, 1) and (2.5, 1.5), and ``energy``, ``gradient`` and
+``hessian-form`` at (2.5, 1.5) on an 8-D curve written the same way: from
+n = 8 on, a squared chord summed component by component and one summed by
+``einsum`` differ in the last bits.  Each job runs once with the working
+tree's ``src`` and once with the ``src`` of ``REV`` (``HEAD`` by default),
+unpacked with ``git archive`` into a temporary directory.  The child
+processes run with one BLAS thread, since threaded BLAS can change the bits
+of large matrix products.
 
-Prints ``identical`` when every job succeeds and prints the same bytes on
-both sides, and otherwise each failed job and each JSON key whose value
-differs, with its relative gap.  The exit code stays 0 whatever differs,
-and when ``REV`` names no commit: changes that alter output bits on
-purpose are reported, not failed.
+Prints, per curve, ``identical`` when every job succeeds and prints the
+same bytes on both sides, and otherwise each failed job and each JSON key
+whose value differs, with its relative gap.  The exit code stays 0 whatever
+differs, and when ``REV`` names no commit: changes that alter output bits
+on purpose are reported, not failed.
 """
 
 import argparse
@@ -35,29 +38,35 @@ M = 256
 PARAMS = [("2", "1"), ("2.5", "1.5")]
 JOBS = [["energy"], ["gradient"], ["hessian-form"], ["norms"], ["density"],
         ["density", "--which", "h"]]
+#: ``{dimension: [(job, alpha, p)]}`` of the jobs run on each curve
+CURVES = {
+    3: [(job, alpha, p) for job in JOBS for alpha, p in PARAMS],
+    8: [(job, "2.5", "1.5") for job in (["energy"], ["gradient"], ["hessian-form"])],
+}
 
 
-def curve_points(M):
-    """``(M, 3)`` samples of ``e^{it} + 0.2 e^{-2it}`` lifted by ``0.3 sin 3t``,
-    uniform in ``t``.  The planar part is injective (0.2 < 1/4), so the
-    curve is embedded; its speed is not constant."""
+def curve_points(M, n=3):
+    """``(M, n)`` samples of ``e^{it} + 0.2 e^{-2it}`` lifted by ``0.3 sin 3t``
+    and, in the coordinates past the third, by ``0.05 cos ct``, uniform in
+    ``t``.  The planar part is injective (0.2 < 1/4), so the curve is
+    embedded; its speed is not constant."""
     t = 2.0 * np.pi * np.arange(M) / M
     return np.stack([np.cos(t) + 0.2 * np.cos(2.0 * t), np.sin(t) - 0.2 * np.sin(2.0 * t),
-                     0.3 * np.sin(3.0 * t)], axis=1)
+                     0.3 * np.sin(3.0 * t)] + [0.05 * np.cos(c * t) for c in range(3, n)],
+                    axis=1)
 
 
-def run_jobs(src, curve, workdir):
+def run_jobs(src, curve, jobs, workdir):
     """``{(job, alpha, p): (exit code, stdout, stderr)}`` of the CLI of ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = {}
-    for job in JOBS:
-        for alpha, p in PARAMS:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ohara.cli", *job, "--curve", str(curve),
-                 "--alpha", alpha, "--p", p],
-                capture_output=True, text=True, env=env, cwd=workdir)
-            out[(" ".join(job), alpha, p)] = (proc.returncode, proc.stdout, proc.stderr)
+    for job, alpha, p in jobs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ohara.cli", *job, "--curve", str(curve),
+             "--alpha", alpha, "--p", p],
+            capture_output=True, text=True, env=env, cwd=workdir)
+        out[(" ".join(job), alpha, p)] = (proc.returncode, proc.stdout, proc.stderr)
     return out
 
 
@@ -117,13 +126,18 @@ def main():
         archive = git("archive", "--format=tar", args.rev, "src", cwd=root).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
-        curve = tmp / "curve.json"
-        curve.write_text(json.dumps(
-            {"dimension": 3, "points": curve_points(M).tolist(), "closed": True}))
-        here = run_jobs(root / "src", curve, tmp)
-        there = run_jobs(tmp / "rev" / "src", curve, tmp)
-    print("working tree against %s: %d jobs at M = %d" % (args.rev, len(here), M))
-    print("\n".join(report(here, there)) or "identical")
+        reports = []
+        for n, jobs in CURVES.items():
+            curve = tmp / ("curve%d.json" % n)
+            curve.write_text(json.dumps(
+                {"dimension": n, "points": curve_points(M, n).tolist(), "closed": True}))
+            here = run_jobs(root / "src", curve, jobs, tmp)
+            there = run_jobs(tmp / "rev" / "src", curve, jobs, tmp)
+            lines = report(here, there)
+            reports.append("n = %d, %d jobs: %s" % (
+                n, len(jobs), "\n".join(["differ"] + lines) if lines else "identical"))
+    print("working tree against %s at M = %d" % (args.rev, M))
+    print("\n".join(reports))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .curve import (
     save_curve,
 )
 from .errors import NumericalError, ValidationError
-from .kernels import EnergyParams, density_general_param, GeneralParamCurve, phi_alpha
+from .kernels import EnergyParams, phi_alpha
 from .quadrature import (
     PairGrid,
     density_grid,
@@ -33,7 +33,6 @@ from .variations import pair_terms
 from .norms import (
     gagliardo_seminorm,
     holder_seminorm,
-    little_holder_flag,
     local_modulus,
     product_seminorm_check,
     seminorms,

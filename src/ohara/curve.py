@@ -248,14 +248,6 @@ class ClosedCurve:
     def kappa_sq(self):
         return np.einsum("ij,ij->i", self.kappa, self.kappa)
 
-    # -- transforms ----------------------------------------------------------
-
-    def scaled(self, lam):
-        """Dilation by a finite ``lam > 0`` about the origin."""
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValidationError("scale factor must be finite and positive (got %r)" % lam)
-        return ClosedCurve(self.positions * lam, self.L * lam)
-
 
 # -- public constructors -----------------------------------------------------
 

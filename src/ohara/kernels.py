@@ -26,8 +26,6 @@ from .errors import NumericalError, ValidationError
 __all__ = [
     "EnergyParams",
     "phi_alpha",
-    "GeneralParamCurve",
-    "density_general_param",
     "N_CLAMP",
 ]
 
@@ -107,61 +105,3 @@ def n_tau_checked(ntt, where=None):
             % (float(np.min(np.where(bad, ntt, 0.0))), N_CLAMP)
         )
     return np.where(ntt < 0.0, 0.0, ntt)
-
-
-class GeneralParamCurve:
-    """A varied curve ``f + eps*phi`` kept in the original material parameter.
-
-    Sample ``k`` sits at material parameter ``s_k`` (the arclength of the
-    *unvaried* curve); the varied curve is no longer unit speed, so densities
-    carry the parametrization Jacobian ``|c'(s_i)| |c'(s_j)|`` and intrinsic
-    distances are short-arc integrals of the speed.
-    """
-
-    def __init__(self, base, phi, eps):
-        from .curve import Field  # local import to avoid a cycle
-
-        self.base = base
-        self.eps = float(eps)
-        vals = base.positions + self.eps * phi.values
-        dvals = base.tau + self.eps * phi.deriv.values
-        self.speed = np.linalg.norm(dvals, axis=1)
-        if float(np.min(self.speed)) <= 0.0:
-            raise ValidationError("varied curve has vanishing speed")
-        self.positions = vals
-        self.speed_field = Field(base, self.speed)
-        self.length = float(self.speed_field.prefix()[1])
-
-    def chord(self, i, j):
-        d = self.positions[i] - self.positions[j]
-        return float(np.linalg.norm(d))
-
-    def intrinsic(self, i, j):
-        """Intrinsic (shorter-arc) distance between material samples."""
-        P, T = self.speed_field.prefix()
-        fwd = P[i] - P[j]
-        if i < j:
-            fwd += T
-        return float(min(fwd, T - fwd))
-
-
-def density_general_param(gcurve, i, j, params):
-    """Jacobian-weighted density of a general-parameter curve at a pair.
-
-    ``(1/|dc|^alpha - 1/D^alpha)^p |c'(s_i)| |c'(s_j)|`` with D the intrinsic
-    distance; at ``eps = 0`` this reduces to the density ``M_alpha ** p`` of
-    ``variations.pair_terms``.  Evaluated in the same bracket form as the
-    unit-speed kernel for stability.
-    """
-    M = gcurve.base.M
-    i, j = int(i) % M, int(j) % M
-    if i == j:
-        raise ValidationError("density requires two distinct samples")
-    c = gcurve.chord(i, j)
-    D = gcurve.intrinsic(i, j)
-    if not (c <= D * (1.0 + 1.0e-9)):
-        raise NumericalError("chord exceeds intrinsic distance on varied curve")
-    # 1 - (c/D)^alpha, computed as -expm1(alpha * log(c/D))
-    bracket = -np.expm1(params.alpha * np.log(min(c / D, 1.0)))
-    dens = (bracket / c ** params.alpha) ** params.p
-    return float(dens * gcurve.speed[i] * gcurve.speed[j])

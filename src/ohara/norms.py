@@ -33,7 +33,6 @@ from .spectral import short_arc_offsets
 __all__ = [
     "gagliardo_seminorm",
     "holder_seminorm",
-    "little_holder_flag",
     "local_modulus",
     "lq_norm",
     "product_seminorm_check",
@@ -41,10 +40,6 @@ __all__ = [
     "sobolev_linf_norm",
     "sup_norm",
 ]
-
-#: local modulus below this fraction of the full seminorm at R = 8L/M flags
-#: a field as little-Hölder at the working resolution
-LITTLE_HOLDER_TOL = 0.5
 
 #: the fixed (β, σ, q) of :func:`product_seminorm_check`
 PRODUCT_BETA, PRODUCT_SIGMA, PRODUCT_Q = 1.0, 0.5, 2.0
@@ -171,21 +166,6 @@ def local_modulus(u, beta, R):
 def holder_seminorm(u, beta):
     """Hölder seminorm [u]_{C^{0,β}}: the local modulus over all pairs."""
     return local_modulus(u, beta, u.curve.L / 2.0)
-
-
-def little_holder_flag(u, beta):
-    """Whether u looks little-Hölder at this resolution.
-
-    True when the local modulus at R = 8L/M has already decayed below
-    ``LITTLE_HOLDER_TOL`` times the full seminorm.  A resolution-limited
-    proxy: smooth fields flag True for β < 1, genuinely C^{0,β}-rough ones
-    do not.
-    """
-    curve = u.curve
-    full, local = _one_pass(
-        u, _modulus(u, beta, curve.L / 2.0), _modulus(u, beta, 8.0 * curve.L / curve.M)
-    )
-    return full == 0.0 or bool(local < LITTLE_HOLDER_TOL * full)
 
 
 def sobolev_linf_norm(u, sigma, q):

@@ -645,12 +645,11 @@ class PairGrid:
     quantity at ``(s_i, s_j)``, that is row ``i`` of the whole offset grid
     rolled by ``i``, except the antipodal cell ``(i, (i + M/2) % M)``, which
     is ``half[(i + M/2) % M, M/2]`` since the mirror does not hold there.
-    ``values`` is the whole pair-major grid and ``band_mask()`` its band
-    cells, the cells within ``band`` of the diagonal.  Diagonal and band
-    cells are present where computable but are excluded from the reported
-    norms, which cover the off-band region; the band carries a separate
-    closed-form L1 estimate.  ``flagged`` lists (i, j) pairs where a
-    singular policy fired.
+    Diagonal and band cells, those within ``band`` of the diagonal (rows
+    ``i0:i1`` of their mask are ``_band_rows(i0, i1)``), are present where
+    computable but are excluded from the reported norms, which cover the
+    off-band region; the band carries a separate closed-form L1 estimate.
+    ``flagged`` lists (i, j) pairs where a singular policy fired.
     """
 
     half: np.ndarray
@@ -677,17 +676,9 @@ class PairGrid:
         F[:, self.M // 2] = np.roll(self.half[:, self.M // 2], -(self.M // 2))[i0:i1]
         return _roll_rows(F, i0)
 
-    @property
-    def values(self):
-        """The whole pair-major grid."""
-        return self.rows(0, self.M)
-
     def _band_rows(self, i0, i1):
         band = ~_offband_cols(self.M, self.band)
         return _roll_rows(np.broadcast_to(band, (i1 - i0, self.M)), i0)
-
-    def band_mask(self):
-        return self._band_rows(0, self.M)
 
     def summary(self):
         return {

@@ -92,7 +92,7 @@ _PHI, _PSI = ("phi",), ("phi", "psi")
 # how the raw quantity is scaled before taking the limit:
 #   n     -> D^(alpha - 2 beta) X / |df|^alpha
 #   m     -> D^(alpha - 2 beta) X          (X already carries 1/|df|^alpha)
-#   gh    -> D^((alpha - 2 beta) p) X
+#   gh    -> D^((alpha - 2 beta) p) X  (params.weight_exponent)
 #   plain -> X
 _KINDS = {
     "m_alpha": ("m", (), lambda b: b.malpha()),
@@ -149,14 +149,14 @@ def diagonal_limit(curve, phi, psi, params, s, which):
     b = Blocks(ev, params=params, phi=phi, psi=psi)
     n_tau_checked(b.ntt_raw())
 
-    alpha, p, beta = params.alpha, params.p, params.beta
+    alpha, beta = params.alpha, params.beta
     raw = np.asarray(raw_value(b), dtype=float)
     if kind == "n":
         weighted = ev.D ** (alpha - 2.0 * beta) * raw / b.calpha()
     elif kind == "m":
         weighted = ev.D ** (alpha - 2.0 * beta) * raw
     elif kind == "gh":
-        weighted = ev.D ** ((alpha - 2.0 * beta) * p) * raw
+        weighted = ev.D ** params.weight_exponent * raw
     else:
         weighted = raw
 
@@ -284,7 +284,8 @@ def cusp_field(curve, beta, s0=0.0, scale=None):
     periodic primitive along the first coordinate axis.  The field is thus
     C^1 with a derivative that is genuinely Hölder-beta down to ``scale``
     (default: one grid cell) — the regularity class of the beta < 1 branch.
-    Its derivative fails the little-Hölder test at matching resolutions.
+    Its derivative's Hölder-beta modulus does not decay at fine scales, as
+    that of a smooth field does.
     """
     if not 0.0 < beta <= 1.0:
         raise ValidationError("beta must lie in (0, 1]")

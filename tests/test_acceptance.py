@@ -23,13 +23,7 @@ from ohara.curve import (
     random_field,
 )
 from ohara.flow import circle_distance, run_flow
-from ohara.kernels import (
-    EnergyParams,
-    GeneralParamCurve,
-    density_general_param,
-    n_tau_checked,
-    phi_alpha,
-)
+from ohara.kernels import EnergyParams, n_tau_checked, phi_alpha
 from ohara.norms import product_seminorm_check, sobolev_linf_norm
 from ohara.quadrature import (
     _offband_cols,
@@ -48,7 +42,7 @@ from ohara.verify import (
     neville_h2,
 )
 
-from conftest import perturbed_circle, rel
+from conftest import GeneralParamCurve, density_general_param, perturbed_circle, rel
 
 #: the advertised admissible parameter pairs exercised throughout
 PARAMS = [(2.0, 1.0), (2.4, 1.0), (2.0, 2.0), (1.2, 2.0)]

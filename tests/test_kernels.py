@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from ohara._pairs import k_raw, n_raw
 from ohara.curve import circle, pair_frame, random_field
 from ohara.errors import NumericalError, ValidationError
-from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param, phi_alpha
+from ohara.kernels import EnergyParams, phi_alpha
 from ohara.variations import pair_terms
 
-from conftest import rel
+from conftest import GeneralParamCurve, density_general_param, rel
 
 
 # ---------------------------------------------------------------- parameters

@@ -13,7 +13,6 @@ from ohara.norms import (
     _bound_band_pieces,
     gagliardo_seminorm,
     holder_seminorm,
-    little_holder_flag,
     local_modulus,
     lq_norm,
     product_seminorm_check,
@@ -23,7 +22,6 @@ from ohara.norms import (
 )
 from ohara.quadrature import _integrate, _Rows
 from ohara.spectral import short_arc_offsets
-from ohara.verify import cusp_field
 
 from conftest import offset_sq_diffs, rel
 
@@ -121,23 +119,6 @@ def test_local_modulus_validation(bumpy256):
         local_modulus(u, 1.5, 1.0)
 
 
-def test_little_holder_separates_smooth_from_cusp():
-    # a smooth field is little-Hölder at any β < 1 (modulus decays at fine
-    # scales); the derivative of a genuine C^{1,β} cusp field is exactly
-    # C^{0,β}-rough and keeps its modulus at all scales
-    cv = circle(512)
-    beta = 0.5
-    smooth = random_field(cv, 45)
-    rough = cusp_field(cv, beta).deriv
-    assert little_holder_flag(smooth, beta) is True
-    assert little_holder_flag(rough, beta) is False
-
-
-def test_little_holder_zero_field(bumpy256):
-    zero = Field(bumpy256, np.zeros((bumpy256.M, 2)))
-    assert little_holder_flag(zero, 0.7) is True
-
-
 # ------------------------------------------------------------ combined norm
 
 
@@ -233,6 +214,3 @@ def test_each_field_is_one_pass_over_its_grid(monkeypatch, tmp_path, capsys):
         passes.clear()
     product_seminorm_check(cv, random_field(cv, 6))
     assert len(passes) == 3
-    passes.clear()
-    little_holder_flag(random_field(cv, 7), 0.5)
-    assert len(passes) == 1

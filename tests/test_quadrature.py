@@ -221,14 +221,14 @@ def test_moebius_circle_hessian_of_normal_modes(params21):
 def test_density_grid_shapes_and_summary(params21, bumpy256):
     g = density_grid(bumpy256, params21)
     M = bumpy256.M
-    assert g.values.shape == (M, M)
+    assert g.rows(0, g.M).shape == (M, M)
     assert g.label == "M_alpha^p"
     assert g.sup > 0.0 and g.l1 > 0.0
     assert g.l1_offband <= g.l1
     s = g.summary()
     assert set(s) == {"label", "sup", "l1", "flagged_pairs"}
     assert s["flagged_pairs"] == []
-    mask = g.band_mask()
+    mask = g._band_rows(0, g.M)
     assert mask.shape == (M, M)
     assert mask[0, 0] and mask[0, 2] and not mask[0, 3]
 
@@ -307,7 +307,7 @@ def test_grid_export_roundtrip(tmp_path, params21):
     assert row0[0] == "nan"  # diagonal cell masked
     back = np.array([float(x) for x in lines[1 + 32].split(",")])
     keep = np.isfinite(back)
-    assert np.allclose(back[keep], np.where(g.band_mask(), np.nan, g.values)[32][keep])
+    assert np.allclose(back[keep], np.where(g._band_rows(0, g.M), np.nan, g.rows(0, g.M))[32][keep])
 
 
 def _whole_grid_density(cv, pr, which, beta=None, phi=None, psi=None):
@@ -384,7 +384,7 @@ def test_density_grid_matches_the_whole_grid(tmp_path, which, beta, alpha, p):
     assert grid.band_l1_estimate == ref["band_l1_estimate"]
     assert grid.flagged == ref["flagged"]
     assert grid.label == ref["label"]
-    assert np.array_equal(grid.values, ref["values"], equal_nan=True)
+    assert np.array_equal(grid.rows(0, grid.M), ref["values"], equal_nan=True)
     assert text == ref["csv"]
     assert rel(grid.l1, ref["l1"]) <= 1.0e-13
 
@@ -608,7 +608,7 @@ def test_streamed_variations_equal_the_full_grid(uneven_chunks, alpha, p):
     pair_major = np.full((cv.M, cv.M), np.nan)
     ps = PairSet(cv, slice(None), slice(None))
     pair_major[ps.i, ps.j] = H
-    assert np.array_equal(grid.values, pair_major, equal_nan=True)
+    assert np.array_equal(grid.rows(0, grid.M), pair_major, equal_nan=True)
 
 
 def test_streamed_h2_warning_counts_the_full_grid(uneven_chunks, monkeypatch):

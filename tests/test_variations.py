@@ -15,12 +15,12 @@ from ohara import variations
 from ohara._pairs import PairSet, k_raw, n_raw
 from ohara.curve import ClosedCurve, Field, pair_frame, random_curve, random_field
 from ohara.errors import NumericalError
-from ohara.kernels import EnergyParams, GeneralParamCurve, density_general_param, phi_alpha
+from ohara.kernels import EnergyParams, phi_alpha
 from ohara.quadrature import GridOperator, _g_grid, _unfold, holder_chain_check
 from ohara.variations import pair_terms
 from ohara.verify import diagonal_limit
 
-from conftest import rel
+from conftest import GeneralParamCurve, density_general_param, rel
 
 PAIRS = [(1, 0), (40, 10), (127, 0), (200, 70)]
 FD_EPS = 1.0e-5

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from ohara._pairs import OffGridPair
 from ohara.curve import Field, circle, ellipse, random_curve, random_field
 from ohara.diagonal import density_limit, g_limit, h_limit, term_limits
 from ohara.errors import ValidationError
 from ohara.kernels import EnergyParams
 from ohara.quadrature import first_variation, second_variation
+from ohara.variations import Blocks
 from ohara.verify import (
     LIMIT_KINDS,
     LimitReport,
@@ -136,6 +138,26 @@ def test_small_beta_weighted_decay(circle128):
     vals = [abs(v) for _, v in rep.samples]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.1 * vals[0]
+
+
+@pytest.mark.parametrize("which, raw", [
+    ("density", lambda b: b.malpha() ** b.params.p),
+    ("g", lambda b: sum(b.g_terms("phi").values())),
+    ("h", lambda b: sum(b.h_terms()[0].values())),
+], ids=["density", "g", "h"])
+def test_density_and_variation_samples_carry_the_weight_exponent(ellipse128, which, raw):
+    # beta below alpha/2 and p > 1, so the weight is neither 1 nor that of the
+    # m kinds: each path sample is D^weight_exponent times the raw Blocks
+    # value on the same off-grid pairs, bit for bit
+    cv = ellipse128
+    pr = EnergyParams(2.5, 1.5, beta=0.9)
+    phi, psi = random_field(cv, 3), random_field(cv, 4)
+    s = 2.0 * cv.h
+    rep = diagonal_limit(cv, phi, psi, pr, s, which)
+    hs = np.array([h for h, _ in rep.samples])
+    ev = OffGridPair(cv, s + hs / 2.0, s - hs / 2.0)
+    want = ev.D ** pr.weight_exponent * raw(Blocks(ev, params=pr, phi=phi, psi=psi))
+    assert [v for _, v in rep.samples] == want.tolist()
 
 
 # ------------------------------------------------------------ FD derivatives

@@ -5,25 +5,27 @@ Usage: python3 tools/same_bits.py [--rev REV]
 Writes a 3-D curve file of M = 256 samples taken uniformly in the curve's
 angle parameter, not in arclength, so every job runs the full arclength
 reparametrization.  Runs the ``energy``, ``gradient``, ``hessian-form``,
-``norms``, ``density`` and ``density --which h`` jobs on it at
-(alpha, p) = (2, 1) and (2.5, 1.5), and ``energy``, ``gradient`` and
-``hessian-form`` at (2.5, 1.5) on an 8-D curve written the same way: from
-n = 8 on, a squared chord summed component by component and one summed by
-``einsum`` differ in the last bits.  Each job runs once with the working
-tree's ``src`` and once with the ``src`` of ``REV`` (``HEAD`` by default),
-unpacked with ``git archive`` into a temporary directory.  The child
-processes run with one BLAS thread, since threaded BLAS can change the bits
-of large matrix products.
+``norms``, ``limits``, ``density --out grid.csv`` and ``density --which h
+--out grid.csv`` jobs on it at (alpha, p) = (2, 1) and (2.5, 1.5), and
+``energy``, ``gradient`` and ``hessian-form`` at (2.5, 1.5) on an 8-D
+curve written the same way: from n = 8 on, a squared chord summed component
+by component and one summed by ``einsum`` differ in the last bits.  Each
+job runs once with the working tree's ``src`` and once with the ``src`` of
+``REV`` (``HEAD`` by default), unpacked with ``git archive`` into a
+temporary directory.  The child processes run with one BLAS thread, since
+threaded BLAS can change the bits of large matrix products.
 
-Prints, per curve, ``identical`` when every job succeeds and prints the
-same bytes on both sides, and otherwise each failed job and each JSON key
-whose value differs, with its relative gap.  The exit code stays 0 whatever
-differs, and when ``REV`` names no commit: changes that alter output bits
-on purpose are reported, not failed.
+Prints, per curve, ``identical`` when every job succeeds and prints, and
+writes to its ``--out`` file, the same bytes on both sides, and otherwise
+each failed job, each JSON key whose value differs, with its relative gap,
+and the number of ``--out`` file lines that differ.  The exit code stays 0
+whatever differs, and when ``REV`` names no commit: changes that alter
+output bits on purpose are reported, not failed.
 """
 
 import argparse
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -36,8 +38,8 @@ import numpy as np
 
 M = 256
 PARAMS = [("2", "1"), ("2.5", "1.5")]
-JOBS = [["energy"], ["gradient"], ["hessian-form"], ["norms"], ["density"],
-        ["density", "--which", "h"]]
+JOBS = [["energy"], ["gradient"], ["hessian-form"], ["norms"], ["limits"],
+        ["density", "--out", "grid.csv"], ["density", "--which", "h", "--out", "grid.csv"]]
 #: ``{dimension: [(job, alpha, p)]}`` of the jobs run on each curve
 CURVES = {
     3: [(job, alpha, p) for job in JOBS for alpha, p in PARAMS],
@@ -57,16 +59,21 @@ def curve_points(M, n=3):
 
 
 def run_jobs(src, curve, jobs, workdir):
-    """``{(job, alpha, p): (exit code, stdout, stderr)}`` of the CLI of ``src``."""
+    """``{(job, alpha, p): (exit code, stdout, stderr, file)}`` of the CLI of
+    ``src``; ``file`` is the bytes a job wrote to its ``--out`` path, or None."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = {}
     for job, alpha, p in jobs:
+        path = pathlib.Path(workdir, job[job.index("--out") + 1]) if "--out" in job else None
+        if path is not None:
+            path.unlink(missing_ok=True)
         proc = subprocess.run(
             [sys.executable, "-m", "ohara.cli", *job, "--curve", str(curve),
              "--alpha", alpha, "--p", p],
             capture_output=True, text=True, env=env, cwd=workdir)
-        out[(" ".join(job), alpha, p)] = (proc.returncode, proc.stdout, proc.stderr)
+        written = path.read_bytes() if path is not None and path.exists() else None
+        out[(" ".join(job), alpha, p)] = (proc.returncode, proc.stdout, proc.stderr, written)
     return out
 
 
@@ -91,9 +98,9 @@ def describe(key, a, b):
 def report(here, there):
     """Lines describing how the job outputs ``here`` and ``there`` differ."""
     lines = []
-    for name, (code, out, err) in here.items():
-        rcode, rout, rerr = there[name]
-        if code == rcode == 0 and out == rout:
+    for name, (code, out, err, written) in here.items():
+        rcode, rout, rerr, rwritten = there[name]
+        if code == rcode == 0 and out == rout and written == rwritten:
             continue
         lines.append("%s at (alpha, p) = (%s, %s):" % name)
         if code or rcode:
@@ -106,6 +113,10 @@ def report(here, there):
         except ValueError:
             diffs = [("output", out, rout)]
         lines.extend(describe(*d) for d in diffs)
+        if written != rwritten:
+            a, b = (written or b"").splitlines(), (rwritten or b"").splitlines()
+            lines.append("  --out file: %d of %d lines differ" % (
+                sum(x != y for x, y in itertools.zip_longest(a, b)), max(len(a), len(b))))
     return lines
 
 

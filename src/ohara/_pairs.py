@@ -45,7 +45,7 @@ chords obey the mirror ``chord2[j, k] == chord2[(j + k) % M, M - k]`` bit
 for bit, and half the grid (``k = 0..M/2``) holds every distinct value.
 
 Row-chunk passes.  Every pass over the rows of the offset grid (the
-``GridOperator`` build, its ``_half`` and ``_reduce`` passes and its
+``GridOperator`` build, its ``_chunks`` passes and its
 ``first_variation_dual`` with the row weights it reads off the assembler,
 the chord pass of ``ClosedCurve`` construction, the reductions of
 ``density_grid`` and the rows that ``save_grid_csv`` writes, and the one

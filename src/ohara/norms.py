@@ -4,22 +4,26 @@ Every seminorm of a field reads the offset grid of
 ``|u(s_{j+k}) - u(s_j)|`` in one pass over the row chunks of
 ``_pairs.map_chunks``, each chunk the grid pairs of a ``_pairs.PairSet``
 read off the field's kept tables (``PairSet.sq_diff``), never as a whole
-``(M, M)`` grid:
+grid.  The grid is swap symmetric bit for bit, ``|Δu|`` and ``|Δs|``
+alike, so the pass reads only its half, the columns ``k = 0..M/2``:
 ``_one_pass`` hands each chunk to one reducer per seminorm, so
 :func:`seminorms` gives the Gagliardo, Hölder and Sobolev-L^∞ values of a
 field from a single pass, with the same bits as the one-seminorm functions
 and whatever the chunking.
 
-The Gagliardo double integral reduces each chunk to the quadrature module's
-``_Rows`` and assembles them like the energy.  Cells with |Δs| below 2L/M
-are handled with the analytic bound ``|Δu| <= sup|u'| |Δs|``, which turns
-the cell integrand into ``|Δs|^(q-1-σq)`` and is integrated in closed form
-(σ < 1 keeps it integrable); everything else is a plain midpoint sum with
-the usual corner and cut corrections.
+The Gagliardo double integral reduces each chunk of the half grid to the
+quadrature module's ``_Rows``, which weights each half column by the
+whole-grid columns it stands for, and assembles them like the energy.
+Cells with |Δs| below 2L/M are handled with the analytic bound
+``|Δu| <= sup|u'| |Δs|``, which turns the cell integrand into
+``|Δs|^(q-1-σq)`` and is integrated in closed form (σ < 1 keeps it
+integrable); everything else is a plain midpoint sum with the usual corner
+and cut corrections.
 
 Hölder-type quantities are suprema over grid pairs, the maximum of the
-chunk maxima; the near-diagonal part (separations under one cell, which the
-grid cannot see) is refined with the derivative bound
+chunk maxima over the half columns, which is the maximum over the whole
+grid; the near-diagonal part (separations under one cell, which the grid
+cannot see) is refined with the derivative bound
 ``sup|u'| * min(R, h)^(1-β)``.
 """
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from ._pairs import PairSet, map_chunks
 from .errors import ValidationError
-from .quadrature import _integrate, _Rows
+from .quadrature import _half_width, _integrate, _Rows
 from .spectral import short_arc_offsets
 
 __all__ = [
@@ -91,7 +95,7 @@ def _gagliardo(u, sigma, q):
     if q < 1:
         raise ValidationError("q must be >= 1")
     curve = u.curve
-    offs = np.abs(short_arc_offsets(curve.M, curve.L))
+    offs = np.abs(short_arc_offsets(curve.M, curve.L))[:_half_width(curve.M)]
     # offset 0 lies in the band, which the assembler does not read
     denom = np.where(offs > 0.0, offs, 1.0) ** (1.0 + sigma * q)
     band = _GAGLIARDO_BAND
@@ -113,7 +117,7 @@ def _modulus(u, beta, R):
     curve = u.curve
     if not 0.0 < R <= curve.L / 2.0:
         raise ValidationError("R must lie in (0, L/2]")
-    offs = np.abs(short_arc_offsets(curve.M, curve.L))
+    offs = np.abs(short_arc_offsets(curve.M, curve.L))[:_half_width(curve.M)]
     sel = (offs > 0.0) & (offs <= R)
     scale = offs[sel] ** beta
     near = _deriv_sup(u) * min(R, curve.h) ** (1.0 - beta)
@@ -127,16 +131,19 @@ def _one_pass(u, *reducers):
     """Every seminorm of ``reducers`` from one row-chunk pass over ``|Δu|``.
 
     A reducer is a pair ``(chunk, finish)``: ``chunk(d)`` reduces rows ``d``
-    of the ``|u(s_{j+k}) - u(s_j)|`` grid, and ``finish`` takes the list of
-    its chunk results, in row order, to the seminorm's value.
+    of the half ``|u(s_{j+k}) - u(s_j)|`` grid, columns ``k = 0..M/2``,
+    and ``finish`` takes the list of its chunk results, in row order, to
+    the seminorm's value.
     """
 
+    w = _half_width(u.curve.M)
+
     def chunk(j0, j1):
-        d = np.sqrt(PairSet(u.curve, slice(j0, j1), slice(None)).sq_diff(u))
+        d = np.sqrt(PairSet(u.curve, slice(j0, j1), slice(w)).sq_diff(u))
         return [reduce(d) for reduce, _ in reducers]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        parts = map_chunks(chunk, u.curve.M)
+        parts = map_chunks(chunk, u.curve.M, w)
     return [finish(list(res)) for (_, finish), res in zip(reducers, zip(*parts))]
 
 

@@ -32,18 +32,20 @@ additions).  The antipodal column ``k = M/2`` is the exception: both pairs
 of a swap there take the forward short arc, so the signs do not flip.  It
 lies in the evaluated half and is computed directly.
 
-The rule reads each row only through its off-band sum and a few columns
-(:class:`_Rows`).  So the energy density and the variation integrands G and
-H are evaluated on row chunks of the half grid, and the whole grid is
-unfolded and reduced by row chunks: besides the half grid of the
-integrand, their memory is O(rows x M) per live block, not O(M^2).  The
-geometry blocks that :class:`GridOperator` keeps are half grids built on
-the same row chunks.  Rows reduce independently, and the unfolded rows are
-those of the whole grid, so the result depends neither on the chunking nor
-on the folding, bit for bit.  The transpose of the first variation
-(:meth:`GridOperator.first_variation_dual`) runs on row chunks of the whole
-grid too: the pair at ``(j - k, k)`` that row ``j`` needs is the swap of
-the pair at ``(j, M - k)`` in its own row.
+The rule reads the grid only through the sum of its rows' off-band sums
+and a few columns (:class:`_Rows`).  So the energy density and the
+variation integrands G and H are evaluated on row chunks of the half grid,
+and each chunk is reduced as soon as it is built: its off-band sum weights
+each half column by the whole-grid columns it stands for (2, and 1 for the
+antipodal column), and a column past ``M/2`` that the rule reads is its
+mirror, rolled.  Beyond the geometry blocks that :class:`GridOperator`
+keeps, half grids built on the same row chunks, a pass holds O(rows x M)
+per live block, not O(M^2).  Rows reduce independently, so the result does
+not depend on the chunking, bit for bit; against a reduction of whole rows
+only the order of the off-band sum differs.  The transpose of the first
+variation (:meth:`GridOperator.first_variation_dual`) runs on row chunks
+of the whole grid: the pair at ``(j - k, k)`` that row ``j`` needs is the
+swap of the pair at ``(j, M - k)`` in its own row.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -105,12 +107,14 @@ def _assembler_cols(M, band):
 
 
 class _Rows:
-    """What the assembler reads of the rows of an offset grid ``F``.
+    """What the assembler reads of a swap-symmetric offset grid ``F``.
 
-    ``offband[j]`` is the sum of row ``j`` over the columns outside the band
-    and ``cols[k]`` is column ``k`` for each of :func:`_assembler_cols`.  Each
-    row reduces on its own, so reducing row chunks and concatenating them
-    gives the same arrays bit for bit.
+    ``offband`` holds one sum per row whose total over all rows is the sum
+    of ``F`` over the columns outside the band, and ``cols[k]`` is column
+    ``k`` of ``F`` for each of :func:`_assembler_cols`.  :meth:`of` reduces
+    rows of the half grid, :meth:`concat` joins the row chunks and reads the
+    columns past ``M/2`` off their mirrors; rows reduce on their own, so the
+    arrays are the same bits whatever the chunking.
     """
 
     def __init__(self, offband, cols):
@@ -118,20 +122,24 @@ class _Rows:
         self.cols = cols
 
     @classmethod
-    def of(cls, F, band):
-        M = F.shape[1]
+    def of(cls, V, band):
+        """Rows ``V`` of the half grid (columns ``0..M/2``): ``offband[j]`` sums
+        the off-band half columns of row ``j``, each weighted by the
+        whole-grid columns it stands for (:func:`_mirror_weights`)."""
+        M = 2 * (V.shape[1] - 1)
         _check_band(M, band)
-        keys = _assembler_cols(M, band)
-        offband = np.where(_offband_cols(M, band)[None, :], F, 0.0).sum(axis=1)
-        # F[:, keys] is a copy, so a chunk's grid is not kept alive
-        return cls(offband, dict(zip(keys, F[:, keys].T)))
+        offband = (V[:, band + 1:] * _mirror_weights(M, band)).sum(axis=1)
+        # V[:, k] is a view; the copy keeps no chunk grid alive
+        return cls(offband, {k: V[:, k].copy() for k in _assembler_cols(M, band) if k <= M // 2})
 
     @classmethod
     def concat(cls, parts):
-        return cls(
-            np.concatenate([r.offband for r in parts]),
-            {k: np.concatenate([r.cols[k] for r in parts]) for k in parts[0].cols},
-        )
+        offband = np.concatenate([r.offband for r in parts])
+        cols = {k: np.concatenate([r.cols[k] for r in parts]) for k in parts[0].cols}
+        # row j of column M - k is row j - k of column k
+        M = len(offband)
+        cols.update({M - k: np.roll(c, k) for k, c in list(cols.items()) if k < M // 2})
+        return cls(offband, cols)
 
 
 def _half_width(M):
@@ -355,14 +363,14 @@ class GridOperator:
     column ``M/2`` is kept as computed, since the mirror does not hold on
     it.  One evaluator, :meth:`_rows`, works on row chunks of the half grid,
     handed out by ``_pairs.map_chunks``: the build writes each chunk's
-    geometry blocks into those arrays, and the energy and the variations
-    start each chunk from row views of them (the squared chords seeded into
-    the chunk's ``PairSet``, the other blocks into its ``Blocks``), each
-    pass handing all its chunks one dict of product fields (:meth:`_half`),
-    then unfold the integrand and reduce it by row chunks of the whole grid
-    (:meth:`_reduce`).  So N(tau,tau),
-    M_alpha etc. are computed once, on half the pairs, and whole grids exist
-    only where a caller asks for one.
+    geometry blocks into those arrays, and every later pass runs
+    :meth:`_chunks`, which starts each chunk from row views of them (the
+    squared chords seeded into the chunk's ``PairSet``, the other blocks
+    into its ``Blocks``) and hands all chunks of the pass one dict of
+    product fields.  The energy and the variations reduce each chunk's
+    integrand to its :class:`_Rows` at once.  So N(tau,tau), M_alpha etc.
+    are computed once, on half the pairs, and a whole half grid of an
+    integrand exists only where a caller asks for one (:meth:`_half`).
     """
 
     def __init__(self, curve, params, band=DEFAULT_BAND):
@@ -402,30 +410,21 @@ class GridOperator:
         return Blocks(ps, params=self.params, phi=phi, psi=psi,
                       geometry=self._geometry(j0, j1), fields=fields)
 
-    def _half(self, integrand, phi, psi=None):
-        """The blocks that ``integrand(b)`` lists, each on the whole half grid,
-        evaluated on ``Blocks`` of one row chunk each, which share one dict
-        of product fields."""
+    def _chunks(self, fn, phi=None, psi=None):
+        """``[fn(b)]`` over the row chunks of the half grid, ``b`` the chunk's
+        ``Blocks``; the chunks of a pass share one dict of product fields."""
         M = self.curve.M
         fields = {}
 
-        def blocks(j0, j1):
-            return integrand(self._rows(j0, j1, phi, psi, fields))
+        def chunk(j0, j1):
+            return fn(self._rows(j0, j1, phi, psi, fields))
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            parts = map_chunks(blocks, M, _half_width(M))
-        return [np.concatenate(B) for B in zip(*parts)]
+            return map_chunks(chunk, M, _half_width(M))
 
-    def _reduce(self, half, band=None):
-        """The :class:`_Rows` of the whole grid whose half is ``half``,
-        unfolded and reduced by row chunks."""
-        band = self.band if band is None else band
-
-        def rows(j0, j1):
-            return _Rows.of(_unfold(half, j0, j1), band)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _Rows.concat(map_chunks(rows, self.curve.M))
+    def _half(self, integrand, phi=None, psi=None):
+        """The blocks that ``integrand(b)`` lists, each on the whole half grid."""
+        return [np.concatenate(B) for B in zip(*self._chunks(integrand, phi, psi))]
 
     def _h_grid(self, b):
         """``[H, flags]``: H = H1 + ... + H6 on the pairs of ``b`` and its
@@ -434,13 +433,10 @@ class GridOperator:
         offdiag = _offband_cols(self.curve.M, 0)[None, :flagged.shape[1]]
         return [sum(terms.values()), flagged & offdiag]
 
-    def _density_half(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.malpha ** self.params.p
-
     def energy(self, band=None):
         band = self.band if band is None else band
-        rows = self._reduce(self._density_half(), band)
+        p = self.params.p
+        rows = _Rows.concat(self._chunks(lambda b: _Rows.of(b.malpha() ** p, band)))
         W0 = density_limit(self.curve, self.params)
         return self._assemble(rows, band, W0)
 
@@ -464,24 +460,27 @@ class GridOperator:
         return _unfold(self._half(_g_grid, phi)[0])
 
     def first_variation(self, phi):
-        rows = self._reduce(self._half(_g_grid, phi)[0])
+        rows = _Rows.concat(self._chunks(lambda b: _Rows.of(_g_grid(b)[0], self.band), phi))
         W0 = g_limit(self.curve, self.params, phi)
         value, _ = self._assemble(rows, self.band, W0)
         return value
 
     def _row_weights(self):
-        """``(w, w0)``: row ``j`` of the assembled integral is
-        ``sum_k w[k] F[j, k] + w0 W0[j]``, read off the assembler by row
-        chunks of the identity."""
+        """``(w, w0)``: row ``j`` of the assembled integral of a whole grid
+        ``F`` is ``sum_k w[k] F[j, k] + w0 W0[j]``, read off the assembler by
+        row chunks of unit rows: the row of ``e_j`` sums to 1 off the band,
+        and its column ``k`` is 1 at ``k = j``."""
+        M, band = self.curve.M, self.band
+        # j = M stands for the zero row, which is 1 nowhere
+        offband = np.append(_offband_cols(M, band), False).astype(float)
 
-        def totals(F, W0):
-            rows = _Rows.of(F, self.band)
-            pieces = _band_pieces(rows.cols, self.curve, self.band, self.gamma, W0)
-            return _row_totals(rows, self.curve, self.band, pieces)[0]
+        def totals(j, W0):
+            rows = _Rows(offband[j], {k: (j == k).astype(float) for k in _assembler_cols(M, band)})
+            pieces = _band_pieces(rows.cols, self.curve, band, self.gamma, W0)
+            return _row_totals(rows, self.curve, band, pieces)[0]
 
-        M = self.curve.M
-        w = map_chunks(lambda j0, j1: totals(np.eye(j1 - j0, M, j0), np.zeros(j1 - j0)), M)
-        return np.concatenate(w), totals(np.zeros((1, M)), np.ones(1))[0]
+        w = map_chunks(lambda j0, j1: totals(np.arange(j0, j1), np.zeros(j1 - j0)), M)
+        return np.concatenate(w), totals(np.array([M]), np.ones(1))[0]
 
     def first_variation_dual(self):
         """The first variation as a linear form: see :class:`FirstVariationDual`.
@@ -544,13 +543,17 @@ class GridOperator:
         return tuple(_unfold(V) for V in self._half(self._h_grid, phi, psi))
 
     def second_variation(self, phi, psi):
-        H, flagged = self._half(self._h_grid, phi, psi)
-        if flagged.any():
-            warnings.warn(
-                "H2 singular policy fired at %d grid pairs; excluded from "
-                "quadrature" % (flagged[:, 1:] * _mirror_weights(self.curve.M, 0)).sum()
-            )
-        rows = self._reduce(H)
+        def reduce(b):
+            H, flagged = self._h_grid(b)
+            # each flagged half column stands for its mirror too
+            count = (flagged[:, 1:] * _mirror_weights(self.curve.M, 0)).sum()
+            return _Rows.of(H, self.band), count
+
+        chunks, counts = zip(*self._chunks(reduce, phi, psi))
+        if sum(counts):
+            warnings.warn("H2 singular policy fired at %d grid pairs; excluded from "
+                          "quadrature" % sum(counts))
+        rows = _Rows.concat(chunks)
         W0 = h_limit(self.curve, self.params, phi, psi)
         value, _ = self._assemble(rows, self.band, W0)
         return value + antipodal_motion_term(self.curve, phi, psi, self.params)
@@ -716,7 +719,9 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     M = curve.M
     flagged = []
     if which == "density":
-        half, label, W0 = op._density_half(), "M_alpha^p", density_limit(curve, params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = op.malpha ** params.p
+        label, W0 = "M_alpha^p", density_limit(curve, params)
     elif which == "g":
         (half,), label, W0 = op._half(_g_grid, phi), "G", g_limit(curve, params, phi)
     else:
@@ -741,18 +746,15 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
         label = "D^%g * %s" % (gamma_w, label)
 
     def offband(j0, j1):
-        a = np.abs(half[j0:j1, band + 1:])
-        return a.max(), (a * _mirror_weights(M, band)).sum(axis=1)
+        a = np.abs(half[j0:j1])
+        return a[:, band + 1:].max(), _Rows.of(a, band)
 
-    sups, sums = zip(*map_chunks(offband, M, _half_width(M)))
-    sup, l1_off = float(np.max(sups)), float(np.concatenate(sums).sum()) * curve.h ** 2
+    sups, chunks = zip(*map_chunks(offband, M, _half_width(M)))
+    rows = _Rows.concat(chunks)
+    sup, l1_off = float(np.max(sups)), float(rows.offband.sum()) * curve.h ** 2
 
-    # band L1 estimate from the quartic model of |values| (weighted form):
-    # the model reads columns band+1, band+2 and their mirrors M - k, whose
-    # row j is row j - k of column k
-    cols = {k: np.abs(half[:, k]) for k in (band + 1, band + 2)}
-    cols.update({M - k: np.roll(c, k) for k, c in cols.items()})
-    band_int, _, _ = _band_pieces(cols, curve, band, op.gamma - gamma_w,
+    # band L1 estimate from the quartic model of |values| (weighted form)
+    band_int, _, _ = _band_pieces(rows.cols, curve, band, op.gamma - gamma_w,
                                   np.abs(np.asarray(W0, dtype=float)))
     band_l1 = float(curve.h * np.sum(np.abs(band_int)))
 

@@ -8,6 +8,7 @@ from ohara import _pairs, spectral
 from ohara.curve import Field, circle, ellipse, random_curve, random_field
 from ohara.errors import NumericalError, ValidationError
 from ohara.kernels import EnergyParams
+from ohara.quadrature import _assembler_cols, _check_band, _offband_cols, _Rows
 
 
 @pytest.fixture(scope="session")
@@ -110,6 +111,23 @@ def offset_sq_diffs(values, j0=0, j1=None):
     win = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals]), M, axis=0)
     d = win[j0:j1] - vals[j0:j1, :, None]
     return np.einsum("jik,jik->jk", d, d)
+
+
+def whole_rows(F, band):
+    """The :class:`~ohara.quadrature._Rows` of whole rows ``F`` of an offset
+    grid: ``offband[j]`` is the sum of row ``j`` over the columns outside
+    the band and ``cols[k]`` is column ``k`` for each of the assembler's
+    columns.
+
+    The reduction as the package made it before it reduced rows of the half
+    grid; kept here as the whole-row reference.
+    """
+    M = F.shape[1]
+    _check_band(M, band)
+    keys = _assembler_cols(M, band)
+    offband = np.where(_offband_cols(M, band)[None, :], F, 0.0).sum(axis=1)
+    # F[:, keys] is a copy, so a chunk's grid is not kept alive
+    return _Rows(offband, dict(zip(keys, F[:, keys].T)))
 
 
 class GeneralParamCurve:

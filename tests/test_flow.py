@@ -22,15 +22,15 @@ from ohara.flow import (
     l2_gradient,
     run_flow,
 )
-from ohara._pairs import PairSet
+from ohara._pairs import PairSet, map_chunks
 from ohara.diagonal import g_limit_weights
 from ohara.kernels import EnergyParams
 from ohara.quadrature import (
-    FirstVariationDual, GridOperator, _band_pieces, _row_totals, _Rows, _unfold, energy,
+    FirstVariationDual, GridOperator, _band_pieces, _row_totals, _unfold, energy,
 )
 from ohara.verify import fd_energy_gradient
 
-from conftest import perturbed_circle, rel
+from conftest import perturbed_circle, rel, whole_rows
 
 
 def test_gradient_near_zero_on_circle(circle128, params21):
@@ -111,7 +111,7 @@ def _whole_grid_dual(op):
     M, h, p = cv.M, cv.h, pr.p
 
     def totals(F, W0):
-        rows = _Rows.of(F, op.band)
+        rows = whole_rows(F, op.band)
         pieces = _band_pieces(rows.cols, cv, op.band, op.gamma, W0)
         return _row_totals(rows, cv, op.band, pieces)[0]
 
@@ -158,6 +158,27 @@ def test_row_chunk_dual_matches_the_whole_grid_dual(alpha, p):
     op.first_variation_dual = lambda: whole
     _, ref = l2_gradient(cv, op.params, K=8, op=op, with_coefficients=True)
     assert np.abs(got - ref).max() <= 5.0e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("band", [1, 2, 3])
+@pytest.mark.parametrize("alpha,p", [(2.0, 1.0), (2.5, 1.5)])
+def test_row_weights_are_the_identity_rows_bits(uneven_chunks, band, alpha, p):
+    # the weights read off unit rows built directly, against the whole-row
+    # reduction of row chunks of the identity
+    cv = uneven_chunks
+    op = GridOperator(cv, EnergyParams(alpha, p), band)
+
+    def totals(F, W0):
+        rows = whole_rows(F, band)
+        pieces = _band_pieces(rows.cols, cv, band, op.gamma, W0)
+        return _row_totals(rows, cv, band, pieces)[0]
+
+    M = cv.M
+    w = map_chunks(lambda j0, j1: totals(np.eye(j1 - j0, M, j0), np.zeros(j1 - j0)), M)
+    w0 = totals(np.zeros((1, M)), np.ones(1))[0]
+    got_w, got_w0 = op._row_weights()
+    assert np.array_equal(got_w, np.concatenate(w))
+    assert got_w0 == w0
 
 
 def test_basis_matrix_needs_fewer_modes_than_half_the_grid():

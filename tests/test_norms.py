@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ohara import cli, norms
+from ohara import _pairs, cli, norms
 from ohara._pairs import PairSet
 from ohara.curve import Field, circle, random_curve, random_field, save_curve
 from ohara.errors import ValidationError
@@ -20,10 +20,10 @@ from ohara.norms import (
     sobolev_linf_norm,
     sup_norm,
 )
-from ohara.quadrature import _integrate, _Rows
+from ohara.quadrature import _integrate
 from ohara.spectral import short_arc_offsets
 
-from conftest import offset_sq_diffs, rel
+from conftest import offset_sq_diffs, rel, whole_rows
 
 
 def scalar_cos_field(cv, k=1):
@@ -166,7 +166,7 @@ def _whole_grid_norms(u, sigma, q, beta, R):
     diffs = np.sqrt(offset_sq_diffs(u.values))
     F = diffs**q / np.where(offs > 0.0, offs, 1.0) ** (1.0 + sigma * q)
     F[:, 0] = 0.0
-    rows = _Rows.of(F, _GAGLIARDO_BAND)
+    rows = whole_rows(F, _GAGLIARDO_BAND)
     bound = float(u.deriv.sup_norm()) ** q
     pieces = _bound_band_pieces(rows.cols, cv, _GAGLIARDO_BAND, bound, q - 1.0 - sigma * q)
     total, _ = _integrate(rows, cv, _GAGLIARDO_BAND, pieces)
@@ -176,18 +176,29 @@ def _whole_grid_norms(u, sigma, q, beta, R):
     return float(max(total, 0.0) ** (1.0 / q)), max(modulus, near)
 
 
-def test_norms_by_row_chunks_give_the_whole_grid_bits(uneven_chunks):
+def test_norms_by_row_chunks_give_the_whole_grid_bits(uneven_chunks, monkeypatch):
+    # the chunked half-grid pass gives the one-chunk bits; against the whole
+    # |du| grid the moduli are the same bits and the Gagliardo seminorm,
+    # summed per row in another order, moves by rounding only
     cv = uneven_chunks
     phi = random_field(cv, 5)
-    for u in (cv.tau_field, phi.deriv, cv.tau_field.dot(phi.deriv)):
-        for sigma, q, beta, R in ((0.5, 2.0, 0.5, cv.L / 2.0), (0.3, 3.0, 1.0, 5.0 * cv.h)):
-            gag, modulus = _whole_grid_norms(u, sigma, q, beta, R)
-            assert gagliardo_seminorm(u, sigma, q) == gag
-            assert local_modulus(u, beta, R) == modulus
-            _, holder = _whole_grid_norms(u, sigma, q, beta, cv.L / 2.0)
-            one_pass = seminorms(u, sigma, q, beta)
-            assert one_pass["gagliardo"] == gag
-            assert one_pass["holder"] == holder
+    cases = [(u, *c) for u in (cv.tau_field, phi.deriv, cv.tau_field.dot(phi.deriv))
+             for c in ((0.5, 2.0, 0.5, cv.L / 2.0), (0.3, 3.0, 1.0, 5.0 * cv.h))]
+
+    def run():
+        return [(gagliardo_seminorm(u, sigma, q), local_modulus(u, beta, R),
+                 seminorms(u, sigma, q, beta)) for u, sigma, q, beta, R in cases]
+
+    chunked = run()
+    for (u, sigma, q, beta, R), (gag, modulus, one_pass) in zip(cases, chunked):
+        ref, ref_modulus = _whole_grid_norms(u, sigma, q, beta, R)
+        assert rel(gag, ref) <= 1.0e-14
+        assert modulus == ref_modulus
+        _, holder = _whole_grid_norms(u, sigma, q, beta, cv.L / 2.0)
+        assert one_pass["gagliardo"] == gag
+        assert one_pass["holder"] == holder
+    monkeypatch.setattr(_pairs, "CHUNK_CELLS", cv.M ** 2)
+    assert run() == chunked
 
 
 def test_each_field_is_one_pass_over_its_grid(monkeypatch, tmp_path, capsys):

@@ -107,7 +107,8 @@ def test_grid_passes_pool_gives_the_serial_bits(uneven_chunks, pool, monkeypatch
         op = GridOperator(cv, params)
         phi, psi = random_field(cv, 40), random_field(cv, 41)
         dual = op.first_variation_dual()
-        rows = op._reduce(op.malpha)
+        rows = quadrature._Rows.concat(
+            op._chunks(lambda b: quadrature._Rows.of(b.malpha(), op.band)))
         sq_diffs = _pairs.map_chunks(
             lambda j0, j1: _pairs.PairSet(cv, slice(j0, j1), slice(None)).sq_diff(phi), cv.M)
         return [

@@ -29,7 +29,7 @@ from ohara.spectral import short_arc_offsets
 from ohara.variations import Blocks
 from ohara.verify import fd_energy_gradient, fd_energy_hessian
 
-from conftest import perturbed_circle, rel
+from conftest import perturbed_circle, rel, whole_rows
 
 
 # -------------------------------------------------------------------- energy
@@ -318,7 +318,9 @@ def _whole_grid_density(cv, pr, which, beta=None, phi=None, psi=None):
     M, band = cv.M, op.band
     flagged = []
     if which == "density":
-        V, label, W0 = quadrature._unfold(op._density_half()), "M_alpha^p", density_limit(cv, pr)
+        with np.errstate(invalid="ignore"):
+            V = quadrature._unfold(op.malpha ** pr.p)
+        label, W0 = "M_alpha^p", density_limit(cv, pr)
     elif which == "g":
         V, label, W0 = op.g_values(phi), "G", g_limit(cv, pr, phi)
     else:
@@ -335,7 +337,7 @@ def _whole_grid_density(cv, pr, which, beta=None, phi=None, psi=None):
         label = "D^%g * %s" % (gamma_w, label)
 
     off_vals = V[:, quadrature._offband_cols(M, band)]
-    band_int, _, _ = _band_pieces(_Rows.of(np.abs(V), band).cols, cv, band,
+    band_int, _, _ = _band_pieces(whole_rows(np.abs(V), band).cols, cv, band,
                                   op.gamma - gamma_w, np.abs(np.asarray(W0, dtype=float)))
     band_l1 = float(cv.h * np.sum(np.abs(band_int)))
 
@@ -544,6 +546,24 @@ def test_holder_chain_memory_is_row_chunked():
     assert peak < 20 * 2**20
 
 
+def test_energy_and_first_variation_build_no_whole_half_grid(params21):
+    # each row chunk is reduced as it is built: a pass's peak stays below one
+    # float64 (M, M/2 + 1) grid
+    cv = random_curve(0, M=1024, n=3)
+    op = GridOperator(cv, params21)
+    phi = random_field(cv, 7)
+    grid = cv.M * (cv.M // 2 + 1) * 8
+    for run in (op.energy, lambda: op.first_variation(phi)):
+        run()  # the field's cached tables
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid
+
+
 def test_operator_reuses_blocks(params21, bumpy256):
     # one operator, several evaluations: results agree with the one-shot API
     op = GridOperator(bumpy256, params21)
@@ -584,7 +604,7 @@ def _full_grid_integral(op, F, W0):
 
 
 @pytest.mark.parametrize("alpha,p", STREAM_PARAMS)
-def test_streamed_variations_equal_the_full_grid(uneven_chunks, alpha, p):
+def test_streamed_variations_equal_the_full_grid(uneven_chunks, monkeypatch, alpha, p):
     cv = uneven_chunks
     pr = EnergyParams(alpha, p)
     op = GridOperator(cv, pr)
@@ -599,10 +619,22 @@ def test_streamed_variations_equal_the_full_grid(uneven_chunks, alpha, p):
     assert np.array_equal(h_vals, H, equal_nan=True)
     assert np.array_equal(h_flagged, flagged)
 
-    assert op.first_variation(phi) == _full_grid_integral(op, G, g_limit(cv, pr, phi))
+    # the half-grid reduction sums each row in another order than the whole
+    # grid's rows; the chunking moves no bit
+    value, first = op.energy()[0], op.first_variation(phi)
+    second = op.second_variation(phi, psi)
+    with np.errstate(invalid="ignore"):
+        density = quadrature._unfold(op.malpha ** pr.p)
+    assert rel(value, _full_grid_integral(op, density, density_limit(cv, pr))) <= 1.0e-14
+    assert rel(first, _full_grid_integral(op, G, g_limit(cv, pr, phi))) <= 1.0e-14
     ref = _full_grid_integral(op, H, h_limit(cv, pr, phi, psi))
     ref += antipodal_motion_term(cv, phi, psi, pr)
-    assert op.second_variation(phi, psi) == ref
+    assert rel(second, ref) <= 1.0e-14
+    with monkeypatch.context() as m:
+        m.setattr(_pairs, "CHUNK_CELLS", cv.M ** 2)
+        assert op.energy()[0] == value
+        assert op.first_variation(phi) == first
+        assert op.second_variation(phi, psi) == second
 
     grid = density_grid(cv, pr, which="h", phi=phi, psi=psi)
     pair_major = np.full((cv.M, cv.M), np.nan)

@@ -7,8 +7,11 @@ angle parameter, not in arclength, so every job runs the full arclength
 reparametrization.  Runs the ``energy``, ``gradient``, ``hessian-form``,
 ``norms``, ``limits``, ``density --out grid.csv`` and ``density --which h
 --out grid.csv`` jobs on it at (alpha, p) = (2, 1) and (2.5, 1.5), and
-``energy``, ``gradient`` and ``hessian-form`` at (2.5, 1.5) on an 8-D
-curve written the same way: from n = 8 on, a squared chord summed component
+``flow --out trace.csv`` at (2, 1), whose trace records the energies and
+gradient norms of the flow's steps and, through its time steps, each
+accept/reject decision (about 3 s per side); and it runs ``energy``,
+``gradient`` and ``hessian-form`` at (2.5, 1.5) on an 8-D curve written
+the same way: from n = 8 on, a squared chord summed component
 by component and one summed by ``einsum`` differ in the last bits.  Each
 job runs once with the working tree's ``src`` and once with the ``src`` of
 ``REV`` (``HEAD`` by default), unpacked with ``git archive`` into a
@@ -42,7 +45,8 @@ JOBS = [["energy"], ["gradient"], ["hessian-form"], ["norms"], ["limits"],
         ["density", "--out", "grid.csv"], ["density", "--which", "h", "--out", "grid.csv"]]
 #: ``{dimension: [(job, alpha, p)]}`` of the jobs run on each curve
 CURVES = {
-    3: [(job, alpha, p) for job in JOBS for alpha, p in PARAMS],
+    3: [(job, alpha, p) for job in JOBS for alpha, p in PARAMS]
+       + [(["flow", "--out", "trace.csv"], "2", "1")],
     8: [(job, "2.5", "1.5") for job in (["energy"], ["gradient"], ["hessian-form"])],
 }
 

@@ -54,6 +54,16 @@ pass per field of ``norms``) calls :func:`map_chunks`, which calls
 order, on the calling thread.  Each row is computed on its own, so the result is the same, bit
 for bit, whatever the chunking.
 
+``CHUNK_CELLS`` is 2^14, so a float block of a chunk takes 128 KiB.  A
+variation chunk keeps each field's short-arc integral and endpoint
+difference (``variations.Blocks``), 22 component blocks in the second
+variation besides its terms; on chunks of 2^15 cells those blocks made the
+``tracemalloc`` peaks of the second and first variations 12.6 and 6.1 MiB
+at M = 1024 and (2.5, 1.5), against 6.6 and 3.3 MiB at 2^14, and the
+second variation took 98 ms against 89 ms (2-vCPU box, one BLAS thread).
+The cos/sin table of ``spectral.Interpolant`` is filled in chunks of its
+own budget, ``spectral.TABLE_CELLS``.
+
 These passes run serially.  Since the window reads, each ufunc on a chunk
 is a short contiguous pass and the Python work between them holds the GIL,
 so a pool of threads made them slower.  On a 2-vCPU box at M = 1024, one
@@ -69,8 +79,9 @@ import functools
 import numpy as np
 
 #: cell budget of a row chunk: passes over the M x M offset grid hold about
-#: this many cells per live block instead of the whole grid
-CHUNK_CELLS = 1 << 15
+#: this many cells per live block instead of the whole grid (see the module
+#: docstring for the size)
+CHUNK_CELLS = 1 << 14
 
 
 def map_chunks(fn, M, width=None):
@@ -110,8 +121,8 @@ class PairSet:
     caller that keeps the squared chords of these pairs assigns them first.
     The first points are read through the window view of a field's doubled
     table (``Field.tables``), the second points are one index per row, and
-    the separation ``ds`` is one value per column.  ``i`` is computed only when
-    asked for.  Vector quantities are component major, ``(n,) + shape``; see
+    the separation ``ds`` is one value per column, computed once when first
+    read.  ``i`` is computed only when asked for.  Vector quantities are component major, ``(n,) + shape``; see
     the module docstring.
     """
 
@@ -123,8 +134,13 @@ class PairSet:
         self._k = k = np.arange(M)[cols]
         # the second points as a column, when there are columns
         self.j = np.arange(M)[(rows, None) if np.ndim(k) else rows]
-        # signed short-arc separation s_i - s_j in (-L/2, L/2]
-        self.ds = np.where(k <= M // 2, k, k - M) * curve.h
+
+    @functools.cached_property
+    def ds(self):
+        """Signed short-arc separation ``s_i - s_j`` in ``(-L/2, L/2]``, one
+        value per column."""
+        M, k = self.curve.M, self._k
+        return np.where(k <= M // 2, k, k - M) * self.curve.h
 
     @functools.cached_property
     def wrap(self):
@@ -247,15 +263,17 @@ def _inner(field, a, b):
     return _dot(a, b) if field.values.ndim == 2 else a * b
 
 
-def n_raw(ev, u, v, uv):
-    """Bilinear kernel N(u, v) on an evaluator, given the product field uv;
-    u and v are both vector fields or both scalar fields."""
-    Iu, Iv = ev.integral(u), ev.integral(v)
-    return (ev.ds * ev.integral(uv) - _inner(u, Iu, Iv)) / ev.chord2
+def n_raw(ev, Iu, Iv, Iuv):
+    """Bilinear kernel N(u, v) on an evaluator, given the short-arc integrals
+    of u, v and their product field uv; u and v are both vector fields, whose
+    integrals have the leading component axis that the scalar ``Iuv`` lacks,
+    or both scalar fields."""
+    uv = _dot(Iu, Iv) if np.ndim(Iu) > np.ndim(Iuv) else Iu * Iv
+    return (ev.ds * Iuv - uv) / ev.chord2
 
 
-def k_raw(ev, u, v):
-    """Chord-difference kernel K(u, v) = <du, dv> / |df|^2."""
-    du = ev.value1(u) - ev.value2(u)
-    dv = ev.value1(v) - ev.value2(v)
+def k_raw(ev, du, dv):
+    """Chord-difference kernel K(u, v) = <du, dv> / |df|^2, given the
+    endpoint differences ``du = u(s1) - u(s2)`` and ``dv`` of two vector
+    fields."""
     return _dot(du, dv) / ev.chord2

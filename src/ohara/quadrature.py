@@ -54,6 +54,7 @@ there that the pointwise H density (a two-sided classical derivative away
 from the antipode) cannot see.  See :func:`antipodal_motion_term`.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -98,12 +99,13 @@ def _offband_cols(M, band):
     return cyc > band
 
 
+@functools.lru_cache(maxsize=None)
 def _assembler_cols(M, band):
     """The columns the assembler reads one by one: the three cut columns on
     each side of the band and the corner columns ``M/2 -+ 3``."""
     kc = M // 2
     cut = {band + d for d in (1, 2, 3)} | {M - band - d for d in (1, 2, 3)}
-    return sorted(cut | {(kc + d) % M for d in range(-3, 4)})
+    return tuple(sorted(cut | {(kc + d) % M for d in range(-3, 4)}))
 
 
 class _Rows:
@@ -129,8 +131,9 @@ class _Rows:
         M = 2 * (V.shape[1] - 1)
         _check_band(M, band)
         offband = (V[:, band + 1:] * _mirror_weights(M, band)).sum(axis=1)
-        # V[:, k] is a view; the copy keeps no chunk grid alive
-        return cls(offband, {k: V[:, k].copy() for k in _assembler_cols(M, band) if k <= M // 2})
+        # one gather of the columns, a copy that keeps no chunk grid alive
+        ks = [k for k in _assembler_cols(M, band) if k <= M // 2]
+        return cls(offband, dict(zip(ks, V[:, ks].T)))
 
     @classmethod
     def concat(cls, parts):
@@ -165,12 +168,15 @@ def _unfold(V, j0=0, j1=None):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _mirror_weights(M, band):
     """Weights of the half-grid columns ``band + 1..M/2``: how many columns of
     the whole grid each stands for in a sum over all rows, 2 (itself and its
-    mirror ``M - k``) and 1 for the antipodal column ``M/2``, its own mirror."""
+    mirror ``M - k``) and 1 for the antipodal column ``M/2``, its own mirror.
+    Kept per ``(M, band)`` and read only."""
     w = np.full(_half_width(M) - band - 1, 2.0)
     w[-1] = 1.0
+    w.flags.writeable = False
     return w
 
 
@@ -430,19 +436,29 @@ class GridOperator:
         """``[H, flags]``: H = H1 + ... + H6 on the pairs of ``b`` and its
         off-diagonal H2 flags."""
         terms, flagged = b.h_terms()
-        offdiag = _offband_cols(self.curve.M, 0)[None, :flagged.shape[1]]
-        return [sum(terms.values()), flagged & offdiag]
+        if flagged.any():
+            flagged = flagged & _offband_cols(self.curve.M, 0)[None, :flagged.shape[1]]
+        return [sum(terms.values()), flagged]
 
     def energy(self, band=None):
-        band = self.band if band is None else band
+        return self._energies([self.band if band is None else band])[0]
+
+    def _energies(self, bands):
+        """``[self.energy(band) for band in bands]`` in one pass: each chunk's
+        ``M_alpha^p`` is raised once and reduced with every band."""
         p = self.params.p
-        rows = _Rows.concat(self._chunks(lambda b: _Rows.of(b.malpha() ** p, band)))
+
+        def reduce(b):
+            mp = b.malpha() ** p
+            return [_Rows.of(mp, band) for band in bands]
+
+        chunks = self._chunks(reduce)
         W0 = density_limit(self.curve, self.params)
-        return self._assemble(rows, band, W0)
+        return [self._assemble(_Rows.concat(rows), band, W0)
+                for rows, band in zip(zip(*chunks), bands)]
 
     def energy_with_estimate(self):
-        value, parts = self.energy()
-        half, _ = self.energy(band=max(1, self.band // 2))
+        (value, parts), (half, _) = self._energies([self.band, max(1, self.band // 2)])
         # band-model sensitivity plus the magnitudes of the highest-order
         # corrections actually applied (the usual proxy for what remains),
         # with a safety factor and a roundoff floor
@@ -546,7 +562,8 @@ class GridOperator:
         def reduce(b):
             H, flagged = self._h_grid(b)
             # each flagged half column stands for its mirror too
-            count = (flagged[:, 1:] * _mirror_weights(self.curve.M, 0)).sum()
+            count = ((flagged[:, 1:] * _mirror_weights(self.curve.M, 0)).sum()
+                     if flagged.any() else 0)
             return _Rows.of(H, self.band), count
 
         chunks, counts = zip(*self._chunks(reduce, phi, psi))

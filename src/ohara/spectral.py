@@ -13,8 +13,8 @@ matches ``numpy.fft.irfft`` at the grid points.
 
 The cos/sin table of :class:`Interpolant` is the one computation of the
 package that runs on threads, since its work is elementwise.  It is filled
-in row chunks of about ``_pairs.CHUNK_CELLS`` cells, and no chunk has one
-row unless the table has.  A scalar interpolant never holds its whole
+in row chunks of about ``TABLE_CELLS`` cells, and no chunk has one row
+unless the table has.  A scalar interpolant never holds its whole
 table: each chunk is reduced to its values and prefixes as soon as it is
 filled (see :class:`Interpolant`).  With more than one CPU, a table of at
 least ``PARALLEL_CELLS`` cells is split into ``WORKERS`` runs of
@@ -38,14 +38,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _pairs
-
 __all__ = [
     "spectral_derivative",
     "prefix_integral",
     "Interpolant",
     "short_arc_offsets",
 ]
+
+
+#: cell budget of a row chunk of the cos/sin table, 512 KiB of complex
+#: cells.  The grid passes' ``_pairs.CHUNK_CELLS`` is half as large, sized
+#: for the two dozen blocks a variation chunk keeps; a table chunk is one
+#: block, so the table has a budget of its own and the reparametrization
+#: does not change with the grid passes' budget
+TABLE_CELLS = 1 << 15
 
 
 #: tables of fewer cells are built serially; the reparametrization's first
@@ -193,7 +199,7 @@ class Interpolant:
         table (see the module docstring): in row order on the calling thread,
         or, for a table of at least ``PARALLEL_CELLS`` cells, in ``WORKERS``
         runs of consecutive chunks, one pool task each."""
-        rows = max(2, _pairs.CHUNK_CELLS // self._mu.size)
+        rows = max(2, TABLE_CELLS // self._mu.size)
         edges = list(range(0, n, rows)) + [n]
         if len(edges) > 2 and n - edges[-2] == 1:
             del edges[-2]  # no one-row chunk, unless the table has one row

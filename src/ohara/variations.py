@@ -25,15 +25,26 @@ once: the doubled tables and window views that the pairs are read from are
 kept on each field (``Field.tables``), and the pass hands one ``fields``
 dict to all its chunks, so the product fields (tau.tau, tau.phi',
 tau.psi', phi'.psi' and (tau.phi')(tau.psi')) and their prefix tables are
-built on the first chunk only.  Within a chunk, ``M_alpha^(p-1)`` is one
-block that G1, G2 and H1 share, and for 1 < p < 2 the H2 mask is built
-only where some pair is singular.  No chunk block outlives its chunk, and
-a chunk keeps only the blocks that are read more than once: the labeled
+built on the first chunk only.  Within a chunk, each pair quantity is read
+once: every field's short-arc integral and endpoint difference is kept
+(:meth:`Blocks.integral`, :meth:`Blocks.diff`, keyed by the field), so
+N(tau, tau) reads I(tau) once, and the second variation reads 13
+component blocks of integrals and 9 of endpoint differences where its
+terms use 24 and 18.  ``M_alpha^(p-1)`` is one block that G1, G2 and H1
+share, ``tau.phi'(s1) + tau.phi'(s2)`` one that G2 and H3-H6 share and
+``2 K(f, phi)`` one that delta^2 N and delta^2 M_alpha share; H reads G1
+without G2, and for 1 < p < 2 the H2 mask is built only where some pair is
+singular.  No chunk block outlives its chunk, and besides the pair reads a
+chunk keeps only the blocks that are read more than once: the labeled
 terms of delta N, delta^2 N, delta M_alpha and delta^2 M_alpha, which only
 their sums and :func:`pair_terms` read, and the blocks read once are built
-on demand and dropped after use.  So the H pass holds 21 fewer chunk
-blocks at its peak: at M = 512 and (2.5, 1.5), after a warm-up call, the
-``tracemalloc`` peak of the second variation fell from 13.0 to 9.0 MiB.
+on demand and dropped after use.  The kept pair reads are paid for by
+chunks of half the cells (``_pairs.CHUNK_CELLS``): on a built operator at
+(2.5, 1.5) with fresh fields after a warm-up call, the ``tracemalloc``
+peak of the second variation is 6.4 and 6.6 MiB at M = 512 and 1024 (8.3
+and 8.6 MiB when each term read its own on chunks twice as large, 13.0
+MiB at M = 512 when a chunk kept every labeled term), and that of the
+first variation 3.1 and 3.3 MiB (3.6 and 3.8 MiB).
 """
 
 import functools
@@ -74,10 +85,10 @@ class Blocks:
     """Memoized pair-level building blocks for one (pairs, phi, psi) setup.
 
     Each block is computed lazily on the evaluator's shape: one pair, a few,
-    a row chunk of the offset grid or all of it; the blocks that other
-    blocks read more than once are memoized, and the term dicts and
-    blocks read once are not (see the module docstring).  ``params`` may be
-    None for the parameter-free chord/N operations.
+    a row chunk of the offset grid or all of it; the pair reads and the
+    blocks that other blocks read more than once are memoized, and the term
+    dicts and blocks read once are not (see the module docstring).
+    ``params`` may be None for the parameter-free chord/N operations.
 
     ``geometry`` seeds the field-independent blocks N(tau, tau), |df|^alpha,
     the two derivatives of phi_alpha and M_alpha, as returned by
@@ -115,9 +126,27 @@ class Blocks:
         return self._fields[name]
 
     @_memo
+    def integral(self, field):
+        """The short-arc integral of ``field`` on the pairs."""
+        return self.ev.integral(field)
+
+    @_memo
+    def diff(self, field):
+        """The endpoint difference ``field(s1) - field(s2)`` on the pairs."""
+        return self.ev.value1(field) - self.ev.value2(field)
+
+    def _n(self, u, v, uv):
+        """N(u, v) given the product field uv, from the kept integrals."""
+        return n_raw(self.ev, self.integral(u), self.integral(v), self.integral(uv))
+
+    def _k(self, u, v):
+        """K(u, v) from the kept endpoint differences."""
+        return k_raw(self.ev, self.diff(u), self.diff(v))
+
+    @_memo
     def ntt_raw(self):
         # the product field tau . tau has samples 1 + O(eps)
-        return n_raw(self.ev, self.tau, self.tau, self._product("tau", self.tau, self.tau))
+        return self._n(self.tau, self.tau, self._product("tau", self.tau, self.tau))
 
     @_memo
     def ntt(self):
@@ -161,12 +190,17 @@ class Blocks:
 
     @_memo
     def kf(self, which):
-        return k_raw(self.ev, self.ev.curve.position_field, self._field(which))
+        return self._k(self.ev.curve.position_field, self._field(which))
+
+    @_memo
+    def kf2(self, which):
+        """``2 K(f, phi)``, the chord ratio ``delta |df|^2 / |df|^2``."""
+        return 2.0 * self.kf(which)
 
     @_memo
     def nt(self, which):
         """N(tau, phi') -- the mixed bilinear block of delta N."""
-        return n_raw(self.ev, self.tau, self._dfield(which), self._t_dot(which))
+        return self._n(self.tau, self._dfield(which), self._t_dot(which))
 
     @_memo
     def t1(self, which):
@@ -177,20 +211,25 @@ class Blocks:
         return self.ev.value2(self._t_dot(which))
 
     @_memo
+    def tsum(self, which):
+        """``tau.phi'(s1) + tau.phi'(s2)``, shared by G2 and H3-H6."""
+        return self.t1(which) + self.t2(which)
+
+    @_memo
     def kpq(self):
-        return k_raw(self.ev, self.phi, self.psi)
+        return self._k(self.phi, self.psi)
 
     def _pq(self):
         # pointwise phi'.psi' as a scalar field
         return self._product("pq", self.phi.deriv, self.psi.deriv)
 
     def npq(self):
-        return n_raw(self.ev, self.phi.deriv, self.psi.deriv, self._pq())
+        return self._n(self.phi.deriv, self.psi.deriv, self._pq())
 
     def nscal(self):
         # N((tau.phi'), (tau.psi')) with d = 1 scalar fields
         u, v = self._t_dot("phi"), self._t_dot("psi")
-        return n_raw(self.ev, u, v, self._product("nscal", u, v))
+        return self._n(u, v, self._product("nscal", u, v))
 
     def pp_split(self):
         # phi'.psi' at s1 and at s2
@@ -209,10 +248,12 @@ class Blocks:
     def d2n_terms(self):
         ntt = self.ntt()
         kfp, kfq = self.kf("phi"), self.kf("psi")
+        kf2p, kf2q = self.kf2("phi"), self.kf2("psi")
+        # -kf2q * x is -2.0 * kfq * x bit for bit: a negation is exact
         return {
-            "S1": -2.0 * (self.kpq() - 2.0 * kfp * kfq) * ntt,
+            "S1": -2.0 * (self.kpq() - kf2p * kfq) * ntt,
             "S2": -kfp * self.dn("psi") - kfq * self.dn("phi"),
-            "S3": -2.0 * kfq * self.nt("phi") - 2.0 * kfp * self.nt("psi"),
+            "S3": -kf2q * self.nt("phi") - kf2p * self.nt("psi"),
             "S4": 2.0 * self.npq(),
             "S5": -2.0 * self.nscal(),
         }
@@ -236,14 +277,14 @@ class Blocks:
         ca = self.calpha()
         d2n = sum(self.d2n_terms().values())
         dnp, dnq = self.dn("phi"), self.dn("psi")
-        kfp, kfq = self.kf("phi"), self.kf("psi")
+        kf2p, kf2q = self.kf2("phi"), self.kf2("psi")
         return {
             "Q1": p1 * d2n / ca,
-            "Q2": -(alpha / 2.0) * p1 * (dnp / ca) * (2.0 * kfq),
+            "Q2": -(alpha / 2.0) * p1 * (dnp / ca) * kf2q,
             "Q3": p2 * dnp * dnq / ca,
-            "Q4": -(alpha / 2.0) * self.dm("psi") * (2.0 * kfp),
+            "Q4": -(alpha / 2.0) * self.dm("psi") * kf2p,
             "Q5": -(alpha / 2.0) * self.malpha() * (2.0 * self.kpq()),
-            "Q6": (alpha / 2.0) * self.malpha() * (2.0 * kfp) * (2.0 * kfq),
+            "Q6": (alpha / 2.0) * self.malpha() * kf2p * kf2q,
         }
 
     @_memo
@@ -251,11 +292,12 @@ class Blocks:
         return sum(self.d2m_terms().values())
 
     @_memo
+    def g1(self, which):
+        """G1, the one term of G that H reads."""
+        return self.params.p * self.mp1() * self.dm(which)
+
     def g_terms(self, which):
-        p, m, mp1 = self.params.p, self.malpha(), self.mp1()
-        g1 = p * mp1 * self.dm(which)
-        g2 = m * mp1 * (self.t1(which) + self.t2(which))
-        return {"G1": g1, "G2": g2}
+        return {"G1": self.g1(which), "G2": self.malpha() * self.mp1() * self.tsum(which)}
 
     @_memo
     def h_terms(self):
@@ -278,16 +320,13 @@ class Blocks:
             )
             h2 = np.where(sing, 0.0, h2)
             flagged = sing & ~vanish
-        tp = self.t1("phi") + self.t2("phi")
-        tq = self.t1("psi") + self.t2("psi")
+        tp, tq = self.tsum("phi"), self.tsum("psi")
         pp1, pp2 = self.pp_split()
-        g1p = self.g_terms("phi")["G1"]
-        g1q = self.g_terms("psi")["G1"]
         terms = {
             "H1": p * self.mp1() * self.d2m(),
             "H2": h2,
-            "H3": g1p * tq,
-            "H4": g1q * tp,
+            "H3": self.g1("phi") * tq,
+            "H4": self.g1("psi") * tp,
             # grouped so that swapping s1 and s2 swaps operands of + only:
             # the pair-swap symmetry then holds bit for bit
             "H5": mp * ((pp1 + pp2) - 2.0 * (
@@ -321,7 +360,7 @@ def pair_terms(pair, params, phi=None, psi=None):
     m = float(b.malpha())
     out = {"n_tau": ntt, "m_alpha": m, "density": m ** params.p}
     if phi is not None:
-        out.update(chord_ratio=2.0 * b.kf("phi"), R=b.dn_terms("phi"),
+        out.update(chord_ratio=b.kf2("phi"), R=b.dn_terms("phi"),
                    P=b.dm_terms("phi"), G=b.g_terms("phi"))
     if phi is not None and psi is not None:
         terms, flagged = b.h_terms()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ohara import _pairs, cli, flow
+from ohara import _pairs, cli, flow, spectral
 from ohara.curve import random_curve
 from ohara.kernels import EnergyParams
 from ohara.quadrature import GridOperator, energy
@@ -63,6 +63,7 @@ def test_traced_calls_stay_on_the_calling_thread(pool, monkeypatch, tmp_path, ca
 
     M = 64
     monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * M)
+    monkeypatch.setattr(spectral, "TABLE_CELLS", 7 * M)
     theta = 2.0 * np.pi * np.arange(M) / M
     pts = np.stack([np.cos(theta), np.sin(theta), 0.1 * np.cos(2.0 * theta)], axis=1)
     path = tmp_path / "curve.json"

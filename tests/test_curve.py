@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ohara import _pairs
+from ohara import _pairs, spectral
 from ohara.curve import (
     ClosedCurve,
     Field,
@@ -218,13 +218,13 @@ def test_newton_steps_skip_converged_rows(monkeypatch, make_pts):
 
 
 def test_value_and_prefix_is_bit_identical_to_separate_calls():
-    # a table of 33 modes comes in chunks of CHUNK_CELLS // 33 rows: 40
+    # a table of 33 modes comes in chunks of TABLE_CELLS // 33 rows: 40
     # points are one chunk; three chunks and one more point, which joins
     # the third.  In white noise every mode counts, so a row summed in
     # another order (a one-row product) shows in its bits
     rng = np.random.default_rng(5)
     noise = np.random.default_rng(6).normal(size=64)
-    for n in (40, 3 * (_pairs.CHUNK_CELLS // 33) + 1):
+    for n in (40, 3 * (spectral.TABLE_CELLS // 33) + 1):
         s = rng.uniform(0.0, 1.0, size=n)
         for values in (np.linalg.norm(_angle_samples(3, 64), axis=1), _angle_samples(4, 64), noise):
             interp = Interpolant(values, 1.0)

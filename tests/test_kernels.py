@@ -117,6 +117,16 @@ def test_phi_alpha_vectorized():
 # ------------------------------------------------------------ bilinear forms
 
 
+def _n(pair, u, v):
+    """N(u, v) on ``pair``, from its short-arc integrals of u, v and u.v."""
+    return n_raw(pair, pair.integral(u), pair.integral(v), pair.integral(u.dot(v)))
+
+
+def _k(pair, u, v):
+    """K(u, v) on ``pair``, from its endpoint differences of u and v."""
+    return k_raw(pair, pair.value1(u) - pair.value2(u), pair.value1(v) - pair.value2(v))
+
+
 def test_n_identity_on_circle(circle128, params21):
     # 1 + N(tau, tau) = D^2 / |df|^2 exactly (both sides closed-form here)
     cv = circle128
@@ -133,12 +143,12 @@ def test_n_bilinear_symmetry_and_constants(circle128, params21):
     rng_v = random_field(cv, 4)
     pair = pair_frame(cv, 31, 7)
     assert rel(
-        n_raw(pair, rng_u, rng_v, rng_u.dot(rng_v)),
-        n_raw(pair, rng_v, rng_u, rng_v.dot(rng_u)),
+        _n(pair, rng_u, rng_v),
+        _n(pair, rng_v, rng_u),
     ) < 1.0e-12
     # constant fields are annihilated
     const = random_field(cv, 5, modes=0)
-    assert abs(n_raw(pair, const, rng_u, const.dot(rng_u))) < 1.0e-13
+    assert abs(_n(pair, const, rng_u)) < 1.0e-13
 
 
 def test_k_bilinear_matches_chord_quotient(circle128):
@@ -147,8 +157,8 @@ def test_k_bilinear_matches_chord_quotient(circle128):
     pair = pair_frame(cv, 50, 12)
     du = u.values[pair.i] - u.values[pair.j]
     expect = float(np.dot(du, du)) / pair.chord**2
-    assert rel(k_raw(pair, u, u), expect) < 1.0e-12
-    assert k_raw(pair, cv.tau_field, cv.tau_field) >= 0.0
+    assert rel(_k(pair, u, u), expect) < 1.0e-12
+    assert _k(pair, cv.tau_field, cv.tau_field) >= 0.0
 
 
 def test_k_of_position_field_is_one(circle128):
@@ -158,7 +168,7 @@ def test_k_of_position_field_is_one(circle128):
     cv = circle128
     f = Field(cv, cv.positions.copy())
     pair = pair_frame(cv, 33, 90)
-    assert rel(k_raw(pair, f, f), 1.0) < 1.0e-12
+    assert rel(_k(pair, f, f), 1.0) < 1.0e-12
 
 
 # -------------------------------------------------------------------- kernel

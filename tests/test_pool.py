@@ -54,7 +54,7 @@ def test_from_samples_pool_gives_the_serial_bits(pool, monkeypatch, M):
     # arclength points would end in a one-row chunk, which joins the one
     # before; the Newton tables, with 2M + 1 modes, run in two-row chunks,
     # the last of three rows for an odd number of moving rows
-    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 7 * (M // 2 + 1))
+    monkeypatch.setattr(spectral, "TABLE_CELLS", 7 * (M // 2 + 1))
     assert M % 7 == 1
     pts = _angle_samples(M, M)
 
@@ -75,7 +75,7 @@ def test_more_table_workers_than_cpus_give_the_serial_bits(monkeypatch):
     # switch interval, so the tasks' writes into their rows of the shared
     # tables and outputs interleave often
     M = 128
-    monkeypatch.setattr(_pairs, "CHUNK_CELLS", 2 * (2 * M + 1))
+    monkeypatch.setattr(spectral, "TABLE_CELLS", 2 * (2 * M + 1))
     pts = _angle_samples(M, M)
     _serial_tables(monkeypatch)
     serial = from_samples(pts)

@@ -1,5 +1,6 @@
 """Assembled double integrals: values, error estimates, and invariances."""
 
+import collections
 import tracemalloc
 import warnings
 
@@ -696,6 +697,56 @@ def test_second_variation_memory_is_row_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_second_variation_memory_stays_below_two_half_grids():
+    # fresh fields after a warm-up call, so the pass builds the fields'
+    # derivatives and tables: 8.5 MiB while each chunk read its integrals and
+    # endpoint differences once per use, on 2^15-cell chunks
+    cv = random_curve(0, M=1024, n=3)
+    op = GridOperator(cv, EnergyParams(2.5, 1.5))
+    op.second_variation(random_field(cv, 1), random_field(cv, 2))
+    phi, psi = random_field(cv, 3), random_field(cv, 4)
+    tracemalloc.start()
+    try:
+        op.second_variation(phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cv.M * (cv.M // 2 + 1) * 8
+
+
+def test_each_pair_quantity_is_read_once_per_chunk(uneven_chunks, monkeypatch):
+    # a chunk's Blocks reads each field's short-arc integral and endpoint
+    # values once, however many terms use them: N(tau, tau) reads I(tau)
+    # once, and the variations share I(tau), I(phi'), I(psi') and the
+    # endpoint differences of f, phi and psi between their terms
+    cv = uneven_chunks
+    reads = collections.Counter()
+
+    def counted(name):
+        read = getattr(PairSet, name)
+
+        def count(ps, field):
+            reads[name, ps, field] += 1
+            return read(ps, field)
+
+        return count
+
+    for name in ("integral", "value1", "value2"):
+        monkeypatch.setattr(PairSet, name, counted(name))
+    params = EnergyParams(2.5, 1.5)
+    op = GridOperator(cv, params)
+    phi, psi = random_field(cv, 1), random_field(cv, 2)
+    chunks = len(_pairs.map_chunks(lambda j0, j1: None, cv.M, cv.M // 2 + 1))
+    for name, run in [("build", lambda: GridOperator(cv, params)),
+                      ("first_variation", lambda: op.first_variation(phi)),
+                      ("second_variation", lambda: op.second_variation(phi, psi))]:
+        reads.clear()
+        run()
+        # every chunk reads I(tau)
+        assert len({ps for read, ps, field in reads if field is cv.tau_field}) == chunks
+        assert max(reads.values()) == 1, (name, [k for k, c in reads.items() if c > 1])
 
 
 def test_second_variation_memory_keeps_no_pass_memo():

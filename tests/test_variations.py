@@ -355,9 +355,18 @@ class _ParentBlocks:
     def tau(self):
         return self.ev.curve.tau_field
 
+    def _n(self, u, v, uv):
+        # every integral read again on each call
+        ev = self.ev
+        return n_raw(ev, ev.integral(u), ev.integral(v), ev.integral(uv))
+
+    def _k(self, u, v):
+        ev = self.ev
+        return k_raw(ev, ev.value1(u) - ev.value2(u), ev.value1(v) - ev.value2(v))
+
     @variations._memo
     def ntt_raw(self):
-        return n_raw(self.ev, self.tau, self.tau, self.tau.dot(self.tau))
+        return self._n(self.tau, self.tau, self.tau.dot(self.tau))
 
     @variations._memo
     def ntt(self):
@@ -387,11 +396,11 @@ class _ParentBlocks:
 
     @variations._memo
     def kf(self, which):
-        return k_raw(self.ev, self.ev.curve.position_field, self._field(which))
+        return self._k(self.ev.curve.position_field, self._field(which))
 
     @variations._memo
     def nt(self, which):
-        return n_raw(self.ev, self.tau, self._dfield(which), self._t_dot(which))
+        return self._n(self.tau, self._dfield(which), self._t_dot(which))
 
     @variations._memo
     def t1(self, which):
@@ -403,12 +412,12 @@ class _ParentBlocks:
 
     @variations._memo
     def kpq(self):
-        return k_raw(self.ev, self.phi, self.psi)
+        return self._k(self.phi, self.psi)
 
     @variations._memo
     def npq(self):
         dp, dq = self.phi.deriv, self.psi.deriv
-        return n_raw(self.ev, dp, dq, dp.dot(dq))
+        return self._n(dp, dq, dp.dot(dq))
 
     @variations._memo
     def nscal(self):

@@ -5,8 +5,9 @@ Usage: python3 tools/same_bits.py [--rev REV]
 Writes a 3-D curve file of M = 256 samples taken uniformly in the curve's
 angle parameter, not in arclength, so every job runs the full arclength
 reparametrization.  Runs the ``energy``, ``gradient``, ``hessian-form``,
-``norms``, ``limits``, ``density --out grid.csv`` and ``density --which h
---out grid.csv`` jobs on it at (alpha, p) = (2, 1) and (2.5, 1.5), and
+``norms``, ``limits``, ``density --out grid.csv``, ``density --which g
+--out grid.csv`` and ``density --which h --out grid.csv`` jobs on it at
+(alpha, p) = (2, 1) and (2.5, 1.5), and
 ``flow --out trace.csv`` at (2, 1), whose trace records the energies and
 gradient norms of the flow's steps and, through its time steps, each
 accept/reject decision (about 3 s per side); and it runs ``energy``,
@@ -42,7 +43,8 @@ import numpy as np
 M = 256
 PARAMS = [("2", "1"), ("2.5", "1.5")]
 JOBS = [["energy"], ["gradient"], ["hessian-form"], ["norms"], ["limits"],
-        ["density", "--out", "grid.csv"], ["density", "--which", "h", "--out", "grid.csv"]]
+        ["density", "--out", "grid.csv"], ["density", "--which", "g", "--out", "grid.csv"],
+        ["density", "--which", "h", "--out", "grid.csv"]]
 #: ``{dimension: [(job, alpha, p)]}`` of the jobs run on each curve
 CURVES = {
     3: [(job, alpha, p) for job in JOBS for alpha, p in PARAMS]

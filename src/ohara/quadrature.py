@@ -24,13 +24,17 @@ magnitudes of the h^4 corrections and a rounding floor.
 Every integrand is symmetric under swapping the two points of a pair, so
 only the columns ``k = 0..M/2`` of the grid are evaluated and stored; a
 column past ``M/2`` is read off its mirror, ``V[j, k] = V[(j + k) % M,
-M - k]`` (:func:`_unfold`).  The swap changes the sign of the separation,
-of the prefix differences and of the chord vector exactly and leaves the
-squared chord as it is, so every block obeys the mirror bit for bit (the
-H5 term of H is grouped so that the swap only reorders the operands of
-additions).  The antipodal column ``k = M/2`` is the exception: both pairs
-of a swap there take the forward short arc, so the signs do not flip.  It
-lies in the evaluated half and is computed directly.
+M - k]``.  The swap changes the sign of the separation, of the prefix
+differences and of the chord vector exactly and leaves the squared chord
+as it is, so every block obeys the mirror bit for bit (the H5 term of H is
+grouped so that the swap only reorders the operands of additions).  The
+antipodal column ``k = M/2`` is the exception: both pairs of a swap there
+take the forward short arc, so the signs do not flip.  It lies in the
+evaluated half and is computed directly.  One index map, :func:`_cells`,
+gives the cell of the half grid that holds the pair ``(s_i, s_j)``; every
+read of a whole-grid cell goes through it, in offset-major rows (the
+first variation's transpose, ``g_values``, ``h_values``, the flagged H2
+pairs) and in pair-major rows (:class:`PairGrid`) alike.
 
 The rule reads the grid only through the sum of its rows' off-band sums
 and a few columns (:class:`_Rows`).  So the energy density and the
@@ -44,8 +48,9 @@ per live block, not O(M^2).  Rows reduce independently, so the result does
 not depend on the chunking, bit for bit; against a reduction of whole rows
 only the order of the off-band sum differs.  The transpose of the first
 variation (:meth:`GridOperator.first_variation_dual`) runs on row chunks
-of the whole grid: the pair at ``(j - k, k)`` that row ``j`` needs is the
-swap of the pair at ``(j, M - k)`` in its own row.
+of the whole grid, each read off the kept half grids through
+:func:`_cells`: the pair at ``(j - k, k)`` that row ``j`` needs is the swap
+of the pair at ``(j, M - k)`` in its own row.
 
 The assembled second variation additionally carries a line term along the
 antipodal set: the kink of D = min(arc, L - arc) moves with the curve, and
@@ -151,21 +156,19 @@ def _half_width(M):
     return M // 2 + 1
 
 
-def _unfold(V, j0=0, j1=None):
-    """Rows ``j0:j1`` (all by default) of a whole offset grid from its half.
+def _cells(M, i, j):
+    """Flat indices into a half grid (columns ``0..M/2``) of the pairs
+    ``(s_i, s_j)``, for index arrays ``i`` and ``j`` that broadcast.
 
-    ``V`` holds columns ``0..M/2`` of the grid in its last two axes.  Every
-    grid here is pair-swap symmetric, and the swap of the pair at ``(j, k)``
-    sits at ``((j + k) % M, M - k)``; so each column past ``M/2`` is read off
-    its mirror, ``V[j, k] = V[(j + k) % M, M - k]``.
+    Every grid here is pair-swap symmetric, and the swap of the pair at
+    ``(j, k)``, ``k = (i - j) % M``, sits at ``(i, M - k)``; so a pair whose
+    offset ``k`` is past ``M/2`` is read at ``(i, M - k)`` and any other at
+    ``(j, k)``, the antipodal pair ``k = M/2`` included.  Offset-major rows
+    ``j`` pass ``i = (j + k) % M``, pair-major rows ``i`` pass ``j`` as the
+    columns.
     """
-    M, w = V.shape[-2:]
-    j1 = M if j1 is None else j1
-    out = np.empty(V.shape[:-2] + (j1 - j0, M), V.dtype)
-    out[..., :w] = V[..., j0:j1, :]
-    k = np.arange(w, M)
-    out[..., w:] = V[..., (np.arange(j0, j1)[:, None] + k) % M, M - k]
-    return out
+    w, k = _half_width(M), (i - j) % M
+    return np.where(k > M // 2, i * w + (M - k), j * w + k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -471,9 +474,15 @@ class GridOperator:
         pieces = _band_pieces(rows.cols, self.curve, band, self.gamma, W0)
         return _integrate(rows, self.curve, band, pieces)
 
+    def _whole(self, halves):
+        """The whole offset grids of the half grids ``halves``."""
+        ps = PairSet(self.curve, slice(None), slice(None))
+        cells = _cells(self.curve.M, ps.i, ps.j)
+        return [V.take(cells) for V in halves]
+
     def g_values(self, phi):
         """The whole G grid."""
-        return _unfold(self._half(_g_grid, phi)[0])
+        return self._whole(self._half(_g_grid, phi))[0]
 
     def first_variation(self, phi):
         rows = _Rows.concat(self._chunks(lambda b: _Rows.of(_g_grid(b)[0], self.band), phi))
@@ -515,10 +524,11 @@ class GridOperator:
 
         def rows(j0, j1):
             ps = PairSet(cv, slice(j0, j1), k)
-            m = _unfold(self.malpha, j0, j1)[:, k]
+            cell = _cells(M, ps.i, ps.j)
+            m = self.malpha.take(cell)
             hmp1 = h * w[k] * np.power(m, p - 1.0)
-            p1_ca = _unfold(self.dphis[0], j0, j1)[:, k] / _unfold(self.calpha, j0, j1)[:, k]
-            cK = -p * hmp1 * (2.0 * p1_ca * _unfold(self.ntt, j0, j1)[:, k] + pr.alpha * m)
+            p1_ca = self.dphis[0].take(cell) / self.calpha.take(cell)
+            cK = -p * hmp1 * (2.0 * p1_ca * self.ntt.take(cell) + pr.alpha * m)
             cN = 2.0 * p * hmp1 * p1_ca
             # N(tau, phi') = (ds I(tau.phi') - I(tau) . I(phi')) / |df|^2 and
             # K(f, phi) = (f(s1) - f(s2)) . I(phi') / |df|^2, so the grid x[c]
@@ -556,7 +566,7 @@ class GridOperator:
 
     def h_values(self, phi, psi):
         """The whole H grid and the mask of its flagged H2 pairs."""
-        return tuple(_unfold(V) for V in self._half(self._h_grid, phi, psi))
+        return tuple(self._whole(self._half(self._h_grid, phi, psi)))
 
     def second_variation(self, phi, psi):
         def reduce(b):
@@ -649,24 +659,17 @@ def antipodal_motion_term(curve, phi, psi, params):
     return -0.5 * curve.h * float(np.sum(wd * prod))
 
 
-def _roll_rows(F, i0):
-    """Row ``r`` of ``F`` rolled by ``i0 + r``: offset-grid rows ``i0:`` as
-    pair-major rows, whose cell ``j`` is the cell ``(j - i) % M`` of row ``i``."""
-    return np.array([np.roll(row, i) for i, row in enumerate(F, i0)])
-
-
 @dataclass
 class PairGrid:
     """Pair-major grid of a kernel quantity with band bookkeeping.
 
-    Keeps ``half``, columns ``0..M/2`` of the offset grid (see
-    :func:`_unfold`), beta-weighted if ``beta`` is given.  ``rows(i0, i1)``
-    returns rows ``i0:i1`` of the pair-major grid: cell ``[i, j]`` is the
-    quantity at ``(s_i, s_j)``, that is row ``i`` of the whole offset grid
-    rolled by ``i``, except the antipodal cell ``(i, (i + M/2) % M)``, which
-    is ``half[(i + M/2) % M, M/2]`` since the mirror does not hold there.
-    Diagonal and band cells, those within ``band`` of the diagonal (rows
-    ``i0:i1`` of their mask are ``_band_rows(i0, i1)``), are present where
+    Keeps ``half``, columns ``0..M/2`` of the offset grid (see the module
+    docstring), beta-weighted if ``beta`` is given.  ``rows(i0, i1)``
+    returns rows ``i0:i1`` of the pair-major grid, cell ``[i, j]`` the
+    quantity at ``(s_i, s_j)``, in one gather off ``half`` through
+    :func:`_cells`, the antipodal cells included.  Diagonal and band cells,
+    those within cyclic distance ``band`` of the diagonal (rows ``i0:i1`` of
+    their mask are ``_band_rows(i0, i1)``), are present where
     computable but are excluded from the reported norms, which cover the
     off-band region; the band carries a separate closed-form L1 estimate.
     ``flagged`` lists (i, j) pairs where a singular policy fired.
@@ -690,15 +693,12 @@ class PairGrid:
         return self.l1_offband + self.band_l1_estimate
 
     def rows(self, i0, i1):
-        """Rows ``i0:i1`` of the pair-major grid, unfolded from ``half``."""
-        F = _unfold(self.half, i0, i1)
-        # the antipodal pair (s_i, s_{i+M/2}) sits at (i + M/2, M/2)
-        F[:, self.M // 2] = np.roll(self.half[:, self.M // 2], -(self.M // 2))[i0:i1]
-        return _roll_rows(F, i0)
+        """Rows ``i0:i1`` of the pair-major grid, read off ``half``."""
+        return self.half.take(_cells(self.M, np.arange(i0, i1)[:, None], np.arange(self.M)))
 
     def _band_rows(self, i0, i1):
-        band = ~_offband_cols(self.M, self.band)
-        return _roll_rows(np.broadcast_to(band, (i1 - i0, self.M)), i0)
+        k = (np.arange(i0, i1)[:, None] - np.arange(self.M)) % self.M
+        return ~_offband_cols(self.M, self.band)[k]
 
     def summary(self):
         return {
@@ -747,8 +747,9 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
 
         def pairs(j0, j1):
             # row j, column k is the pair (s_{j+k}, s_j)
-            j, k = np.nonzero(_unfold(fmask, j0, j1))
-            return zip(((j0 + j + k) % M).tolist(), (j0 + j).tolist())
+            ps = PairSet(curve, slice(j0, j1), slice(None))
+            j, k = np.nonzero(fmask.take(_cells(M, ps.i, ps.j)))
+            return zip(ps.i[j, k].tolist(), (j0 + j).tolist())
 
         flagged = [ij for chunk in map_chunks(pairs, M) for ij in chunk]
 
@@ -794,16 +795,15 @@ def holder_chain_check(curve, phi, psi, params):
     op = GridOperator(curve, params)
     p = params.p
     h2cell = curve.h ** 2
-    lo, w = DEFAULT_BAND + 1, _mirror_weights(curve.M, DEFAULT_BAND)
 
     def row_sums(b):
-        # per row, sum_k w[k] |v[j, k]|^q over the off-band half columns: over
-        # all rows, the off-band sum of |v|^q on the whole grid
+        # per row, sums whose total is the off-band sum of |v|^q on the whole
+        # grid, q = p for the first four blocks and 1 for the others
         g_phi, g_psi = b.g_terms("phi"), b.g_terms("psi")
         powers = [b.malpha(), b.dm("phi"), b.dm("psi"), b.d2m()]
         plain = [g_phi["G1"], g_psi["G1"], g_phi["G2"], *b.h_terms()[0].values()]
-        return ([(np.abs(v[:, lo:]) ** p * w).sum(axis=1) for v in powers]
-                + [(np.abs(v[:, lo:]) * w).sum(axis=1) for v in plain])
+        return ([_Rows.of(np.abs(v) ** p, DEFAULT_BAND).offband for v in powers]
+                + [_Rows.of(np.abs(v), DEFAULT_BAND).offband for v in plain])
 
     m, dmp, dmq, d2m, g1p, g1q, g2p, *h = op._half(row_sums, phi, psi)
     hvals = dict(zip(["H%d" % t for t in range(1, 7)], h))

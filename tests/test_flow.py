@@ -26,8 +26,9 @@ from ohara._pairs import PairSet, map_chunks
 from ohara.diagonal import g_limit_weights
 from ohara.kernels import EnergyParams
 from ohara.quadrature import (
-    FirstVariationDual, GridOperator, _band_pieces, _row_totals, _unfold, energy,
+    FirstVariationDual, GridOperator, _band_pieces, _row_totals, energy,
 )
+from ohara.variations import Blocks
 from ohara.verify import fd_energy_gradient
 
 from conftest import perturbed_circle, rel, whole_rows
@@ -127,10 +128,13 @@ def _whole_grid_dual(op):
     def dual(a):
         return (at_i(a) - a).sum(axis=1)
 
-    m = _unfold(op.malpha)[:, k]
+    # the geometry blocks evaluated on the whole grid, apart from the operator
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = Blocks(PairSet(cv, slice(None), slice(None)), params=pr).geometry()
+    m = g["malpha"][:, k]
     hmp1 = h * w[k] * np.power(m, p - 1.0)
-    p1_ca = _unfold(op.dphis[0])[:, k] / _unfold(op.calpha)[:, k]
-    cK = -p * hmp1 * (2.0 * p1_ca * _unfold(op.ntt)[:, k] + pr.alpha * m)
+    p1_ca = g["dphis"][0][:, k] / g["calpha"][:, k]
+    cK = -p * hmp1 * (2.0 * p1_ca * g["ntt"][:, k] + pr.alpha * m)
     cN = 2.0 * p * hmp1 * p1_ca
     cT = hmp1 * m
     b = cN * ps.ds / ps.chord2

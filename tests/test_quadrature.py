@@ -14,6 +14,7 @@ from ohara.errors import ValidationError
 from ohara.kernels import EnergyParams
 from ohara.quadrature import (
     GridOperator,
+    PairGrid,
     antipodal_motion_term,
     density_grid,
     energy,
@@ -293,6 +294,53 @@ def test_density_grid_rejects_before_grid_work(monkeypatch, params21, bad):
     assert len(built) == 1
 
 
+def _swap_symmetric_grid(M):
+    """A pair-major grid ``S[i, j]`` of random values with ``S[i, j] == S[j, i]``
+    except on the antipodal pairs, each of which holds a value of its own,
+    and its half grid, ``half[j, k] = S[(j + k) % M, j]`` for ``k <= M/2``,
+    both filled by plain loops."""
+    rng = np.random.default_rng(M)
+    S = rng.standard_normal((M, M))
+    S = S + S.T
+    for i in range(M):
+        S[i, (i + M // 2) % M] = rng.standard_normal()
+    half = np.empty((M, M // 2 + 1))
+    for j in range(M):
+        for k in range(M // 2 + 1):
+            half[j, k] = S[(j + k) % M, j]
+    return S, half
+
+
+@pytest.mark.parametrize("M", [16, 18, 96])
+def test_half_grid_cells_give_every_whole_grid_cell(M):
+    # one index map reads the half grid in offset-major and pair-major rows,
+    # the antipodal pairs included, on row chunks that start past row 0
+    S, half = _swap_symmetric_grid(M)
+    assert not np.array_equal(S, S.T)
+    offset = np.empty((M, M))
+    for j in range(M):
+        for k in range(M):
+            offset[j, k] = S[(j + k) % M, j]
+    grid = PairGrid(half=half, band=1, label="S", M=M, L=1.0, alpha=2.0, p=1.0)
+    for i0, i1 in [(0, 3), (3, M // 2 + 1), (M // 2 + 1, M - 1), (M - 1, M)]:
+        rows, k = np.arange(i0, i1)[:, None], np.arange(M)
+        assert np.array_equal(half.take(quadrature._cells(M, (rows + k) % M, rows)),
+                              offset[i0:i1])
+        assert np.array_equal(grid.rows(i0, i1), S[i0:i1])
+
+
+@pytest.mark.parametrize("M", [16, 18, 96])
+@pytest.mark.parametrize("band", [1, 2, 3])
+def test_band_rows_are_the_cyclic_distance_mask(M, band):
+    grid = PairGrid(half=None, band=band, label="S", M=M, L=1.0, alpha=2.0, p=1.0)
+    mask = np.empty((M, M), dtype=bool)
+    for i in range(M):
+        for j in range(M):
+            mask[i, j] = min(abs(i - j), M - abs(i - j)) <= band
+    for i0, i1 in [(0, 5), (5, M - 2), (M - 2, M)]:
+        assert np.array_equal(grid._band_rows(i0, i1), mask[i0:i1])
+
+
 def test_grid_export_roundtrip(tmp_path, params21):
     cv = circle(64)
     g = density_grid(cv, params21)
@@ -319,8 +367,8 @@ def _whole_grid_density(cv, pr, which, beta=None, phi=None, psi=None):
     M, band = cv.M, op.band
     flagged = []
     if which == "density":
-        with np.errstate(invalid="ignore"):
-            V = quadrature._unfold(op.malpha ** pr.p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V = _full_grid_blocks(op, None).malpha() ** pr.p
         label, W0 = "M_alpha^p", density_limit(cv, pr)
     elif which == "g":
         V, label, W0 = op.g_values(phi), "G", g_limit(cv, pr, phi)
@@ -624,8 +672,8 @@ def test_streamed_variations_equal_the_full_grid(uneven_chunks, monkeypatch, alp
     # grid's rows; the chunking moves no bit
     value, first = op.energy()[0], op.first_variation(phi)
     second = op.second_variation(phi, psi)
-    with np.errstate(invalid="ignore"):
-        density = quadrature._unfold(op.malpha ** pr.p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        density = _full_grid_blocks(op, phi).malpha() ** pr.p
     assert rel(value, _full_grid_integral(op, density, density_limit(cv, pr))) <= 1.0e-14
     assert rel(first, _full_grid_integral(op, G, g_limit(cv, pr, phi))) <= 1.0e-14
     ref = _full_grid_integral(op, H, h_limit(cv, pr, phi, psi))

@@ -51,8 +51,13 @@ the chord pass of ``ClosedCurve`` construction, the reductions of
 ``density_grid`` and the rows that ``save_grid_csv`` writes, and the one
 pass per field of ``norms``) calls :func:`map_chunks`, which calls
 ``fn(j0, j1)`` once per row chunk of about ``CHUNK_CELLS`` cells, in row
-order, on the calling thread.  Each row is computed on its own, so the result is the same, bit
-for bit, whatever the chunking.
+order, on the calling thread.  Only a ``GridOperator`` that its caller
+builds keeps grids across passes, for the passes it runs later and for
+``first_variation_dual``; the one-shot ``quadrature`` functions
+(``energy``, ``first_variation``, ``second_variation``, ``density_grid``,
+``holder_chain_check``) run one ``_chunks`` pass whose chunks compute the
+geometry they read.  Each row is computed on its own, so the result is
+the same, bit for bit, whatever the chunking.
 
 ``CHUNK_CELLS`` is 2^14, so a float block of a chunk takes 128 KiB.  A
 variation chunk keeps each field's short-arc integral and endpoint

@@ -42,11 +42,15 @@ variation integrands G and H are evaluated on row chunks of the half grid,
 and each chunk is reduced as soon as it is built: its off-band sum weights
 each half column by the whole-grid columns it stands for (2, and 1 for the
 antipodal column), and a column past ``M/2`` that the rule reads is its
-mirror, rolled.  Beyond the geometry blocks that :class:`GridOperator`
-keeps, half grids built on the same row chunks, a pass holds O(rows x M)
-per live block, not O(M^2).  Rows reduce independently, so the result does
-not depend on the chunking, bit for bit; against a reduction of whole rows
-only the order of the off-band sum differs.  The transpose of the first
+mirror, rolled.  A :class:`GridOperator` that its caller builds keeps the
+geometry blocks for the passes it runs later; the one-shot functions
+:func:`energy`, :func:`first_variation`, :func:`second_variation`,
+:func:`density_grid` and :func:`holder_chain_check` run one pass that keeps
+none, each chunk computing the geometry it reads.  Beyond such kept grids
+and the half grids that :func:`density_grid` returns, a pass holds
+O(rows x M) per live block, not O(M^2).  Rows reduce independently, so the
+result does not depend on the chunking, bit for bit; against a reduction
+of whole rows only the order of the off-band sum differs.  The transpose of the first
 variation (:meth:`GridOperator.first_variation_dual`) runs on row chunks
 of the whole grid, each read off the kept half grids through
 :func:`_cells`: the pair at ``(j - k, k)`` that row ``j`` needs is the swap
@@ -363,41 +367,50 @@ def _g_grid(b):
 class GridOperator:
     """Shared grid geometry for repeated quadrature on one curve.
 
-    Keeps the geometry-only blocks on the evaluated half of the offset grid
-    (columns ``0..M/2``, see the module docstring) as ``(M, M/2 + 1)``
-    arrays: ``chord2`` = |df|^2, ``ntt`` = N(tau, tau), ``calpha`` =
-    |df|^alpha, ``malpha`` = M_alpha and ``dphis``, the first two
-    derivatives of phi_alpha (one ``(2, M, M/2 + 1)`` array); phi_alpha
+    Built by its caller, it keeps the geometry-only blocks on the evaluated
+    half of the offset grid (columns ``0..M/2``, see the module docstring)
+    as ``(M, M/2 + 1)`` arrays: ``chord2`` = |df|^2, ``ntt`` = N(tau, tau),
+    ``calpha`` = |df|^alpha, ``malpha`` = M_alpha and ``dphis``, the first
+    two derivatives of phi_alpha (one ``(2, M, M/2 + 1)`` array); phi_alpha
     itself is read only to form M_alpha, so it is not kept.  The antipodal
     column ``M/2`` is kept as computed, since the mirror does not hold on
-    it.  One evaluator, :meth:`_rows`, works on row chunks of the half grid,
-    handed out by ``_pairs.map_chunks``: the build writes each chunk's
-    geometry blocks into those arrays, and every later pass runs
-    :meth:`_chunks`, which starts each chunk from row views of them (the
-    squared chords seeded into the chunk's ``PairSet``, the other blocks
-    into its ``Blocks``) and hands all chunks of the pass one dict of
+    it.  The passes work on row chunks of the half grid, handed out by
+    ``_pairs.map_chunks``: the build writes the geometry blocks that each
+    chunk computes (:meth:`_computed`) into those arrays, and every later
+    pass runs :meth:`_chunks`, which starts each chunk from row views of
+    them (the squared chords seeded into the chunk's ``PairSet``, the other
+    blocks into its ``Blocks``) and hands all chunks of the pass one dict of
     product fields.  The energy and the variations reduce each chunk's
     integrand to its :class:`_Rows` at once.  So N(tau,tau), M_alpha etc.
     are computed once, on half the pairs, and a whole half grid of an
     integrand exists only where a caller asks for one (:meth:`_half`).
+
+    The one-shot module functions (:func:`energy`, :func:`first_variation`,
+    :func:`second_variation`, :func:`density_grid`,
+    :func:`holder_chain_check`) pass ``_one_shot=True``: such an operator
+    builds and keeps no grid, and its single pass computes each chunk's
+    geometry blocks with the build's expressions and N(tau, tau) check
+    (:meth:`_computed`), so it gives the same bits.
+    :meth:`first_variation_dual` needs the kept grids.
     """
 
-    def __init__(self, curve, params, band=DEFAULT_BAND):
+    def __init__(self, curve, params, band=DEFAULT_BAND, _one_shot=False):
         _check_band(curve.M, band)
         bilipschitz_constant(curve)
         self.curve = curve
         self.params = params
         self.band = band
         self.gamma = (params.alpha - 2.0) * params.p
+        self._one_shot = _one_shot
+        if _one_shot:
+            return
         M, w = curve.M, _half_width(curve.M)
         self.chord2, self.ntt, self.calpha, self.malpha = (np.empty((M, w)) for _ in range(4))
         self.dphis = np.empty((2, M, w))
-        offdiag = _offband_cols(M, 0)[None, :w]
         fields = {}
 
         def build(j0, j1):
-            b = Blocks(PairSet(curve, slice(j0, j1), slice(w)), params=params, fields=fields)
-            n_tau_checked(b.ntt_raw(), where=offdiag)
+            b = self._computed(j0, j1, fields=fields)
             self.chord2[j0:j1] = b.ev.chord2
             rows = self._geometry(j0, j1)
             for name, block in b.geometry().items():
@@ -410,10 +423,22 @@ class GridOperator:
         """Rows ``j0:j1`` of the geometry blocks, keyed as :meth:`Blocks.geometry`."""
         return {k: getattr(self, k)[..., j0:j1, :] for k in Blocks.GEOMETRY}
 
+    def _computed(self, j0, j1, phi=None, psi=None, fields=None):
+        """``Blocks`` on rows ``j0:j1`` of the half grid with product fields
+        ``fields`` that computes its own geometry blocks, N(tau, tau) checked
+        off the diagonal."""
+        M, w = self.curve.M, _half_width(self.curve.M)
+        b = Blocks(PairSet(self.curve, slice(j0, j1), slice(w)), params=self.params,
+                   phi=phi, psi=psi, fields=fields)
+        n_tau_checked(b.ntt_raw(), where=_offband_cols(M, 0)[None, :w])
+        return b
+
     def _rows(self, j0, j1, phi=None, psi=None, fields=None):
-        """``Blocks`` on rows ``j0:j1`` of the half grid, its squared chords and
-        geometry blocks row views of the operator's and its product fields
-        ``fields``."""
+        """``Blocks`` on rows ``j0:j1`` of the half grid with product fields
+        ``fields``: its squared chords and geometry blocks are row views of the
+        operator's kept grids, or, on a one-shot operator, :meth:`_computed`."""
+        if self._one_shot:
+            return self._computed(j0, j1, phi, psi, fields)
         ps = PairSet(self.curve, slice(j0, j1), slice(_half_width(self.curve.M)))
         ps.chord2 = self.chord2[j0:j1]
         return Blocks(ps, params=self.params, phi=phi, psi=psi,
@@ -432,8 +457,19 @@ class GridOperator:
             return map_chunks(chunk, M, _half_width(M))
 
     def _half(self, integrand, phi=None, psi=None):
-        """The blocks that ``integrand(b)`` lists, each on the whole half grid."""
-        return [np.concatenate(B) for B in zip(*self._chunks(integrand, phi, psi))]
+        """The blocks that ``integrand(b)`` lists, each on the whole half grid,
+        written chunk by chunk into arrays that the first chunk allocates."""
+        halves = []
+
+        def fill(b):
+            blocks = integrand(b)
+            if not halves:
+                halves.extend(np.empty((self.curve.M,) + B.shape[1:], B.dtype) for B in blocks)
+            for V, B in zip(halves, blocks):
+                V[b.ev._rows] = B
+
+        self._chunks(fill, phi, psi)
+        return halves
 
     def _h_grid(self, b):
         """``[H, flags]``: H = H1 + ... + H6 on the pairs of ``b`` and its
@@ -594,7 +630,7 @@ def energy(curve, params, band=DEFAULT_BAND, with_estimate=False):
     With ``with_estimate=True`` returns ``(value, error_estimate)`` where the
     estimate is dominated by the band-halving difference.
     """
-    op = GridOperator(curve, params, band)
+    op = GridOperator(curve, params, band, _one_shot=True)
     if with_estimate:
         return op.energy_with_estimate()
     return op.energy()[0]
@@ -602,7 +638,7 @@ def energy(curve, params, band=DEFAULT_BAND, with_estimate=False):
 
 def first_variation(curve, phi, params, band=DEFAULT_BAND):
     """Assembled first variation ``delta E[phi]`` (double integral of G)."""
-    return GridOperator(curve, params, band).first_variation(phi)
+    return GridOperator(curve, params, band, _one_shot=True).first_variation(phi)
 
 
 def second_variation(curve, phi, psi, params, band=DEFAULT_BAND):
@@ -611,7 +647,7 @@ def second_variation(curve, phi, psi, params, band=DEFAULT_BAND):
     Integral of the H density plus the antipodal line term; matches a mixed
     finite difference of the energy.
     """
-    return GridOperator(curve, params, band).second_variation(phi, psi)
+    return GridOperator(curve, params, band, _one_shot=True).second_variation(phi, psi)
 
 
 def _half_arc_totals(curve, phi):
@@ -717,10 +753,10 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     needs ``phi`` and ``psi``.  When ``beta`` is given, values carry the
     weight ``D^((alpha - 2 beta) p)`` that renders them bounded (for beta at
     the Hoelder regularity of the curve).  Returns a :class:`PairGrid` that
-    keeps the operator's half grid of the quantity; ``sup``, the off-band
-    L1 and the flagged pairs are reduced over row chunks of it, each column
-    weighted by the whole-grid columns it stands for, so no whole grid is
-    built.  ``which``, the fields it needs and ``beta`` are checked before
+    keeps the half grid of the quantity, built in one pass that keeps no
+    geometry grid; ``sup``, the off-band L1 and the flagged pairs are
+    reduced over row chunks of it, each column weighted by the whole-grid
+    columns it stands for, so no whole grid is built.  ``which``, the fields it needs and ``beta`` are checked before
     any grid work.
     """
     if which not in ("density", "g", "h"):
@@ -732,13 +768,12 @@ def density_grid(curve, params, which="density", beta=None, phi=None, psi=None,
     if beta is not None and not (0.0 < beta <= 1.0):
         raise ValidationError("beta must lie in (0, 1]")
 
-    op = GridOperator(curve, params, band)
+    op = GridOperator(curve, params, band, _one_shot=True)
     M = curve.M
     flagged = []
     if which == "density":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            half = op.malpha ** params.p
-        label, W0 = "M_alpha^p", density_limit(curve, params)
+        (half,), label = op._half(lambda b: [b.malpha() ** params.p]), "M_alpha^p"
+        W0 = density_limit(curve, params)
     elif which == "g":
         (half,), label, W0 = op._half(_g_grid, phi), "G", g_limit(curve, params, phi)
     else:
@@ -792,7 +827,7 @@ def holder_chain_check(curve, phi, psi, params):
     """
     if not (params.p > 1):
         raise ValidationError("holder_chain_check requires p > 1")
-    op = GridOperator(curve, params)
+    op = GridOperator(curve, params, _one_shot=True)
     p = params.p
     h2cell = curve.h ** 2
 

@@ -21,7 +21,7 @@ from ohara.curve import (
 from ohara.errors import NumericalError
 from ohara.kernels import EnergyParams
 from ohara.norms import gagliardo_seminorm, holder_seminorm, seminorms
-from ohara.quadrature import GridOperator
+from ohara.quadrature import GridOperator, energy
 
 
 def _assert_same_bits(pooled, serial):
@@ -165,17 +165,25 @@ def test_numerical_error_in_a_later_chunk_surfaces_as_in_a_serial_run(
             c2 = super().chord2
             return np.where((self.j == spoiled[0]) & (self.i == spoiled[1]), -c2, c2)
 
-    def message():
+    pr = EnergyParams(2.0, 1.0)
+
+    def message(run):
         with pytest.raises(NumericalError) as exc:
-            GridOperator(cv, EnergyParams(2.0, 1.0))
+            run()
         return str(exc.value)
 
-    monkeypatch.setattr(quadrature, "PairSet", SpoiledPairs)
+    def build():
+        GridOperator(cv, pr)
 
-    chunked = message()
+    monkeypatch.setattr(quadrature, "PairSet", SpoiledPairs)
+    # a one-shot operator builds no grid, so its pass checks N(tau, tau)
+    one_shot = GridOperator(cv, pr, _one_shot=True)
+
+    chunked = message(build)
     assert "chord/arc tables are inconsistent" in chunked
+    assert message(one_shot.energy) == message(lambda: energy(cv, pr)) == chunked
     monkeypatch.setattr(_pairs, "CHUNK_CELLS", uneven_chunks.M ** 2)
-    assert message() == chunked
+    assert message(build) == message(one_shot.energy) == chunked
 
 
 def _table(queue):

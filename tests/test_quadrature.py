@@ -473,7 +473,7 @@ def test_density_grid_by_row_chunks_gives_the_one_chunk_bits(uneven_chunks, monk
 
 def test_density_grid_memory_is_row_chunked():
     # the whole unfolded grid, its pair-major copy and |V| peaked at 16.0 MiB
-    # at this size; the operator build is in both measurements
+    # at this size
     cv = random_curve(0, M=512, n=3)
     pr = EnergyParams(2.5, 1.5)
 
@@ -488,6 +488,32 @@ def test_density_grid_memory_is_row_chunked():
 
     assert peak(lambda: density_grid(cv, pr)) <= (
         peak(lambda: energy(cv, pr, with_estimate=True)) + 2**20)
+
+
+def test_one_shot_passes_keep_no_geometry_grid():
+    # each chunk of a one-shot pass computes the geometry it reads; with the
+    # six kept (M, M/2 + 1) grids of a built operator the first three peaked
+    # at 25.9, 27.1 and 30.3 MiB at this size
+    cv = random_curve(0, M=1024, n=3)
+    pr = EnergyParams(2.5, 1.5)
+    phi, psi = random_field(cv, 1), random_field(cv, 2)
+    grid = cv.M * (cv.M // 2 + 1) * 8
+    runs = {
+        "energy": lambda: energy(cv, pr, with_estimate=True),
+        "first_variation": lambda: first_variation(cv, phi, pr),
+        "second_variation": lambda: second_variation(cv, phi, psi, pr),
+        "density_grid": lambda: density_grid(cv, pr),
+        "holder_chain_check": lambda: holder_chain_check(cv, phi, psi, pr),
+    }
+    for name, run in runs.items():
+        run()  # the curve's and the fields' cached tables
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid, name
 
 
 # ------------------------------------------------------------ chain bounds
@@ -621,6 +647,48 @@ def test_operator_reuses_blocks(params21, bumpy256):
     assert rel(
         op.first_variation(phi), first_variation(bumpy256, phi, params21)
     ) < 1.0e-12
+
+
+class _KeptGrids(GridOperator):
+    """A :class:`GridOperator` that builds and keeps its grids also for the
+    one-shot functions, which ask it to keep none."""
+
+    def __init__(self, curve, params, band=quadrature.DEFAULT_BAND, _one_shot=False):
+        super().__init__(curve, params, band)
+
+
+@pytest.mark.parametrize("one_chunk", [False, True])
+def test_one_shot_passes_give_the_built_operator_bits(uneven_chunks, monkeypatch, one_chunk):
+    # a one-shot pass computes each chunk's geometry with the expressions of
+    # the build, so every result keeps the bits of a built operator
+    cv = uneven_chunks
+    if one_chunk:
+        monkeypatch.setattr(_pairs, "CHUNK_CELLS", cv.M ** 2)
+    # a high threshold makes the H2 flags fire at p = 1.5
+    monkeypatch.setattr(variations, "H2_SINGULAR_THRESHOLD", 0.1)
+    pr = EnergyParams(2.5, 1.5)
+    phi, psi = random_field(cv, 42), random_field(cv, 43)
+    op = GridOperator(cv, pr)
+    assert energy(cv, pr, with_estimate=True) == op.energy_with_estimate()
+    assert first_variation(cv, phi, pr) == op.first_variation(phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the flagged pairs warn on both sides
+        assert second_variation(cv, phi, psi, pr) == op.second_variation(phi, psi)
+
+    def grids_and_report():
+        grids = [density_grid(cv, pr, which, beta=1.0, phi=phi, psi=psi)
+                 for which in ("density", "g", "h")]
+        return grids, holder_chain_check(cv, phi, psi, pr)
+
+    grids, report = grids_and_report()
+    monkeypatch.setattr(quadrature, "GridOperator", _KeptGrids)
+    kept, kept_report = grids_and_report()
+    assert report == kept_report
+    assert grids[2].flagged
+    for grid, ref in zip(grids, kept):
+        assert np.array_equal(grid.half, ref.half, equal_nan=True), grid.label
+        assert grid.summary() == ref.summary(), grid.label
+        assert grid.band_l1_estimate == ref.band_l1_estimate, grid.label
 
 
 # ------------------------------------------------ row-streamed integrands
